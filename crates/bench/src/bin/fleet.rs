@@ -8,8 +8,7 @@
 //! fleet --nodes 100,1000                 # restrict the size sweep
 //! fleet --shards 1,4                     # sequential + 4-way sharded
 //! fleet --scenario discovery             # one scenario only
-//! fleet --scenario soak                  # nightly chaos soak (needs
-//!                                        #   --features soak)
+//! fleet --scenario soak                  # nightly chaos soak
 //! fleet --scenario soak --chaos deep     # deep fault profile: interior
 //!                                        #   partitions, MCU crashes,
 //!                                        #   delay/duplicate links,
@@ -47,8 +46,8 @@
 //! edge-cache tier) additionally face absolute floors: the caches must
 //! serve ≥ 90 % of driver uploads (at ≥ 1000 Things), and coalescing
 //! must hold the origin to at most caches × device-types fetch sessions.
-//! Chaos-soak rows (nightly profile: built with `--features soak`, run
-//! with `--scenario soak`) hard-fail unless every whole-soak invariant
+//! Chaos-soak rows (nightly profile, opt-in with `--scenario soak`)
+//! hard-fail unless every whole-soak invariant
 //! held — exactly-once discovery, cache coherence, bounded Manager
 //! retention — and the process peak RSS stayed flat across the virtual
 //! day of fault injection. `--chaos deep` widens the schedule with the
@@ -83,9 +82,9 @@ use serde::{Deserialize, Serialize};
 use upnp_core::chaos::SoakReport;
 use upnp_core::fleet::{Fleet, FleetConfig, ScenarioMetrics, ShardedFleet};
 use upnp_core::world::SimWorld;
-use upnp_trace::{chrome_trace_json, FlightRecorder, Span, FLIGHT_RECORDER_CAPACITY};
-#[cfg(feature = "soak")]
-use upnp_trace::{filter_traces, TraceId};
+use upnp_trace::{
+    chrome_trace_json, filter_traces, FlightRecorder, Span, TraceId, FLIGHT_RECORDER_CAPACITY,
+};
 
 /// The scenario the regression gates anchor on.
 const GATE_SCENARIO: &str = "discovery";
@@ -145,7 +144,6 @@ const TRACE_OVERHEAD_ENABLED_FACTOR: f64 = 1.15;
 /// soak gate fails on a traced run — CI uploads it as an artifact.
 const FLIGHT_DUMP_PATH: &str = "BENCH_flight.json";
 /// Edge caches fronting the origin in the chaos-soak rows.
-#[cfg(feature = "soak")]
 const SOAK_CACHES: usize = FLASH_CACHES;
 /// Peak-RSS flatness gate for soak rows: the process high-water mark at
 /// soak end must stay within this factor of the mark after the first
@@ -297,19 +295,6 @@ impl TraceCollector {
     }
 }
 
-/// Process peak resident set (VmHWM) in bytes; 0 where /proc is absent.
-fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<u64>().ok())
-        })
-        .map_or(0, |kb| kb * 1024)
-}
-
 /// CPUs available to this process (1 when undetectable).
 fn detected_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -382,11 +367,6 @@ fn parse_args() -> Result<Options, String> {
                 if !["discovery", "churn", "steady", "flash", "soak", "all"].contains(&s.as_str()) {
                     return Err(format!("unknown scenario `{s}`"));
                 }
-                if s == "soak" && !cfg!(feature = "soak") {
-                    return Err("the soak scenario is feature-gated (nightly profile): \
-                         rebuild with `--features soak`"
-                        .into());
-                }
                 opts.scenario = (s != "all").then_some(s);
             }
             "--chaos" => {
@@ -433,7 +413,7 @@ fn row(
         shards,
         caches,
         fingerprint,
-        peak_rss_bytes: peak_rss_bytes(),
+        peak_rss_bytes: upnp_core::chaos::peak_rss_kb() * 1024,
         cpus: detected_cpus(),
         faults_injected: 0,
         soak_ticks: 0,
@@ -479,9 +459,8 @@ fn run_fleet<W: SimWorld>(
 /// Runs the chaos soak (one virtual day of seeded fault injection: cache
 /// crashes mid-transfer, root↔cache partitions, primary→standby
 /// failover, battery churn) on its own fleet fronted by [`SOAK_CACHES`]
-/// caches and a hot-standby Manager. Nightly profile — only built with
-/// the `soak` feature, and only run when `--scenario soak` is selected.
-#[cfg(feature = "soak")]
+/// caches and a hot-standby Manager. Nightly profile — only run when
+/// `--scenario soak` is selected.
 fn run_soak<W: SimWorld>(
     fleet: &mut Fleet<W>,
     opts: &Options,
@@ -628,13 +607,11 @@ fn traced<W: SimWorld>(mut fleet: Fleet<W>, on: bool) -> Fleet<W> {
 
 fn run(opts: &Options, trace: &mut TraceCollector) -> BenchReport {
     let mut scenarios = Vec::new();
-    // The soak is opt-in even with the feature compiled: a day of
-    // virtual time per (size, shards) pair belongs to the nightly
-    // profile, not the default sweep.
+    // The soak is opt-in: a day of virtual time per (size, shards) pair
+    // belongs to the nightly profile, not the default sweep.
     let soak_only = opts.scenario.as_deref() == Some("soak");
     for &things in &opts.sizes {
         for &shards in &opts.shards {
-            #[cfg(feature = "soak")]
             if soak_only {
                 let config = FleetConfig::new(things)
                     .with_seed(opts.seed)
@@ -649,10 +626,6 @@ fn run(opts: &Options, trace: &mut TraceCollector) -> BenchReport {
                     run_soak(&mut fleet, opts, things, shards, &mut scenarios, trace);
                 }
                 continue;
-            }
-            #[cfg(not(feature = "soak"))]
-            if soak_only {
-                unreachable!("parse_args rejects --scenario soak without the feature");
             }
             // A fresh fleet per (size, shards): scenario metrics are
             // deltas, but the build itself (indices, routing tree)

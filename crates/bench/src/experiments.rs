@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use upnp_core::world::{ThingId, World, WorldConfig};
+use upnp_core::world::{SimWorld, ThingId, World, WorldConfig};
 use upnp_dsl::compile_source;
 use upnp_dsl::sloc::{count_c, count_dsl};
 use upnp_energy::deployment::{figure_12, Technology, YearConfig};

@@ -51,7 +51,7 @@ use upnp_sim::{SimDuration, SimRng};
 
 use crate::fleet::{Fleet, ScenarioMetrics};
 use crate::manager::MAX_INVENTORY;
-use crate::world::{CacheId, SimWorld};
+use crate::world::{CacheId, SimWorld, WorldOp};
 
 /// Shape of one chaos soak: how long, and how hostile.
 #[derive(Debug, Clone)]
@@ -516,12 +516,18 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
+    /// Invariant breaches across the soak: discovery, coherence and
+    /// retention violations plus recovery-attribution mismatches.
+    pub fn violations(&self) -> u64 {
+        self.discovery_violations
+            + self.coherence_violations
+            + self.retention_violations
+            + self.attribution_mismatches
+    }
+
     /// Did every whole-soak invariant hold?
     pub fn invariants_held(&self) -> bool {
-        self.discovery_violations == 0
-            && self.coherence_violations == 0
-            && self.retention_violations == 0
-            && self.attribution_mismatches == 0
+        self.violations() == 0
     }
 
     /// Everything deterministic about the soak in one comparable string.
@@ -623,8 +629,7 @@ impl<W: SimWorld> Fleet<W> {
                 "failover chaos needs FleetConfig::with_standby()"
             );
         }
-        // The manager is always the first node a fleet builds.
-        let root = NodeId(0);
+        let root = self.plan.manager();
         let pool = self.config.device_pool.clone();
         let n = self.things.len();
         let mut rng = SimRng::seed(cfg.seed ^ 0xc4a0_50a4).fork(n as u64);
@@ -649,17 +654,23 @@ impl<W: SimWorld> Fleet<W> {
         // seeded delay/duplicate schedule. The counters are read as a
         // delta so a reused world reports only this soak's perturbations.
         let frames_before = self.world.net_stats();
-        self.world.set_link_chaos(cfg.link_chaos);
+        self.world
+            .apply(soak_start, WorldOp::LinkChaos(cfg.link_chaos));
         // Gray failures cover the soak the same way: the degrade
         // schedule is a pure function of (seed, directed edge, window
         // index), so suspending it for a heal phase and re-enabling it
         // later resumes the exact same schedule. One seeded cache pick
         // crawls for the whole soak; the draw is gated on the factor so
         // non-gray profiles' fault schedules are unshifted.
-        self.world.set_link_degrade(cfg.link_degrade);
+        self.world
+            .apply(soak_start, WorldOp::LinkDegrade(cfg.link_degrade));
         let crawling = if cfg.cache_crawl_factor > 0 && !self.caches.is_empty() {
             let pick = self.caches[rng.index(self.caches.len())];
-            self.world.set_cache_crawl(pick, cfg.cache_crawl_factor);
+            let crawl = WorldOp::CacheCrawl {
+                cache: pick,
+                factor: cfg.cache_crawl_factor,
+            };
+            self.world.apply(soak_start, crawl);
             Some(pick)
         } else {
             None
@@ -679,9 +690,7 @@ impl<W: SimWorld> Fleet<W> {
                     picked[rng.index(n)] = true;
                 }
                 for (i, p) in picked.iter_mut().enumerate() {
-                    let drawn = self
-                        .world
-                        .radio_energy_j(self.world.thing_node(self.things[i]));
+                    let drawn = self.world.radio_energy_j(self.thing_node(self.things[i]));
                     if drawn - last_swap_j[i] >= budgets[i] {
                         *p = true;
                     }
@@ -689,21 +698,20 @@ impl<W: SimWorld> Fleet<W> {
                 (0..n).filter(|&i| picked[i]).collect()
             };
             for (j, &i) in churn.iter().enumerate() {
-                let t = self.things[i];
                 let stag = self.config.stagger.saturating_mul(j as u64);
                 if self.occupancy[i].is_some() {
-                    self.world.unplug_at(epoch_start + stag, t, 0);
+                    self.world.apply(epoch_start + stag, self.unplug(i));
                     plug_round[i] += 1;
                     report.battery_unplugs += 1;
                 }
                 let device = pool[(i + plug_round[i]) % pool.len()];
                 self.world
-                    .plug_at(epoch_start + cfg.replug_delay + stag, t, 0, device);
+                    .apply(epoch_start + cfg.replug_delay + stag, self.plug(i, device));
                 self.occupancy[i] = Some(device);
                 if e > 0 {
                     report.battery_replugs += 1;
                 }
-                last_swap_j[i] = self.world.radio_energy_j(self.world.thing_node(t));
+                last_swap_j[i] = self.world.radio_energy_j(self.thing_node(self.things[i]));
             }
 
             // Pause mid-wave — replugs are still fetching drivers — and
@@ -720,15 +728,16 @@ impl<W: SimWorld> Fleet<W> {
                     if crashed.contains(&pick) {
                         continue;
                     }
-                    report.followers_drained += self.world.crash_cache(mid, pick) as u64;
+                    report.followers_drained += self
+                        .world
+                        .apply(mid, WorldOp::CrashCache(pick))
+                        .followers_drained;
                     crashed.push(pick);
                     report.cache_crashes += 1;
                 }
                 for _ in 0..cfg.partitions_per_epoch {
-                    let node = self
-                        .world
-                        .cache_node(self.caches[rng.index(self.caches.len())]);
-                    if let Some(quality) = self.world.partition_link(root, node) {
+                    let node = self.cache_node(self.caches[rng.index(self.caches.len())]);
+                    if let Some(quality) = self.world.apply(mid, WorldOp::CutLink(root, node)).cut {
                         cut.push((node, quality));
                         report.partitions += 1;
                     }
@@ -742,15 +751,15 @@ impl<W: SimWorld> Fleet<W> {
             // orphaning the whole subtree below that edge until the
             // heal restores the sampled quality and the reroot storm
             // repairs routing. The edge may already be cut this epoch —
-            // `partition_link` then reports `None` and the draw is a
+            // the cut then reports no quality and the draw is a
             // deterministic no-op on both backends.
             let mut interior_cut: Vec<(NodeId, NodeId, LinkQuality)> = Vec::new();
             for _ in 0..cfg.interior_partitions_per_epoch {
-                let node = self.world.thing_node(self.things[rng.index(n)]);
+                let node = self.thing_node(self.things[rng.index(n)]);
                 let Some(parent) = self.world.dodag_parent(node) else {
                     continue;
                 };
-                if let Some(quality) = self.world.partition_link(parent, node) {
+                if let Some(quality) = self.world.apply(mid, WorldOp::CutLink(parent, node)).cut {
                     interior_cut.push((parent, node, quality));
                     report.interior_partitions += 1;
                 }
@@ -768,14 +777,14 @@ impl<W: SimWorld> Fleet<W> {
                     if crashed_things.contains(&i) {
                         continue;
                     }
-                    self.world.crash_thing(self.things[i]);
+                    self.world.apply(mid, WorldOp::CrashThing(self.things[i]));
                     crashed_things.push(i);
                     report.thing_crashes += 1;
                 }
             }
             let failover = cfg.failover_every > 0 && (e + 1) % cfg.failover_every == 0;
             if failover {
-                self.world.fail_primary();
+                self.world.apply(mid, WorldOp::FailPrimary);
                 report.failovers += 1;
             }
             // Standby blackout: on every `blackout_every`-th failover
@@ -787,7 +796,7 @@ impl<W: SimWorld> Fleet<W> {
                 && cfg.blackout_every > 0
                 && report.failovers % cfg.blackout_every as u64 == 0;
             if blackout {
-                self.world.fail_standby();
+                self.world.apply(mid, WorldOp::FailStandby);
                 report.standby_outages += 1;
             }
 
@@ -847,7 +856,7 @@ impl<W: SimWorld> Fleet<W> {
                     .get(&device.raw())
                     .map_or(0, |tl| tl.trace_id);
                 let orphaned = !interior_cut.is_empty() && {
-                    let mut node = self.world.thing_node(self.things[i]);
+                    let mut node = self.thing_node(self.things[i]);
                     let mut hit = false;
                     // Bounded walk: a (stale) DODAG parent chain is
                     // acyclic, but cap it anyway so a broken oracle
@@ -887,7 +896,8 @@ impl<W: SimWorld> Fleet<W> {
             // invariant trip. The schedule is pure in absolute time, so
             // re-enabling below resumes it exactly where it would have
             // been.
-            self.world.set_link_degrade(None);
+            let now = self.world.now();
+            self.world.apply(now, WorldOp::LinkDegrade(None));
 
             // Ops heal: links back, caches revived cold, replicas
             // restored, then a reroot storm rebuilds the DODAG. Every
@@ -896,22 +906,24 @@ impl<W: SimWorld> Fleet<W> {
             // resampled one, so the post-heal radio is bit-identical to
             // the pre-fault radio.
             for (node, quality) in cut {
-                self.world.heal_link(root, node, quality);
+                self.world
+                    .apply(now, WorldOp::HealLink(root, node, quality));
             }
             for (parent, node, quality) in interior_cut {
-                self.world.heal_link(parent, node, quality);
+                self.world
+                    .apply(now, WorldOp::HealLink(parent, node, quality));
             }
             for c in crashed {
-                self.world.revive_cache(c);
+                self.world.apply(now, WorldOp::ReviveCache(c));
             }
             if failover {
-                self.world.restore_primary();
+                self.world.apply(now, WorldOp::RestorePrimary);
             }
             if blackout {
-                self.world.restore_standby();
+                self.world.apply(now, WorldOp::RestoreStandby);
             }
             for _ in 0..cfg.reroots_per_heal {
-                self.world.rebuild_tree();
+                self.world.apply(now, WorldOp::Reroot);
                 report.reroots += 1;
             }
             // Revive crashed MCUs after the reroot storm so their
@@ -919,11 +931,10 @@ impl<W: SimWorld> Fleet<W> {
             // torn flash (half-written images must fail verification —
             // never be stitched) and reissues every interrupted driver
             // request end-to-end.
-            let revive_at = self.world.now();
             for i in crashed_things {
-                let (rejected, refetches) = self.world.revive_thing(revive_at, self.things[i]);
-                report.half_images_rejected += rejected;
-                report.half_image_refetches += refetches;
+                let revived = self.world.apply(now, WorldOp::ReviveThing(self.things[i]));
+                report.half_images_rejected += revived.images_rejected;
+                report.half_image_refetches += revived.refetches;
             }
 
             // Repair wave: anything the faults starved (request dropped
@@ -949,9 +960,9 @@ impl<W: SimWorld> Fleet<W> {
                         continue;
                     }
                     let at = heal_at + self.config.stagger.saturating_mul(lane);
-                    self.world.unplug_at(at, self.things[i], 0);
+                    self.world.apply(at, self.unplug(i));
                     self.world
-                        .plug_at(at + self.config.stagger, self.things[i], 0, device);
+                        .apply(at + self.config.stagger, self.plug(i, device));
                     *replug = true;
                     repaired += 1;
                     lane += 2;
@@ -1027,7 +1038,8 @@ impl<W: SimWorld> Fleet<W> {
 
             // Resume the gray schedule for the run to the boundary (and
             // the next epoch's churn wave). No-op for non-gray profiles.
-            self.world.set_link_degrade(cfg.link_degrade);
+            self.world
+                .apply(self.world.now(), WorldOp::LinkDegrade(cfg.link_degrade));
 
             // Advance to the epoch boundary so every epoch spans exactly
             // `cfg.epoch` of virtual time.
@@ -1041,10 +1053,12 @@ impl<W: SimWorld> Fleet<W> {
                 .push(self.world.net_stats().frames_degraded - degraded_at_start);
         }
 
-        self.world.set_link_chaos(None);
-        self.world.set_link_degrade(None);
+        let end = self.world.now();
+        self.world.apply(end, WorldOp::LinkChaos(None));
+        self.world.apply(end, WorldOp::LinkDegrade(None));
         if let Some(cache) = crawling {
-            self.world.set_cache_crawl(cache, 1);
+            self.world
+                .apply(end, WorldOp::CacheCrawl { cache, factor: 1 });
         }
         let frames_after = self.world.net_stats();
         report.frames_delayed = frames_after.frames_delayed - frames_before.frames_delayed;
@@ -1087,10 +1101,7 @@ impl<W: SimWorld> Fleet<W> {
         let mut probe = self.start_scenario();
         let report = self.chaos_soak(cfg);
         let events = report.faults_injected as usize;
-        let violations = (report.discovery_violations
-            + report.coherence_violations
-            + report.retention_violations) as usize;
-        let completed = events.saturating_sub(violations);
+        let completed = events.saturating_sub(report.violations() as usize);
         let metrics = self.finish_scenario(&mut probe, "soak", events, completed, Vec::new());
         (metrics, report)
     }
@@ -1408,15 +1419,19 @@ mod tests {
         let mut config = soak_config(10);
         config.link_prr = 0.6;
         let mut fleet: Fleet<World> = Fleet::build(config);
-        let node = fleet.world.thing_node(fleet.things[7]);
+        let node = fleet.thing_node(fleet.things[7]);
         let parent = fleet.world.dodag_parent(node).expect("thing has a parent");
         let before = fleet.world.net.link_quality(parent, node);
+        let now = fleet.world.now();
         let sampled = fleet
             .world
-            .partition_link(parent, node)
+            .apply(now, WorldOp::CutLink(parent, node))
+            .cut
             .expect("edge exists");
         assert_eq!(fleet.world.net.link_quality(parent, node), None);
-        fleet.world.heal_link(parent, node, sampled);
+        fleet
+            .world
+            .apply(now, WorldOp::HealLink(parent, node, sampled));
         assert_eq!(fleet.world.net.link_quality(parent, node), before);
 
         // And end-to-end: a deep soak over the same lossy fleet keeps

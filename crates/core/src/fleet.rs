@@ -21,7 +21,9 @@ use upnp_sim::{SimDuration, SimRng, SimTime};
 
 use crate::catalog::Catalog;
 use crate::shard::ShardedWorld;
-use crate::world::{CacheId, ClientId, DistroStats, SimWorld, ThingId, World, WorldConfig};
+use crate::world::{
+    BuildPlan, CacheId, ClientId, DistroStats, SimWorld, ThingId, World, WorldConfig, WorldOp,
+};
 
 /// How the fleet's nodes are wired together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,6 +294,8 @@ pub struct Fleet<W: SimWorld = World> {
     pub clients: Vec<ClientId>,
     /// All edge-cache handles (empty unless [`FleetConfig::caches`] > 0).
     pub caches: Vec<CacheId>,
+    /// How the world was built: the node behind every handle.
+    pub(crate) plan: BuildPlan,
     pub(crate) config: FleetConfig,
     /// Scenario-level randomness, forked off the world seed.
     pub(crate) rng: SimRng,
@@ -307,8 +311,7 @@ impl Fleet<World> {
     /// Builds the world: manager, Things, clients, topology, routing
     /// tree.
     pub fn build(config: FleetConfig) -> Fleet {
-        let world_config = Self::world_config(&config);
-        Fleet::build_in(World::new(world_config), config)
+        Fleet::build_with(config, World::from_plan)
     }
 }
 
@@ -316,44 +319,33 @@ impl Fleet<ShardedWorld> {
     /// Builds the same fleet as [`Fleet::build`], partitioned across
     /// `shards` worker threads along DODAG subtree boundaries.
     pub fn build_sharded(config: FleetConfig, shards: usize) -> ShardedFleet {
-        let world_config = Fleet::<ShardedWorld>::world_config(&config);
-        Fleet::build_in(ShardedWorld::new(world_config, shards), config)
+        Fleet::build_with(config, |world_config, plan| {
+            ShardedWorld::new(world_config, plan, shards)
+        })
     }
 }
 
 impl<W: SimWorld> Fleet<W> {
-    /// The world configuration a fleet of this shape wants.
-    fn world_config(config: &FleetConfig) -> WorldConfig {
-        WorldConfig {
-            seed: config.seed,
-            expected_nodes: 1
-                + usize::from(config.standby)
-                + config.caches
-                + config.things
-                + config.clients,
-            ..WorldConfig::default()
-        }
-    }
-
-    /// Assembles manager, Things, clients, topology and routing tree in
-    /// the supplied (empty) world.
-    pub fn build_in(mut world: W, config: FleetConfig) -> Fleet<W> {
+    /// Writes the build plan — manager, Things, clients, topology — and
+    /// builds the world from it with `make`.
+    fn build_with(config: FleetConfig, make: impl FnOnce(WorldConfig, &BuildPlan) -> W) -> Self {
         assert!(config.things > 0, "a fleet needs at least one Thing");
         assert!(
             !config.device_pool.is_empty(),
             "a fleet needs at least one peripheral type"
         );
-        let manager = world.add_manager();
+        let mut plan = BuildPlan::default();
+        let manager = plan.add_manager();
         // The standby must be node 1 — right after the manager, before
         // every cache — so its NodeId wins the anycast tiebreak at equal
         // root distance in every shard alike (takeover determinism).
         if config.standby {
-            let sb = world.add_standby();
-            world.link(manager, sb, LinkQuality::PERFECT);
+            let sb = plan.add_standby();
+            plan.link(manager, sb, LinkQuality::PERFECT);
         }
-        let caches: Vec<CacheId> = (0..config.caches).map(|_| world.add_cache()).collect();
-        let things: Vec<ThingId> = (0..config.things).map(|_| world.add_thing()).collect();
-        let clients: Vec<ClientId> = (0..config.clients).map(|_| world.add_client()).collect();
+        let caches: Vec<CacheId> = (0..config.caches).map(|_| plan.add_cache()).collect();
+        let things: Vec<ThingId> = (0..config.things).map(|_| plan.add_thing()).collect();
+        let clients: Vec<ClientId> = (0..config.clients).map(|_| plan.add_client()).collect();
 
         let quality = LinkQuality::new(config.link_prr);
         // Subtree heads below the border router: the edge caches when
@@ -367,11 +359,11 @@ impl<W: SimWorld> Fleet<W> {
         let heads: Vec<NodeId> = if caches.is_empty() {
             vec![manager]
         } else {
-            caches.iter().map(|&c| world.cache_node(c)).collect()
+            caches.iter().map(|&c| plan.cache_node(c)).collect()
         };
         for &h in &heads {
             if h != manager {
-                world.link(manager, h, quality);
+                plan.link(manager, h, quality);
             }
         }
         let k = heads.len();
@@ -380,7 +372,7 @@ impl<W: SimWorld> Fleet<W> {
             match config.topology {
                 FleetTopology::Star => {
                     for &i in &group {
-                        world.link(head, world.thing_node(things[i]), quality);
+                        plan.link(head, plan.thing_node(things[i]), quality);
                     }
                 }
                 FleetTopology::Tree { fanout } => {
@@ -392,19 +384,24 @@ impl<W: SimWorld> Fleet<W> {
                         let parent = if parent_pos == 0 {
                             head
                         } else {
-                            world.thing_node(things[group[parent_pos - 1]])
+                            plan.thing_node(things[group[parent_pos - 1]])
                         };
-                        world.link(parent, world.thing_node(things[i]), quality);
+                        plan.link(parent, plan.thing_node(things[i]), quality);
                     }
                 }
             }
         }
         // Clients sit next to the border router in both shapes.
         for &c in &clients {
-            let node = world.client_node(c);
-            world.link(manager, node, quality);
+            plan.link(manager, plan.client_node(c), quality);
         }
-        world.build_tree(manager);
+        let world = make(
+            WorldConfig {
+                seed: config.seed,
+                ..WorldConfig::default()
+            },
+            &plan,
+        );
 
         let mut seed_rng = SimRng::seed(config.seed ^ 0xf1ee7);
         let rng = seed_rng.fork(config.things as u64);
@@ -413,15 +410,53 @@ impl<W: SimWorld> Fleet<W> {
             things,
             clients,
             caches,
+            plan,
             occupancy: vec![None; config.things],
             config,
             rng,
         }
     }
 
+    /// The network node of a Thing.
+    pub fn thing_node(&self, id: ThingId) -> NodeId {
+        self.plan.thing_node(id)
+    }
+
+    /// The network node of a client.
+    pub fn client_node(&self, id: ClientId) -> NodeId {
+        self.plan.client_node(id)
+    }
+
+    /// The network node of an edge cache.
+    pub fn cache_node(&self, id: CacheId) -> NodeId {
+        self.plan.cache_node(id)
+    }
+
+    /// Total network nodes (manager, standby, caches, Things, clients).
+    pub fn node_count(&self) -> usize {
+        self.plan.node_count()
+    }
+
     /// The device assigned to Thing `i` by the round-robin pool.
     pub fn assigned_device(&self, i: usize) -> DeviceTypeId {
         self.config.device_pool[i % self.config.device_pool.len()]
+    }
+
+    /// Plugging `device` into channel 0 of Thing `i`.
+    pub(crate) fn plug(&self, i: usize, device: DeviceTypeId) -> WorldOp {
+        WorldOp::Plug {
+            thing: self.things[i],
+            channel: 0,
+            device,
+        }
+    }
+
+    /// Unplugging channel 0 of Thing `i`.
+    pub(crate) fn unplug(&self, i: usize) -> WorldOp {
+        WorldOp::Unplug {
+            thing: self.things[i],
+            channel: 0,
+        }
     }
 
     /// Staggered discovery wave: every Thing gets its pool peripheral
@@ -436,7 +471,7 @@ impl<W: SimWorld> Fleet<W> {
         for i in 0..self.things.len() {
             let at = base + self.config.stagger.saturating_mul(i as u64);
             let device = self.assigned_device(i);
-            self.world.plug_at(at, self.things[i], 0, device);
+            self.world.apply(at, self.plug(i, device));
             self.occupancy[i] = Some(device);
         }
         self.world.run_until_idle();
@@ -463,7 +498,7 @@ impl<W: SimWorld> Fleet<W> {
         let base = self.world.now();
         for i in 0..self.things.len() {
             let device = self.assigned_device(i);
-            self.world.plug_at(base, self.things[i], 0, device);
+            self.world.apply(base, self.plug(i, device));
             self.occupancy[i] = Some(device);
         }
         self.world.run_until_idle();
@@ -500,15 +535,14 @@ impl<W: SimWorld> Fleet<W> {
         for e in 0..events {
             let at = base + self.config.stagger.saturating_mul(e as u64);
             let i = self.rng.index(self.things.len());
-            let t = self.things[i];
             match self.occupancy[i] {
                 Some(_) => {
-                    self.world.unplug_at(at, t, 0);
+                    self.world.apply(at, self.unplug(i));
                     self.occupancy[i] = None;
                 }
                 None => {
                     let device = self.assigned_device(i);
-                    self.world.plug_at(at, t, 0, device);
+                    self.world.apply(at, self.plug(i, device));
                     self.occupancy[i] = Some(device);
                 }
             }
@@ -592,10 +626,9 @@ impl<W: SimWorld> Fleet<W> {
             let i = plugged[self.rng.index(plugged.len())];
             let c = self.clients[self.rng.index(self.clients.len())];
             let device = self.occupancy[i].expect("picked from plugged set");
-            let thing_addr = self.world.thing_addr(self.things[i]);
+            let thing_addr = self.world.thing(self.things[i]).address;
             let dgram = self.world.client_request_read(c, thing_addr, device.raw());
-            let node = self.world.client_node(c);
-            self.world.inject(at, node, dgram);
+            self.world.inject(at, self.client_node(c), dgram);
             expected.push((c, at));
         }
         // One streaming session per client against a random plugged Thing.
@@ -605,12 +638,11 @@ impl<W: SimWorld> Fleet<W> {
             let i = plugged[self.rng.index(plugged.len())];
             let c = self.clients[s];
             let device = self.occupancy[i].expect("picked from plugged set");
-            let thing_addr = self.world.thing_addr(self.things[i]);
+            let thing_addr = self.world.thing(self.things[i]).address;
             let dgram = self
                 .world
                 .client_request_stream(c, thing_addr, device.raw());
-            let node = self.world.client_node(c);
-            self.world.inject(at, node, dgram);
+            self.world.inject(at, self.client_node(c), dgram);
         }
         self.world.run_until_idle();
 
@@ -712,7 +744,7 @@ impl<W: SimWorld> Fleet<W> {
         let distro = self.world.distro_stats();
         ScenarioMetrics {
             scenario: scenario.to_string(),
-            nodes: self.world.node_count(),
+            nodes: self.node_count(),
             events,
             completed,
             virtual_ms: self
@@ -746,7 +778,7 @@ impl<W: SimWorld> Fleet<W> {
     fn total_thing_joules(&self) -> f64 {
         self.things
             .iter()
-            .map(|&t| self.world.radio_energy_j(self.world.thing_node(t)))
+            .map(|&t| self.world.radio_energy_j(self.thing_node(t)))
             .sum()
     }
 }
@@ -926,10 +958,10 @@ mod tests {
         let base = fleet.world.now();
         fleet
             .world
-            .plug_at(base + SimDuration::from_millis(1), t, 0, device);
+            .apply(base + SimDuration::from_millis(1), fleet.plug(0, device));
         fleet
             .world
-            .unplug_at(base + SimDuration::from_millis(5), t, 0);
+            .apply(base + SimDuration::from_millis(5), fleet.unplug(0));
         fleet.world.run_until_idle();
         assert!(
             fleet.world.thing(t).served_peripherals().is_empty(),

@@ -95,6 +95,133 @@ impl Default for WorldConfig {
     }
 }
 
+/// One step of a [`BuildPlan`]. Things and caches carry their node so a
+/// shard can tell the ones it owns.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Manager,
+    Standby,
+    Thing(NodeId),
+    Client,
+    Cache(NodeId),
+    Link(NodeId, NodeId, LinkQuality),
+}
+
+/// A world's construction as data: its nodes and links, in order, with
+/// the routing tree rooted at the manager.
+///
+/// Node ids are assigned sequentially, exactly as [`World`] assigns
+/// them, so they are known while the plan is written (topology builders
+/// wire the tree with them) and both backends build bit-identical node
+/// tables from one plan: [`World::from_plan`] replays it whole, and
+/// [`ShardedWorld`](crate::shard::ShardedWorld) replays it once per
+/// shard, simulating only the Things and caches that shard owns.
+#[derive(Debug, Clone, Default)]
+pub struct BuildPlan {
+    steps: Vec<Step>,
+    nodes: u32,
+    manager: Option<NodeId>,
+    standby: Option<NodeId>,
+    /// Node of every Thing, client and edge cache, in creation order.
+    pub(crate) things: Vec<NodeId>,
+    pub(crate) clients: Vec<NodeId>,
+    pub(crate) caches: Vec<NodeId>,
+}
+
+impl BuildPlan {
+    fn push(&mut self, step: impl FnOnce(NodeId) -> Step) -> NodeId {
+        let node = NodeId(self.nodes);
+        self.nodes += 1;
+        self.steps.push(step(node));
+        node
+    }
+
+    /// Adds the manager node (once: it roots the routing tree).
+    pub fn add_manager(&mut self) -> NodeId {
+        let node = self.push(|_| Step::Manager);
+        self.manager = Some(node);
+        node
+    }
+
+    /// Adds a standby Manager replica (see [`World::add_standby`]).
+    pub fn add_standby(&mut self) -> NodeId {
+        let node = self.push(|_| Step::Standby);
+        self.standby = Some(node);
+        node
+    }
+
+    /// Adds a µPnP Thing.
+    pub fn add_thing(&mut self) -> ThingId {
+        let node = self.push(Step::Thing);
+        self.things.push(node);
+        ThingId(self.things.len() - 1)
+    }
+
+    /// Adds a client.
+    pub fn add_client(&mut self) -> ClientId {
+        let node = self.push(|_| Step::Client);
+        self.clients.push(node);
+        ClientId(self.clients.len() - 1)
+    }
+
+    /// Adds an edge cache (after the manager — it needs its origin).
+    pub fn add_cache(&mut self) -> CacheId {
+        let node = self.push(Step::Cache);
+        self.caches.push(node);
+        CacheId(self.caches.len() - 1)
+    }
+
+    /// Links two nodes with the given quality.
+    pub fn link(&mut self, a: NodeId, b: NodeId, quality: LinkQuality) {
+        self.steps.push(Step::Link(a, b, quality));
+    }
+
+    /// The manager node: the routing-tree root.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no manager was added.
+    pub fn manager(&self) -> NodeId {
+        self.manager.expect("plan has a manager")
+    }
+
+    /// The network node of a Thing.
+    pub fn thing_node(&self, id: ThingId) -> NodeId {
+        self.things[id.0]
+    }
+
+    /// The network node of a client.
+    pub fn client_node(&self, id: ClientId) -> NodeId {
+        self.clients[id.0]
+    }
+
+    /// The network node of an edge cache.
+    pub fn cache_node(&self, id: CacheId) -> NodeId {
+        self.caches[id.0]
+    }
+
+    /// Total network nodes.
+    pub fn node_count(&self) -> usize {
+        self.nodes as usize
+    }
+
+    /// The nodes every shard simulates: manager, standby and clients.
+    pub(crate) fn replicated(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.manager
+            .into_iter()
+            .chain(self.standby)
+            .chain(self.clients.iter().copied())
+    }
+
+    /// Every link, in creation order.
+    pub(crate) fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, LinkQuality)> + '_ {
+        self.steps.iter().filter_map(|s| match *s {
+            Step::Link(a, b, q) => Some((a, b, q)),
+            _ => None,
+        })
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum NodeKind {
     Manager,
@@ -262,15 +389,55 @@ impl World {
         }
     }
 
-    /// Enables (or disables) virtual-clock distributed tracing. Costs
-    /// one branch per hook while disabled; enabling mid-run starts
-    /// tracing plugs from the next plug instant (pipelines already in
-    /// flight stay untraced).
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.trace.enabled = enabled;
-        if !enabled {
-            self.active_traces.clear();
+    /// Builds the world `plan` describes, its routing tree rooted at the
+    /// manager.
+    pub fn from_plan(config: WorldConfig, plan: &BuildPlan) -> World {
+        World::from_plan_where(config, plan, |_| true)
+    }
+
+    /// [`World::from_plan`] simulating only the Things and caches `local`
+    /// selects — one shard of a sharded world. Every other Thing or cache
+    /// occupies its node slot, so ids, addresses and wire sizes line up
+    /// with the whole world, but is never linked or registered: no
+    /// traffic reaches it and anycast never resolves to it.
+    pub(crate) fn from_plan_where(
+        config: WorldConfig,
+        plan: &BuildPlan,
+        local: impl Fn(NodeId) -> bool,
+    ) -> World {
+        let mut w = World::new(WorldConfig {
+            expected_nodes: plan.node_count(),
+            ..config
+        });
+        for &step in &plan.steps {
+            match step {
+                Step::Manager => {
+                    w.add_manager();
+                }
+                Step::Standby => {
+                    w.add_standby();
+                }
+                Step::Client => {
+                    w.add_client();
+                }
+                Step::Thing(node) if local(node) => {
+                    w.add_thing();
+                }
+                Step::Cache(node) if local(node) => {
+                    w.add_cache();
+                }
+                Step::Thing(_) | Step::Cache(_) => {
+                    w.net.add_node();
+                }
+                Step::Link(a, b, q) => {
+                    if local(a) && local(b) {
+                        w.link(a, b, q);
+                    }
+                }
+            }
         }
+        w.build_tree(plan.manager());
+        w
     }
 
     /// Whether distributed tracing is recording.
@@ -278,23 +445,9 @@ impl World {
         self.trace.enabled
     }
 
-    /// Drains every span recorded so far in canonical order (sorted by
-    /// start, trace, kind, node — the order is shard-invariant).
-    pub fn take_spans(&mut self) -> Vec<Span> {
-        let mut spans = self.trace.take_spans();
-        upnp_trace::canonical_sort(&mut spans);
-        spans
-    }
-
     /// The bounded flight-recorder window of recent spans.
     pub fn flight_recorder(&self) -> &upnp_trace::FlightRecorder {
         self.trace.recorder()
-    }
-
-    /// Dumps the flight-recorder window as a self-describing JSON
-    /// document (the artifact the soak gate uploads on failure).
-    pub fn flight_dump(&self, reason: &str) -> String {
-        self.trace.recorder().dump_json(reason)
     }
 
     /// The decorrelated jitter stream of the Thing on `node`: a pure
@@ -304,16 +457,6 @@ impl World {
         SimRng::seed(upnp_sim::splitmix64(
             seed ^ (node.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         ))
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The catalog of known peripherals.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
     }
 
     /// Adds the manager node (call once, before things).
@@ -340,7 +483,7 @@ impl World {
     /// Adds a standby Manager replica: a second instance of both the
     /// manager and origin anycast addresses with an identical repository.
     /// While the primary lives it serves nothing (the primary is nearer
-    /// or ties at a lower node id); when [`World::fail_primary`] removes
+    /// or ties at a lower node id); when [`WorldOp::FailPrimary`] removes
     /// the primary from the anycast sets, every request — Thing driver
     /// requests and cache chunk fetches alike — deterministically
     /// re-resolves here.
@@ -392,15 +535,6 @@ impl World {
         self.node_kinds.insert(node, NodeKind::Thing(id.0));
         self.thing_by_addr.insert(address, id.0);
         id
-    }
-
-    /// Adds a node that occupies its slot in the address space but is
-    /// simulated elsewhere — a sharded world calls this for Things owned
-    /// by other shards so node ids, addresses and wire sizes line up with
-    /// the sequential simulator. The node is never linked locally, so no
-    /// traffic can reach it.
-    pub fn add_remote_node(&mut self) -> NodeId {
-        self.net.add_node()
     }
 
     /// Adds a client; it joins the all-clients group immediately.
@@ -469,36 +603,9 @@ impl World {
         self.caches[id.0].node
     }
 
-    /// Aggregate distribution-tier counters (all caches + the origin).
-    pub fn distro_stats(&self) -> DistroStats {
-        let mut s = DistroStats::default();
-        for c in &self.caches {
-            s.cache_hits += c.stats.hits;
-            s.cache_misses += c.stats.misses;
-            s.cache_coalesced += c.stats.coalesced;
-            s.cache_uploads += c.stats.uploads_served;
-        }
-        for m in self.manager.iter().chain(&self.standby) {
-            s.origin_uploads += m.uploads_served;
-            s.mgr_inventory += m.inventory().len() as u64;
-            s.mgr_removal_acks += m.removal_acks_total;
-        }
-        s
-    }
-
-    /// Access a Thing.
-    pub fn thing(&self, id: ThingId) -> &Thing {
-        &self.things[id.0]
-    }
-
     /// Mutable access to a Thing.
     pub fn thing_mut(&mut self, id: ThingId) -> &mut Thing {
         &mut self.things[id.0]
-    }
-
-    /// Access a client.
-    pub fn client(&self, id: ClientId) -> &Client {
-        &self.clients[id.0]
     }
 
     /// Access the manager.
@@ -523,13 +630,6 @@ impl World {
     /// The network node of a client.
     pub fn client_node(&self, id: ClientId) -> NodeId {
         self.clients[id.0].node
-    }
-
-    /// Injects a pre-built datagram from `from` at virtual time `at` —
-    /// the primitive fleet workloads use to stage many requests before
-    /// one run of the loop.
-    pub fn inject(&mut self, at: SimTime, from: NodeId, dgram: Datagram) {
-        self.net.send(at, from, dgram);
     }
 
     /// The unicast address of a Thing.
@@ -560,27 +660,17 @@ impl World {
         self.net.build_tree(root);
     }
 
-    // ---- Chaos: fault injection and recovery ---------------------------
+    // ---- Chaos: the fault ops that need more than a line ---------------
 
-    /// Crashes an edge cache ungracefully at virtual instant `at`: its
-    /// RAM (LRU + in-flight fetches) is gone, it leaves every anycast set
-    /// *without* a graceful `unset_anycast` (the network purges the
-    /// now-dead memoised resolutions), and each follower parked on an
-    /// in-flight fetch re-issues its original (4) driver request from its
-    /// own Thing — which re-resolves to the next-nearest live anycast
-    /// instance. The node keeps forwarding frames (the router outlives
-    /// the cache process); pair with [`World::partition_link`] to model
-    /// full node death. Returns the follower count failed over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is already down.
-    pub fn crash_cache(&mut self, at: SimTime, id: CacheId) -> usize {
-        assert!(!self.dead_caches[id.0], "cache {id:?} is already down");
-        self.dead_caches[id.0] = true;
-        self.net.fail_node(self.caches[id.0].node);
-        let stranded = self.caches[id.0].crash();
-        let n = stranded.len();
+    /// [`WorldOp::CrashCache`]: each follower parked on an in-flight
+    /// fetch re-issues its original (4) driver request from its own
+    /// Thing at `at`. Returns the follower count failed over.
+    fn crash_cache(&mut self, at: SimTime, cache: usize) -> u64 {
+        assert!(!self.dead_caches[cache], "cache {cache} is already down");
+        self.dead_caches[cache] = true;
+        self.net.fail_node(self.caches[cache].node);
+        let stranded = self.caches[cache].crash();
+        let n = stranded.len() as u64;
         let anycast = self.manager_anycast;
         for (peripheral, requester, seq, ctx) in stranded {
             let thing = self.thing_by_addr[&requester];
@@ -618,194 +708,24 @@ impl World {
         n
     }
 
-    /// Restarts a crashed cache cold: it re-registers as a manager
-    /// anycast instance (which invalidates the memoised resolutions that
-    /// bypassed it) and serves again from an empty LRU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is not down.
-    pub fn revive_cache(&mut self, id: CacheId) {
-        assert!(self.dead_caches[id.0], "cache {id:?} is not down");
-        self.dead_caches[id.0] = false;
-        self.net
-            .set_anycast_scoped(self.caches[id.0].node, self.manager_anycast);
-    }
-
-    /// Crashes the primary Manager: it leaves both anycast sets (memos
-    /// purged), and deliveries already in flight to it are dropped. The
-    /// standby — same repository, next-lowest node id — takes over every
-    /// subsequent driver request and chunked origin fetch.
-    ///
-    /// # Panics
-    ///
-    /// Panics without a standby (the fleet would deadlock), or if the
-    /// primary is already down.
-    pub fn fail_primary(&mut self) {
-        assert!(self.standby.is_some(), "failover needs a standby");
-        assert!(!self.manager_down, "primary is already down");
-        self.manager_down = true;
-        self.net.fail_node(self.manager().node);
-    }
-
-    /// Restores the crashed primary: it re-registers both anycast
-    /// instances (invalidating the takeover memos) and resumes serving.
-    /// Its repository state was never lost — the paper's Manager is a
-    /// durable server; only the in-flight datagrams died.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the primary is not down.
-    pub fn restore_primary(&mut self) {
-        assert!(self.manager_down, "primary is not down");
-        self.manager_down = false;
-        let node = self.manager().node;
-        self.net.set_anycast(node, self.manager_anycast);
-        self.net.set_anycast(node, self.origin_anycast);
-    }
-
-    /// Crashes the hot standby replica: it leaves both anycast sets
-    /// (memos purged). With the primary also down, the manager anycast
-    /// has *zero* live instances — driver requests and origin fetches
-    /// drop gracefully at resolution, and the affected Things stay
-    /// unserved until either replica returns and the repair wave
-    /// refetches.
-    ///
-    /// # Panics
-    ///
-    /// Panics without a standby, or if the standby is already down.
-    pub fn fail_standby(&mut self) {
-        assert!(self.standby.is_some(), "world has no standby");
-        assert!(!self.standby_down, "standby is already down");
-        self.standby_down = true;
-        let node = self.standby.as_ref().expect("checked").node;
-        self.net.fail_node(node);
-    }
-
-    /// Restores the crashed standby: it re-registers both anycast
-    /// instances and resumes serving (durable repository, like the
-    /// primary — only its in-flight datagrams died).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the standby is not down.
-    pub fn restore_standby(&mut self) {
-        assert!(self.standby_down, "standby is not down");
-        self.standby_down = false;
-        let node = self.standby.as_ref().expect("standby exists").node;
-        self.net.set_anycast(node, self.manager_anycast);
-        self.net.set_anycast(node, self.origin_anycast);
-    }
-
-    /// Crashes a Thing's MCU mid-operation: its flash install generation
-    /// is fenced, and any (5) driver upload delivered while it is dead
-    /// is torn mid-flash write ([`Thing::stage_torn_upload`]). The node
-    /// keeps forwarding frames — the radio outlives the MCU process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Thing is already down.
-    pub fn crash_thing(&mut self, id: ThingId) {
-        assert!(!self.dead_things[id.0], "thing {id:?} is already down");
-        self.dead_things[id.0] = true;
-        self.things[id.0].crash_mcu();
-    }
-
-    /// Revives a crashed Thing at `at`: the torn flash staging area is
-    /// audited (half-written images rejected by `verify()`), and a
-    /// driver request is reissued end-to-end for every peripheral still
-    /// waiting. Returns `(rejected half-images, refetches issued)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Thing is not down.
-    pub fn revive_thing(&mut self, at: SimTime, id: ThingId) -> (u64, u64) {
-        assert!(self.dead_things[id.0], "thing {id:?} is not down");
-        self.dead_things[id.0] = false;
+    /// [`WorldOp::ReviveThing`]: audits the torn flash and reissues the
+    /// interrupted driver requests at `at`.
+    fn revive_thing(&mut self, at: SimTime, thing: usize) -> Effect {
+        assert!(self.dead_things[thing], "thing {thing} is not down");
+        self.dead_things[thing] = false;
         let anycast = self.manager_anycast;
-        let (recovery, out) = self.things[id.0].revive_mcu(at.max(self.now), anycast);
-        self.apply_outbound(id.0, out);
+        let (recovery, out) = self.things[thing].revive_mcu(at.max(self.now), anycast);
+        self.apply_outbound(thing, out);
         // A plug/unplug that happened during the outage left the board
         // interrupt pending; the revived MCU services it on the next run.
-        if self.things[id.0].interrupt_pending() {
-            self.interrupts.push_back(id.0);
+        if self.things[thing].interrupt_pending() {
+            self.interrupts.push_back(thing);
         }
-        (recovery.rejected, recovery.refetches)
-    }
-
-    /// Enables (or disables) seeded delay/duplicate link chaos on the
-    /// delivery queue (see [`LinkChaos`]).
-    pub fn set_link_chaos(&mut self, chaos: Option<LinkChaos>) {
-        self.net.set_link_chaos(chaos);
-    }
-
-    /// Enables (or disables) the seeded gray-failure link schedule:
-    /// directed hops slowed, made lossier, or cut in windows of virtual
-    /// time (see [`LinkDegrade`]).
-    pub fn set_link_degrade(&mut self, degrade: Option<LinkDegrade>) {
-        self.net.set_link_degrade(degrade);
-    }
-
-    /// Sets an edge cache's gray-failure crawl factor: every reply's
-    /// processing and send-path legs are stretched by `factor` until
-    /// reset to 1. The cache stays correct — just slow — so requests
-    /// parked behind it are outages the fail-stop faults never create.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero (a zero-speed cache is a crash; use
-    /// [`World::crash_cache`]).
-    pub fn set_cache_crawl(&mut self, id: CacheId, factor: u32) {
-        assert!(factor > 0, "crawl factor must be >= 1");
-        self.cache_crawl[id.0] = factor;
-    }
-
-    /// The DODAG parent of `node` — the routing edge above an arbitrary
-    /// interior node, which [`World::partition_link`] can sever to
-    /// orphan its whole subtree.
-    pub fn dodag_parent(&self, node: NodeId) -> Option<NodeId> {
-        self.net.dodag_parent(node)
-    }
-
-    /// Severs the link between two locally simulated nodes, returning the
-    /// quality it had so [`World::heal_link`] can restore it — `None` if
-    /// no such local link exists (e.g. the endpoints live in another
-    /// shard). Routes keep using the severed link until
-    /// [`World::rebuild_tree`] reroots, exactly like a real RPL DODAG
-    /// limping on a stale parent set.
-    pub fn partition_link(&mut self, a: NodeId, b: NodeId) -> Option<LinkQuality> {
-        let quality = self.net.link_quality(a, b)?;
-        self.net.unlink(a, b);
-        Some(quality)
-    }
-
-    /// Restores a previously partitioned link. No-op unless both
-    /// endpoints are simulated locally (a sharded world heals each link
-    /// in the one shard that owns it).
-    pub fn heal_link(&mut self, a: NodeId, b: NodeId, quality: LinkQuality) {
-        if self.node_kinds.contains_key(&a) && self.node_kinds.contains_key(&b) {
-            self.net.link(a, b, quality);
+        Effect {
+            images_rejected: recovery.rejected,
+            refetches: recovery.refetches,
+            ..Effect::default()
         }
-    }
-
-    /// Reroots the DODAG at the manager — the reroot-storm primitive, and
-    /// the repair step that routes around partitions.
-    pub fn rebuild_tree(&mut self) {
-        let root = self.manager().node;
-        self.net.build_tree(root);
-    }
-
-    /// Whether every memoised route, SMRF plan and anycast resolution
-    /// matches a fresh recomputation (the fresh-build oracle the soak
-    /// invariants check continuously).
-    pub fn caches_coherent(&self) -> bool {
-        self.net.caches_coherent()
-    }
-
-    /// Manager replicas constructed in this world (primary + standby) —
-    /// the multiplier on the bounded-retention invariant.
-    pub fn manager_replicas(&self) -> u64 {
-        self.manager.iter().chain(&self.standby).count() as u64
     }
 
     /// Manufactures a peripheral board for `device_id` and plugs it into
@@ -881,39 +801,6 @@ impl World {
         self.interrupts.push_back(thing.0);
     }
 
-    /// Schedules a [`World::plug`] at the absolute virtual instant `at` —
-    /// the primitive behind staggered discovery waves and churn storms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past, or (when the event fires) under the
-    /// same conditions as [`World::plug`].
-    pub fn plug_at(&mut self, at: SimTime, thing: ThingId, channel: u8, device_id: DeviceTypeId) {
-        self.sched.schedule_at(
-            at,
-            WorldEvent::Plug {
-                thing: thing.0,
-                channel,
-                device: device_id,
-            },
-        );
-    }
-
-    /// Schedules a [`World::unplug`] at the absolute virtual instant `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn unplug_at(&mut self, at: SimTime, thing: ThingId, channel: u8) {
-        self.sched.schedule_at(
-            at,
-            WorldEvent::Unplug {
-                thing: thing.0,
-                channel,
-            },
-        );
-    }
-
     /// Seeds the interrupt queue by scanning every Thing once.
     ///
     /// [`World::plug`]/[`World::unplug`] enqueue the affected Thing
@@ -928,19 +815,6 @@ impl World {
                 self.interrupts.push_back(i);
             }
         }
-    }
-
-    /// Runs until no interrupts, deliveries or scheduled events remain.
-    pub fn run_until_idle(&mut self) {
-        self.seed_interrupts();
-        // Bounded by a large iteration budget: a logic bug must fail a
-        // test, not hang it.
-        for _ in 0..10_000_000 {
-            if !self.step() {
-                return;
-            }
-        }
-        panic!("world failed to go idle (event loop runaway)");
     }
 
     /// Runs for at most `duration` of virtual time.
@@ -964,14 +838,6 @@ impl World {
         if self.now < deadline {
             self.now = deadline;
         }
-    }
-
-    /// Runs until the absolute virtual instant `deadline` (no-op if it
-    /// has passed) and leaves `now` exactly there — the primitive that
-    /// lets the chaos harness pause a wave mid-transfer and inject a
-    /// fault at a deterministic instant.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.run_for(deadline.saturating_since(self.now));
     }
 
     fn next_event_time(&self) -> Option<SimTime> {
@@ -1533,31 +1399,6 @@ impl World {
         }
     }
 
-    // ---- Asynchronous request builders for fleet workloads -------------
-
-    /// Builds a (10) read request from `client` without driving the
-    /// world — fleet workloads inject many such datagrams at staggered
-    /// virtual instants and run the loop once.
-    pub fn client_request_read(
-        &mut self,
-        client: ClientId,
-        thing: Ipv6Addr,
-        peripheral: u32,
-    ) -> Datagram {
-        self.clients[client.0].read(thing, peripheral)
-    }
-
-    /// Builds a (12) stream request from `client` without driving the
-    /// world.
-    pub fn client_request_stream(
-        &mut self,
-        client: ClientId,
-        thing: Ipv6Addr,
-        peripheral: u32,
-    ) -> Datagram {
-        self.clients[client.0].stream(thing, peripheral)
-    }
-
     // ---- Synchronous conveniences for examples and tests ---------------
 
     /// Plugs a peripheral and runs the full pipeline to completion;
@@ -1686,100 +1527,220 @@ impl std::fmt::Debug for World {
     }
 }
 
-/// The simulation surface the fleet harness drives: everything a
-/// scenario needs to build a topology, schedule stimuli, run the event
-/// loop and read the observable outcome back.
+/// One mutation of a running world, as data: a physical event at a
+/// Thing (plug, unplug) or an injected fault and its repair. Every one
+/// goes through [`SimWorld::apply`], and one ownership table names the
+/// part of a partitioned world that must see it.
+///
+/// Plugs and unplugs are scheduled at the op's instant. Every other op
+/// takes effect at once; traffic it issues (a crashed cache's failed-over
+/// followers, a revived MCU's refetches) enters the network at the op's
+/// instant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WorldOp {
+    /// Manufactures a peripheral board for `device` and plugs it into
+    /// `channel` of the Thing (see [`World::plug`]).
+    Plug {
+        thing: ThingId,
+        channel: u8,
+        device: DeviceTypeId,
+    },
+    /// Unplugs whatever occupies `channel` of the Thing.
+    Unplug { thing: ThingId, channel: u8 },
+    /// Crashes an edge cache ungracefully: its RAM (LRU + in-flight
+    /// fetches) is gone, it leaves every anycast set *without* a graceful
+    /// `unset_anycast` (the network purges the now-dead memoised
+    /// resolutions), and each follower parked on an in-flight fetch
+    /// re-issues its original (4) driver request from its own Thing —
+    /// which re-resolves to the next-nearest live anycast instance
+    /// ([`Effect::followers_drained`]). The node keeps forwarding frames
+    /// (the router outlives the cache process); pair with
+    /// [`WorldOp::CutLink`] to model full node death. Panics if the
+    /// cache is already down.
+    CrashCache(CacheId),
+    /// Restarts a crashed cache cold: it re-registers as a manager
+    /// anycast instance (invalidating the memoised resolutions that
+    /// bypassed it) and serves again from an empty LRU. Panics if the
+    /// cache is not down.
+    ReviveCache(CacheId),
+    /// Crashes a Thing's MCU mid-operation: its flash install generation
+    /// is fenced, and any (5) driver upload delivered while it is dead is
+    /// torn mid-flash write ([`Thing::stage_torn_upload`]). The node keeps
+    /// forwarding frames — the radio outlives the MCU process. Panics if
+    /// the Thing is already down.
+    CrashThing(ThingId),
+    /// Revives a crashed Thing: the torn flash staging area is audited
+    /// (half-written images rejected by `verify()`,
+    /// [`Effect::images_rejected`]) and a driver request is reissued
+    /// end-to-end for every peripheral still waiting
+    /// ([`Effect::refetches`]). Panics if the Thing is not down.
+    ReviveThing(ThingId),
+    /// Crashes the primary Manager: it leaves both anycast sets (memos
+    /// purged) and deliveries already in flight to it are dropped. The
+    /// standby — same repository, next-lowest node id — takes over every
+    /// later driver request and chunked origin fetch. Panics without a
+    /// standby (the fleet would deadlock) or if the primary is down.
+    FailPrimary,
+    /// Restores the crashed primary: it re-registers both anycast
+    /// instances (invalidating the takeover memos) and serves again. Its
+    /// repository was never lost — the paper's Manager is a durable
+    /// server; only the in-flight datagrams died.
+    RestorePrimary,
+    /// Crashes the hot standby. With the primary also down the manager
+    /// anycast has *zero* live instances: driver requests and origin
+    /// fetches drop at resolution, and the affected Things stay unserved
+    /// until a replica returns and the repair wave refetches.
+    FailStandby,
+    /// Restores the crashed standby (durable repository, like the
+    /// primary).
+    RestoreStandby,
+    /// Severs the link between two nodes; [`Effect::cut`] carries the
+    /// quality it had (`None` if no such link is simulated here) for the
+    /// later [`WorldOp::HealLink`]. Routes keep using the severed link
+    /// until a [`WorldOp::Reroot`], like a real RPL DODAG limping on a
+    /// stale parent set.
+    CutLink(NodeId, NodeId),
+    /// Restores a severed link with the quality it had. A no-op unless
+    /// both endpoints are simulated here.
+    HealLink(NodeId, NodeId, LinkQuality),
+    /// Reroots the DODAG at the manager — the reroot-storm primitive, and
+    /// the repair step that routes around partitions.
+    Reroot,
+    /// Enables (or disables) seeded delay/duplicate link chaos on the
+    /// delivery queue (see [`LinkChaos`]).
+    LinkChaos(Option<LinkChaos>),
+    /// Enables (or disables) the seeded gray-failure schedule: directed
+    /// hops slowed, made lossier, or cut in windows of virtual time (see
+    /// [`LinkDegrade`]).
+    LinkDegrade(Option<LinkDegrade>),
+    /// Sets an edge cache's gray-failure crawl factor: both processing
+    /// legs of every reply are stretched by `factor` until it is reset
+    /// to one. The cache stays correct — just slow. Panics on a zero
+    /// factor (a zero-speed cache is a crash).
+    CacheCrawl { cache: CacheId, factor: u32 },
+}
+
+/// The part of a partitioned world an op must reach.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// Every shard.
+    All,
+    /// Only the shard owning the Thing.
+    Thing(ThingId),
+    /// Only the shard owning the edge cache.
+    Cache(CacheId),
+}
+
+impl WorldOp {
+    /// Which part of a partitioned world must see this op. A Thing or a
+    /// cache — its state, and everything in flight to it — lives in the
+    /// one shard owning its subtree. Everything else reaches every
+    /// shard: the Manager pair is replicated in all of them; a subtree
+    /// link exists in exactly one shard and a link between replicated
+    /// nodes in all of them, so cutting or healing it everywhere covers
+    /// both; and the link schedules are pure functions of (seed, edge,
+    /// instant), so installing them in every shard perturbs exactly the
+    /// hops the sequential world perturbs.
+    pub(crate) fn route(&self) -> Route {
+        match *self {
+            WorldOp::Plug { thing, .. }
+            | WorldOp::Unplug { thing, .. }
+            | WorldOp::CrashThing(thing)
+            | WorldOp::ReviveThing(thing) => Route::Thing(thing),
+            WorldOp::CrashCache(cache)
+            | WorldOp::ReviveCache(cache)
+            | WorldOp::CacheCrawl { cache, .. } => Route::Cache(cache),
+            WorldOp::FailPrimary
+            | WorldOp::RestorePrimary
+            | WorldOp::FailStandby
+            | WorldOp::RestoreStandby
+            | WorldOp::CutLink(..)
+            | WorldOp::HealLink(..)
+            | WorldOp::Reroot
+            | WorldOp::LinkChaos(_)
+            | WorldOp::LinkDegrade(_) => Route::All,
+        }
+    }
+
+    /// The same op aimed at `local`: the index the owning shard knows
+    /// its Thing or cache by. Ops routed to every shard are unchanged.
+    pub(crate) fn with_target(self, local: usize) -> WorldOp {
+        let (thing, cache) = (ThingId(local), CacheId(local));
+        match self {
+            WorldOp::Plug {
+                channel, device, ..
+            } => WorldOp::Plug {
+                thing,
+                channel,
+                device,
+            },
+            WorldOp::Unplug { channel, .. } => WorldOp::Unplug { thing, channel },
+            WorldOp::CrashThing(_) => WorldOp::CrashThing(thing),
+            WorldOp::ReviveThing(_) => WorldOp::ReviveThing(thing),
+            WorldOp::CrashCache(_) => WorldOp::CrashCache(cache),
+            WorldOp::ReviveCache(_) => WorldOp::ReviveCache(cache),
+            WorldOp::CacheCrawl { factor, .. } => WorldOp::CacheCrawl { cache, factor },
+            op => op,
+        }
+    }
+}
+
+/// What an applied [`WorldOp`] did that its caller counts; most ops
+/// report nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Effect {
+    /// Parked singleflight followers a cache crash failed over.
+    pub followers_drained: u64,
+    /// Half-written driver images a revived MCU rejected.
+    pub images_rejected: u64,
+    /// Driver refetches a revived MCU issued.
+    pub refetches: u64,
+    /// The quality a cut link had, for its heal.
+    pub cut: Option<LinkQuality>,
+}
+
+impl Effect {
+    /// Folds the effect of the same op in another shard into this one.
+    pub(crate) fn merge(self, other: Effect) -> Effect {
+        Effect {
+            followers_drained: self.followers_drained + other.followers_drained,
+            images_rejected: self.images_rejected + other.images_rejected,
+            refetches: self.refetches + other.refetches,
+            cut: other.cut.or(self.cut),
+        }
+    }
+}
+
+/// The simulation surface the fleet harness drives: apply mutations,
+/// run the event loop and read the observable outcome back.
 ///
 /// Two implementations exist: the sequential [`World`] and the
-/// thread-parallel [`ShardedWorld`](crate::shard::ShardedWorld). The
-/// differential test harness runs the same seeded scenarios against both
-/// and asserts bit-identical fingerprints and virtual metrics.
+/// thread-parallel [`ShardedWorld`](crate::shard::ShardedWorld), both
+/// built from one [`BuildPlan`]. The differential test harness runs the
+/// same seeded scenarios against both and asserts bit-identical
+/// fingerprints and virtual metrics.
 pub trait SimWorld {
-    /// Adds the manager node (once, before Things).
-    fn add_manager(&mut self) -> NodeId;
-    /// Adds a µPnP Thing.
-    fn add_thing(&mut self) -> ThingId;
-    /// Adds a client.
-    fn add_client(&mut self) -> ClientId;
-    /// Adds a standby Manager replica (right after the manager).
-    fn add_standby(&mut self) -> NodeId;
-    /// Adds an edge cache of the driver-distribution tier (after the
-    /// manager — the cache needs its origin).
-    fn add_cache(&mut self) -> CacheId;
-    /// The network node of an edge cache.
-    fn cache_node(&self, id: CacheId) -> NodeId;
-    /// Crashes an edge cache at `at`, failing its parked followers over
-    /// to the next-nearest anycast instance; returns how many.
-    fn crash_cache(&mut self, at: SimTime, id: CacheId) -> usize;
-    /// Restarts a crashed cache cold.
-    fn revive_cache(&mut self, id: CacheId);
-    /// Crashes the primary Manager (the standby takes over).
-    fn fail_primary(&mut self);
-    /// Restores the crashed primary.
-    fn restore_primary(&mut self);
-    /// Crashes the hot standby replica (with the primary also down, the
-    /// manager anycast goes dark and requests drop).
-    fn fail_standby(&mut self);
-    /// Restores the crashed standby.
-    fn restore_standby(&mut self);
-    /// Crashes a Thing's MCU; uploads in flight to it tear mid-flash.
-    fn crash_thing(&mut self, id: ThingId);
-    /// Revives a crashed Thing at `at`; returns `(rejected half-images,
-    /// refetches issued)`.
-    fn revive_thing(&mut self, at: SimTime, id: ThingId) -> (u64, u64);
-    /// Enables (or disables) seeded delay/duplicate link chaos.
-    fn set_link_chaos(&mut self, chaos: Option<LinkChaos>);
-    /// Enables (or disables) the seeded gray-failure link schedule
-    /// (slow / lossy / one-direction-cut hops; a sharded world installs
-    /// the same pure-function schedule in every shard).
-    fn set_link_degrade(&mut self, degrade: Option<LinkDegrade>);
-    /// Sets an edge cache's gray-failure crawl factor (1 = full speed).
-    fn set_cache_crawl(&mut self, id: CacheId, factor: u32);
-    /// The DODAG parent of `node` (an interior partition severs this
-    /// edge; a sharded world answers from the shard owning the node).
-    fn dodag_parent(&self, node: NodeId) -> Option<NodeId>;
-    /// Severs a link, returning its quality for the later heal.
-    fn partition_link(&mut self, a: NodeId, b: NodeId) -> Option<LinkQuality>;
-    /// Restores a previously severed link.
-    fn heal_link(&mut self, a: NodeId, b: NodeId, quality: LinkQuality);
-    /// Reroots the DODAG at the manager.
-    fn rebuild_tree(&mut self);
-    /// Whether every memoised route/plan/anycast resolution matches a
-    /// fresh recomputation.
-    fn caches_coherent(&self) -> bool;
-    /// Manager replicas constructed (the bounded-retention multiplier;
-    /// a sharded world counts each shard's replicas).
-    fn manager_replicas(&self) -> u64;
-    /// Runs until the absolute virtual instant `deadline` and leaves
-    /// `now` exactly there.
+    /// Applies one mutation at virtual instant `at` (see [`WorldOp`] for
+    /// when each op takes effect) and reports what it did.
+    fn apply(&mut self, at: SimTime, op: WorldOp) -> Effect;
+    /// Runs until no interrupts, deliveries or scheduled events remain.
+    fn run_until_idle(&mut self);
+    /// Runs until the absolute virtual instant `deadline` (no-op if it
+    /// has passed) and leaves `now` exactly there — the primitive that
+    /// lets the chaos harness pause a wave mid-transfer and inject a
+    /// fault at a deterministic instant.
     fn run_until(&mut self, deadline: SimTime);
-    /// Aggregate distribution-tier counters (caches + origin).
-    fn distro_stats(&self) -> DistroStats;
-    /// Links two nodes with the given quality.
-    fn link(&mut self, a: NodeId, b: NodeId, quality: LinkQuality);
-    /// Builds the routing tree rooted at `root`.
-    fn build_tree(&mut self, root: NodeId);
     /// Current virtual time.
     fn now(&self) -> SimTime;
     /// The catalog of known peripherals.
     fn catalog(&self) -> &Catalog;
     /// Access a Thing.
     fn thing(&self, id: ThingId) -> &Thing;
-    /// The network node of a Thing.
-    fn thing_node(&self, id: ThingId) -> NodeId;
-    /// The unicast address of a Thing.
-    fn thing_addr(&self, id: ThingId) -> Ipv6Addr;
     /// Access a client's observations.
     fn client(&self, id: ClientId) -> &Client;
-    /// The network node of a client.
-    fn client_node(&self, id: ClientId) -> NodeId;
-    /// Schedules a plug at the absolute virtual instant `at`.
-    fn plug_at(&mut self, at: SimTime, thing: ThingId, channel: u8, device_id: DeviceTypeId);
-    /// Schedules an unplug at the absolute virtual instant `at`.
-    fn unplug_at(&mut self, at: SimTime, thing: ThingId, channel: u8);
-    /// Runs until no interrupts, deliveries or scheduled events remain.
-    fn run_until_idle(&mut self);
-    /// Injects a pre-built datagram from `from` at virtual time `at`.
+    /// Injects a pre-built datagram from `from` at virtual time `at` —
+    /// the primitive fleet workloads use to stage many requests before
+    /// one run of the loop.
     fn inject(&mut self, at: SimTime, from: NodeId, dgram: Datagram);
     /// Builds a (10) read request from `client` without driving the loop.
     fn client_request_read(
@@ -1796,22 +1757,36 @@ pub trait SimWorld {
         thing: Ipv6Addr,
         peripheral: u32,
     ) -> Datagram;
+    /// The DODAG parent of `node` — the routing edge above an arbitrary
+    /// interior node, which a [`WorldOp::CutLink`] can sever to orphan
+    /// its whole subtree.
+    fn dodag_parent(&self, node: NodeId) -> Option<NodeId>;
+    /// Whether every memoised route, SMRF plan and anycast resolution
+    /// matches a fresh recomputation (the fresh-build oracle the soak
+    /// invariants check continuously).
+    fn caches_coherent(&self) -> bool;
+    /// Manager replicas constructed (primary + standby) — the multiplier
+    /// on the bounded-retention invariant; a sharded world counts each
+    /// shard's replicas.
+    fn manager_replicas(&self) -> u64;
+    /// Aggregate distribution-tier counters (caches + origin).
+    fn distro_stats(&self) -> DistroStats;
     /// Aggregate traffic statistics.
     fn net_stats(&self) -> upnp_net::network::NetStats;
     /// Radio energy consumed by `node` so far, joules.
     fn radio_energy_j(&self, node: NodeId) -> f64;
-    /// Total network nodes.
-    fn node_count(&self) -> usize;
     /// Enables (or disables) virtual-clock distributed tracing. One
-    /// branch per hook while disabled; a sharded world enables it in
-    /// every shard.
+    /// branch per hook while disabled; enabling mid-run starts tracing
+    /// plugs from the next plug instant (pipelines already in flight
+    /// stay untraced).
     fn set_tracing(&mut self, enabled: bool);
-    /// Drains every span recorded so far in canonical order — the
-    /// span set a sharded world returns is bit-identical to the
-    /// sequential one at every shard count.
+    /// Drains every span recorded so far in canonical order (sorted by
+    /// start, trace, kind, node) — the span set a sharded world returns
+    /// is bit-identical to the sequential one at every shard count.
     fn take_spans(&mut self) -> Vec<Span>;
     /// Dumps the bounded flight-recorder window (merged across shards)
-    /// as self-describing JSON.
+    /// as self-describing JSON — the artifact the soak gate uploads on
+    /// failure.
     fn flight_dump(&self, reason: &str) -> String;
     /// The live unified metrics registry: the network and
     /// distribution-tier stat blocks register their cumulative counters
@@ -1826,156 +1801,126 @@ pub trait SimWorld {
 }
 
 impl SimWorld for World {
-    fn add_manager(&mut self) -> NodeId {
-        World::add_manager(self)
-    }
-
-    fn add_thing(&mut self) -> ThingId {
-        World::add_thing(self)
-    }
-
-    fn add_client(&mut self) -> ClientId {
-        World::add_client(self)
-    }
-
-    fn add_standby(&mut self) -> NodeId {
-        World::add_standby(self)
-    }
-
-    fn add_cache(&mut self) -> CacheId {
-        World::add_cache(self)
-    }
-
-    fn cache_node(&self, id: CacheId) -> NodeId {
-        World::cache_node(self, id)
-    }
-
-    fn crash_cache(&mut self, at: SimTime, id: CacheId) -> usize {
-        World::crash_cache(self, at, id)
-    }
-
-    fn revive_cache(&mut self, id: CacheId) {
-        World::revive_cache(self, id);
-    }
-
-    fn fail_primary(&mut self) {
-        World::fail_primary(self);
-    }
-
-    fn restore_primary(&mut self) {
-        World::restore_primary(self);
-    }
-
-    fn fail_standby(&mut self) {
-        World::fail_standby(self);
-    }
-
-    fn restore_standby(&mut self) {
-        World::restore_standby(self);
-    }
-
-    fn crash_thing(&mut self, id: ThingId) {
-        World::crash_thing(self, id);
-    }
-
-    fn revive_thing(&mut self, at: SimTime, id: ThingId) -> (u64, u64) {
-        World::revive_thing(self, at, id)
-    }
-
-    fn set_link_chaos(&mut self, chaos: Option<LinkChaos>) {
-        World::set_link_chaos(self, chaos);
-    }
-
-    fn set_link_degrade(&mut self, degrade: Option<LinkDegrade>) {
-        World::set_link_degrade(self, degrade);
-    }
-
-    fn set_cache_crawl(&mut self, id: CacheId, factor: u32) {
-        World::set_cache_crawl(self, id, factor);
-    }
-
-    fn dodag_parent(&self, node: NodeId) -> Option<NodeId> {
-        World::dodag_parent(self, node)
-    }
-
-    fn partition_link(&mut self, a: NodeId, b: NodeId) -> Option<LinkQuality> {
-        World::partition_link(self, a, b)
-    }
-
-    fn heal_link(&mut self, a: NodeId, b: NodeId, quality: LinkQuality) {
-        World::heal_link(self, a, b, quality);
-    }
-
-    fn rebuild_tree(&mut self) {
-        World::rebuild_tree(self);
-    }
-
-    fn caches_coherent(&self) -> bool {
-        World::caches_coherent(self)
-    }
-
-    fn manager_replicas(&self) -> u64 {
-        World::manager_replicas(self)
-    }
-
-    fn run_until(&mut self, deadline: SimTime) {
-        World::run_until(self, deadline);
-    }
-
-    fn distro_stats(&self) -> DistroStats {
-        World::distro_stats(self)
-    }
-
-    fn link(&mut self, a: NodeId, b: NodeId, quality: LinkQuality) {
-        World::link(self, a, b, quality);
-    }
-
-    fn build_tree(&mut self, root: NodeId) {
-        World::build_tree(self, root);
-    }
-
-    fn now(&self) -> SimTime {
-        World::now(self)
-    }
-
-    fn catalog(&self) -> &Catalog {
-        World::catalog(self)
-    }
-
-    fn thing(&self, id: ThingId) -> &Thing {
-        World::thing(self, id)
-    }
-
-    fn thing_node(&self, id: ThingId) -> NodeId {
-        World::thing_node(self, id)
-    }
-
-    fn thing_addr(&self, id: ThingId) -> Ipv6Addr {
-        World::thing_addr(self, id)
-    }
-
-    fn client(&self, id: ClientId) -> &Client {
-        World::client(self, id)
-    }
-
-    fn client_node(&self, id: ClientId) -> NodeId {
-        World::client_node(self, id)
-    }
-
-    fn plug_at(&mut self, at: SimTime, thing: ThingId, channel: u8, device_id: DeviceTypeId) {
-        World::plug_at(self, at, thing, channel, device_id);
-    }
-
-    fn unplug_at(&mut self, at: SimTime, thing: ThingId, channel: u8) {
-        World::unplug_at(self, at, thing, channel);
+    fn apply(&mut self, at: SimTime, op: WorldOp) -> Effect {
+        let mut effect = Effect::default();
+        match op {
+            WorldOp::Plug {
+                thing,
+                channel,
+                device,
+            } => self.sched.schedule_at(
+                at,
+                WorldEvent::Plug {
+                    thing: thing.0,
+                    channel,
+                    device,
+                },
+            ),
+            WorldOp::Unplug { thing, channel } => self.sched.schedule_at(
+                at,
+                WorldEvent::Unplug {
+                    thing: thing.0,
+                    channel,
+                },
+            ),
+            WorldOp::CrashCache(id) => effect.followers_drained = self.crash_cache(at, id.0),
+            WorldOp::ReviveCache(id) => {
+                assert!(self.dead_caches[id.0], "cache {id:?} is not down");
+                self.dead_caches[id.0] = false;
+                self.net
+                    .set_anycast_scoped(self.caches[id.0].node, self.manager_anycast);
+            }
+            WorldOp::CrashThing(id) => {
+                assert!(!self.dead_things[id.0], "thing {id:?} is already down");
+                self.dead_things[id.0] = true;
+                self.things[id.0].crash_mcu();
+            }
+            WorldOp::ReviveThing(id) => effect = self.revive_thing(at, id.0),
+            WorldOp::FailPrimary => {
+                assert!(self.standby.is_some(), "failover needs a standby");
+                assert!(!self.manager_down, "primary is already down");
+                self.manager_down = true;
+                self.net.fail_node(self.manager().node);
+            }
+            WorldOp::RestorePrimary => {
+                assert!(self.manager_down, "primary is not down");
+                self.manager_down = false;
+                let node = self.manager().node;
+                self.net.set_anycast(node, self.manager_anycast);
+                self.net.set_anycast(node, self.origin_anycast);
+            }
+            WorldOp::FailStandby => {
+                assert!(!self.standby_down, "standby is already down");
+                self.standby_down = true;
+                let node = self.standby.as_ref().expect("world has a standby").node;
+                self.net.fail_node(node);
+            }
+            WorldOp::RestoreStandby => {
+                assert!(self.standby_down, "standby is not down");
+                self.standby_down = false;
+                let node = self.standby.as_ref().expect("world has a standby").node;
+                self.net.set_anycast(node, self.manager_anycast);
+                self.net.set_anycast(node, self.origin_anycast);
+            }
+            WorldOp::CutLink(a, b) => {
+                effect.cut = self.net.link_quality(a, b);
+                if effect.cut.is_some() {
+                    self.net.unlink(a, b);
+                }
+            }
+            WorldOp::HealLink(a, b, quality) => {
+                if self.node_kinds.contains_key(&a) && self.node_kinds.contains_key(&b) {
+                    self.net.link(a, b, quality);
+                }
+            }
+            WorldOp::Reroot => {
+                let root = self.manager().node;
+                self.net.build_tree(root);
+            }
+            WorldOp::LinkChaos(chaos) => self.net.set_link_chaos(chaos),
+            WorldOp::LinkDegrade(degrade) => self.net.set_link_degrade(degrade),
+            WorldOp::CacheCrawl { cache, factor } => {
+                assert!(factor > 0, "crawl factor must be >= 1");
+                self.cache_crawl[cache.0] = factor;
+            }
+        }
+        effect
     }
 
     fn run_until_idle(&mut self) {
-        World::run_until_idle(self);
+        self.seed_interrupts();
+        // Bounded by a large iteration budget: a logic bug must fail a
+        // test, not hang it.
+        for _ in 0..10_000_000 {
+            if !self.step() {
+                return;
+            }
+        }
+        panic!("world failed to go idle (event loop runaway)");
+    }
+
+    fn run_until(&mut self, deadline: SimTime) {
+        self.run_for(deadline.saturating_since(self.now));
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    fn thing(&self, id: ThingId) -> &Thing {
+        &self.things[id.0]
+    }
+
+    fn client(&self, id: ClientId) -> &Client {
+        &self.clients[id.0]
     }
 
     fn inject(&mut self, at: SimTime, from: NodeId, dgram: Datagram) {
-        World::inject(self, at, from, dgram);
+        self.net.send(at, from, dgram);
     }
 
     fn client_request_read(
@@ -1984,7 +1929,7 @@ impl SimWorld for World {
         thing: Ipv6Addr,
         peripheral: u32,
     ) -> Datagram {
-        World::client_request_read(self, client, thing, peripheral)
+        self.clients[client.0].read(thing, peripheral)
     }
 
     fn client_request_stream(
@@ -1993,7 +1938,35 @@ impl SimWorld for World {
         thing: Ipv6Addr,
         peripheral: u32,
     ) -> Datagram {
-        World::client_request_stream(self, client, thing, peripheral)
+        self.clients[client.0].stream(thing, peripheral)
+    }
+
+    fn dodag_parent(&self, node: NodeId) -> Option<NodeId> {
+        self.net.dodag_parent(node)
+    }
+
+    fn caches_coherent(&self) -> bool {
+        self.net.caches_coherent()
+    }
+
+    fn manager_replicas(&self) -> u64 {
+        self.manager.iter().chain(&self.standby).count() as u64
+    }
+
+    fn distro_stats(&self) -> DistroStats {
+        let mut s = DistroStats::default();
+        for c in &self.caches {
+            s.cache_hits += c.stats.hits;
+            s.cache_misses += c.stats.misses;
+            s.cache_coalesced += c.stats.coalesced;
+            s.cache_uploads += c.stats.uploads_served;
+        }
+        for m in self.manager.iter().chain(&self.standby) {
+            s.origin_uploads += m.uploads_served;
+            s.mgr_inventory += m.inventory().len() as u64;
+            s.mgr_removal_acks += m.removal_acks_total;
+        }
+        s
     }
 
     fn net_stats(&self) -> upnp_net::network::NetStats {
@@ -2004,20 +1977,21 @@ impl SimWorld for World {
         self.net.radio_energy_j(node)
     }
 
-    fn node_count(&self) -> usize {
-        self.net.len()
-    }
-
     fn set_tracing(&mut self, enabled: bool) {
-        World::set_tracing(self, enabled);
+        self.trace.enabled = enabled;
+        if !enabled {
+            self.active_traces.clear();
+        }
     }
 
     fn take_spans(&mut self) -> Vec<Span> {
-        World::take_spans(self)
+        let mut spans = self.trace.take_spans();
+        upnp_trace::canonical_sort(&mut spans);
+        spans
     }
 
     fn flight_dump(&self, reason: &str) -> String {
-        World::flight_dump(self, reason)
+        self.trace.recorder().dump_json(reason)
     }
 }
 

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 
 use upnp_core::fleet::{Fleet, FleetConfig, FleetTopology, ScenarioMetrics};
+use upnp_core::world::SimWorld;
 
 const THINGS: usize = 500;
 

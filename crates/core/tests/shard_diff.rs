@@ -9,7 +9,8 @@
 //! the single-process `fleet` benchmark asserts their equality instead.
 
 use upnp_core::fleet::{Fleet, FleetConfig, FleetTopology, ScenarioMetrics, ShardedFleet};
-use upnp_core::world::SimWorld;
+use upnp_core::world::{ClientId, SimWorld, WorldOp};
+use upnp_net::NodeId;
 use upnp_sim::SimDuration;
 
 /// Everything deterministic about a scenario outcome (shared with the
@@ -201,6 +202,34 @@ fn lossy_flash_crowd_with_caches_matches_at_every_shard_count() {
 }
 
 #[test]
+fn dodag_parents_match_for_every_node() {
+    // Interior cuts sever the edge above whatever node they pick, so the
+    // sharded world must answer `dodag_parent` exactly as the sequential
+    // one for every node: manager, standby, caches (owned by one shard
+    // each), Things and clients.
+    let config = FleetConfig::new(64)
+        .with_caches(4)
+        .with_standby()
+        .with_seed(7);
+    let seq = Fleet::build(config.clone());
+    let nodes: Vec<NodeId> = (0..seq.node_count() as u32).map(NodeId).collect();
+    for &c in &seq.caches {
+        let parent = seq.world.dodag_parent(seq.cache_node(c));
+        assert_eq!(parent, Some(NodeId(0)), "a cache hangs off the manager");
+    }
+    for k in [2, 4] {
+        let sharded = ShardedFleet::build_sharded(config.clone(), k);
+        for &node in &nodes {
+            assert_eq!(
+                seq.world.dodag_parent(node),
+                sharded.world.dodag_parent(node),
+                "DODAG parent of {node:?} diverged at K={k}"
+            );
+        }
+    }
+}
+
+#[test]
 fn sharded_runs_are_reproducible() {
     let run = || run_sharded(200, FleetTopology::Star, 4).0;
     assert_eq!(run(), run());
@@ -228,12 +257,19 @@ fn sharded_unplug_racing_driver_upload_leaves_no_driver() {
     let t = fleet.things[0];
     let device = fleet.assigned_device(0);
     let base = fleet.world.now();
+    let plug = WorldOp::Plug {
+        thing: t,
+        channel: 0,
+        device,
+    };
+    let unplug = WorldOp::Unplug {
+        thing: t,
+        channel: 0,
+    };
+    fleet.world.apply(base + SimDuration::from_millis(1), plug);
     fleet
         .world
-        .plug_at(base + SimDuration::from_millis(1), t, 0, device);
-    fleet
-        .world
-        .unplug_at(base + SimDuration::from_millis(5), t, 0);
+        .apply(base + SimDuration::from_millis(5), unplug);
     fleet.world.run_until_idle();
     assert!(
         fleet.world.thing(t).served_peripherals().is_empty(),
@@ -285,12 +321,11 @@ fn lossy_cross_shard_probes_account_drops_identically() {
     // and fingerprints to stay bitwise equal.
     let mut config = config(60, FleetTopology::Star);
     config.link_prr = 0.5;
-    let run = |world: &mut dyn SimWorld, clients: &[upnp_core::world::ClientId], device: u32| {
+    let run = |world: &mut dyn SimWorld, clients: &[(ClientId, NodeId)], device: u32| {
         let base = world.now();
         let group = upnp_net::addr::peripheral_group(0x2001_0db8_0000, device);
         for i in 0..20u64 {
-            let c = clients[i as usize % clients.len()];
-            let node = world.client_node(c);
+            let (c, node) = clients[i as usize % clients.len()];
             let addr = world.client(c).address;
             let dgram = upnp_net::Datagram {
                 src: addr,
@@ -309,10 +344,16 @@ fn lossy_cross_shard_probes_account_drops_identically() {
         world.run_until_idle();
     };
 
+    fn endpoints<W: SimWorld>(fleet: &Fleet<W>) -> Vec<(ClientId, NodeId)> {
+        let node = |&c| (c, fleet.client_node(c));
+        fleet.clients.iter().map(node).collect()
+    }
+
     let mut seq = Fleet::build(config.clone());
     seq.discovery_wave();
     let device = seq.assigned_device(0).raw();
-    run(&mut seq.world, &seq.clients, device);
+    let clients = endpoints(&seq);
+    run(&mut seq.world, &clients, device);
     let seq_stats = {
         use upnp_core::world::SimWorld as _;
         seq.world.net_stats()
@@ -321,7 +362,8 @@ fn lossy_cross_shard_probes_account_drops_identically() {
     for k in [2, 4] {
         let mut sharded = ShardedFleet::build_sharded(config.clone(), k);
         sharded.discovery_wave();
-        run(&mut sharded.world, &sharded.clients, device);
+        let clients = endpoints(&sharded);
+        run(&mut sharded.world, &clients, device);
         assert_eq!(
             seq_stats,
             sharded.world.net_stats(),
@@ -710,16 +752,20 @@ fn cross_shard_discovery_probe_reaches_every_shard() {
         .map(|i| seq.world.thing_addr(seq.things[i]))
         .collect();
 
-    for (label, world, client) in [
+    let seq_node = seq.client_node(seq.clients[0]);
+    let sharded_node = sharded.client_node(sharded.clients[0]);
+    for (label, world, client, node) in [
         (
             "sequential",
             &mut seq.world as &mut dyn SimWorld,
             seq.clients[0],
+            seq_node,
         ),
         (
             "sharded",
             &mut sharded.world as &mut dyn SimWorld,
             sharded.clients[0],
+            sharded_node,
         ),
     ] {
         let dgram = {
@@ -736,7 +782,6 @@ fn cross_shard_discovery_probe_reaches_every_shard() {
             d.dst = group;
             d
         };
-        let node = world.client_node(client);
         let at = world.now();
         world.inject(at, node, dgram);
         world.run_until_idle();

@@ -1,7 +1,7 @@
 //! End-to-end tests of the assembled µPnP system: plug → identify →
 //! OTA driver install → advertise → discover → read/stream/write.
 
-use upnp_core::world::{World, WorldConfig};
+use upnp_core::world::{SimWorld, World, WorldConfig, WorldOp};
 use upnp_hw::id::prototypes;
 use upnp_net::msg::Value;
 use upnp_sim::SimDuration;
@@ -351,19 +351,26 @@ fn unplug_cancels_only_its_own_channels_driver_request() {
     // channel still deserves its driver when the upload lands.
     let (mut w, thing, _) = small_world();
     let base = w.now();
-    w.plug_at(
+    w.apply(
         base + SimDuration::from_millis(1),
-        thing,
-        0,
-        prototypes::TMP36,
+        WorldOp::Plug {
+            thing,
+            channel: 0,
+            device: prototypes::TMP36,
+        },
     );
-    w.plug_at(
+    w.apply(
         base + SimDuration::from_millis(2),
-        thing,
-        1,
-        prototypes::TMP36,
+        WorldOp::Plug {
+            thing,
+            channel: 1,
+            device: prototypes::TMP36,
+        },
     );
-    w.unplug_at(base + SimDuration::from_millis(5), thing, 0);
+    w.apply(
+        base + SimDuration::from_millis(5),
+        WorldOp::Unplug { thing, channel: 0 },
+    );
     w.run_until_idle();
     assert!(
         w.thing(thing)
@@ -380,19 +387,26 @@ fn unplug_of_newer_channel_keeps_older_channels_request() {
     // channel's pending request must survive and activate its driver.
     let (mut w, thing, _) = small_world();
     let base = w.now();
-    w.plug_at(
+    w.apply(
         base + SimDuration::from_millis(1),
-        thing,
-        0,
-        prototypes::TMP36,
+        WorldOp::Plug {
+            thing,
+            channel: 0,
+            device: prototypes::TMP36,
+        },
     );
-    w.plug_at(
+    w.apply(
         base + SimDuration::from_millis(2),
-        thing,
-        1,
-        prototypes::TMP36,
+        WorldOp::Plug {
+            thing,
+            channel: 1,
+            device: prototypes::TMP36,
+        },
     );
-    w.unplug_at(base + SimDuration::from_millis(5), thing, 1);
+    w.apply(
+        base + SimDuration::from_millis(5),
+        WorldOp::Unplug { thing, channel: 1 },
+    );
     w.run_until_idle();
     assert!(
         w.thing(thing)

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use micropnp::core::world::{World, WorldConfig};
+use micropnp::core::world::{SimWorld, World, WorldConfig};
 use micropnp::hw::id::prototypes;
 use micropnp::net::msg::Value;
 

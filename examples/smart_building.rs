@@ -9,7 +9,7 @@
 //! cargo run --example smart_building
 //! ```
 
-use micropnp::core::world::{World, WorldConfig};
+use micropnp::core::world::{SimWorld, World, WorldConfig};
 use micropnp::hw::id::prototypes;
 use micropnp::net::link::LinkQuality;
 use micropnp::net::msg::Value;

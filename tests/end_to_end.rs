@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: larger deployments, lossy networks,
 //! hot-swapping and driver lifecycle management.
 
-use micropnp::core::world::{World, WorldConfig};
+use micropnp::core::world::{SimWorld, World, WorldConfig};
 use micropnp::hw::id::prototypes;
 use micropnp::net::link::LinkQuality;
 use micropnp::net::msg::Value;

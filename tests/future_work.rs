@@ -2,7 +2,7 @@
 //! location-aware discovery, the vendor/product identifier structure,
 //! driver validation on the OTA path and multi-hop multicast discovery.
 
-use micropnp::core::world::{World, WorldConfig};
+use micropnp::core::world::{SimWorld, World, WorldConfig};
 use micropnp::hw::id::prototypes;
 use micropnp::hw::vendor::{DeviceClass, StructuredId, VendorId};
 use micropnp::net::link::LinkQuality;
