@@ -33,102 +33,56 @@
 //! end green export only their *exemplar* traces — the slowest recovery
 //! per fault family — so the artifact stays readable; a red soak keeps
 //! everything. Traced runs also keep a bounded flight-recorder window
-//! of the most recent spans: when the sharded/sequential identity check
-//! or a soak gate fails, the window is dumped to `BENCH_flight.json`
-//! for CI to upload next to the failure.
+//! of the most recent spans: when any gate fails, the window is dumped
+//! to `BENCH_flight.json` for CI to upload next to the failure.
 //!
-//! When the sweep covers both a sequential (`shards = 1`) and a sharded
-//! row of the same size, the run *hard-fails* unless every deterministic
-//! metric — frames, virtual time, latency distribution, joules, payload
-//! and cache/origin counters — and the world fingerprint are
-//! bit-identical between them: the sharded simulator is only allowed to
-//! be faster, never different. Flash-crowd rows (which run through the
-//! edge-cache tier) additionally face absolute floors: the caches must
-//! serve ≥ 90 % of driver uploads (at ≥ 1000 Things), and coalescing
-//! must hold the origin to at most caches × device-types fetch sessions.
-//! Chaos-soak rows (nightly profile, opt-in with `--scenario soak`)
-//! hard-fail unless every whole-soak invariant
-//! held — exactly-once discovery, cache coherence, bounded Manager
-//! retention — and the process peak RSS stayed flat across the virtual
-//! day of fault injection. `--chaos deep` widens the schedule with the
-//! ISSUE-8 families (interior-router partitions, mid-install MCU
-//! crashes, delay/duplicate links, standby blackouts); those rows are
-//! labelled `soak-deep` and additionally hard-fail unless the families
-//! left evidence — torn images rejected and refetched, blackout windows
-//! detected as unserved Things and then repaired. `--chaos gray` layers
-//! gray failures on top of `deep` — links degraded to 10× latency or
-//! half their PRR, asymmetric one-direction cuts, one cache serving at
-//! a crawl; those rows are labelled `soak-gray` and hard-fail if any
-//! epoch carried zero degraded-link deliveries (the schedule silently
-//! stopped firing). Every soak row embeds per-fault-family
-//! recovery-latency histograms (injection → first successful serve
-//! after the heal), and when a baseline is supplied their per-family
-//! p99s are gated against it the same way RSS flatness is gated
-//! absolutely.
-//!
-//! The gate checks the 1k- and 5k-node discovery wall-clocks against the
-//! checked-in baseline (>25 % is a failure), and the zero-copy payload
-//! allocation counters on every discovery row shared with the baseline
-//! (deterministic, same 25 % threshold — a copy snuck into the data plane
-//! shows up here long before it shows up in wall-clock noise).
-//! Virtual-time and traffic drift on any row is reported as a warning,
-//! since those are deterministic and only move when behaviour genuinely
-//! changes. Every row records the process peak RSS and the host's CPU
-//! count so memory and parallelism are readable from the artifact.
+//! What a row proves is deterministic lives in one place: the row's
+//! registry, [`ScenarioMetrics::registry`] plus the soak's
+//! [`SoakReport::registry`] (every deterministic field once, floats by
+//! their bits). Every gate is one line of the [`GATES`] table — the
+//! rows it reads, the metric, how it compares and the bound — walked by
+//! [`gate`]. The table hard-fails when a sharded row's fingerprint or
+//! registry differs from its sequential sibling's (the sharded
+//! simulator may only be faster, never different); on the flash-crowd
+//! floors (the caches serve ≥ 90 % of uploads at ≥ 1000 Things, the
+//! origin sees at most caches × device-types fetch sessions); on the
+//! soak invariants and evidence (no violations, per-epoch breakdowns
+//! that tile their totals, blackouts that strand Things, MCU crashes
+//! that tear images, degraded hops in every gray epoch, flat peak RSS);
+//! and, against a baseline, on per-family recovery p99s, shipped driver
+//! sizes, the 1k/5k discovery walls, discovery payload allocations and
+//! the cost of tracing. A row whose fingerprint or registry differs
+//! from the baseline's is reported as drift, a warning: those fields
+//! only move when behaviour genuinely changes. Every row records the
+//! process peak RSS and the host's CPU count.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 use serde::{Deserialize, Serialize};
-use upnp_core::chaos::SoakReport;
+use upnp_core::chaos::{RecoveryHistogram, SoakReport};
 use upnp_core::fleet::{Fleet, FleetConfig, ScenarioMetrics, ShardedFleet};
 use upnp_core::world::SimWorld;
 use upnp_trace::{
     chrome_trace_json, filter_traces, FlightRecorder, Span, TraceId, FLIGHT_RECORDER_CAPACITY,
 };
 
-/// The scenario the regression gates anchor on.
-const GATE_SCENARIO: &str = "discovery";
-/// Fleet sizes whose discovery wall-clock is gated. The 25k/100k rows are
-/// swept and recorded but not wall-gated: they run tens of seconds and CI
-/// runner noise at that scale would page people for nothing — their
-/// allocation counters (deterministic) are gated instead.
-const GATE_WALL_THINGS: &[usize] = &[1000, 5000];
-/// Wall-clock regression tolerance (CI runners are noisy; virtual-time
-/// metrics are checked for exact drift separately).
+/// Wall-clock and allocation regression tolerance against the baseline
+/// (CI runners are noisy; deterministic fields are compared exactly as
+/// drift).
 const GATE_FACTOR: f64 = 1.25;
-/// Sharded wall-clock gate rows `(things, shards)` — checked when both
-/// the current run and the baseline carry them.
-const GATE_WALL_SHARDED: &[(usize, usize)] = &[(1000, 4)];
-/// Edge caches fronting the origin in the flash-crowd scenario rows.
+/// Edge caches fronting the origin in the flash-crowd and soak rows.
 const FLASH_CACHES: usize = 8;
-/// Floor on the fraction of flash-crowd driver uploads that must be
-/// served by the cache tier rather than the origin (absolute gate, no
-/// baseline needed — the counters are deterministic).
+/// Floor on the fraction of flash-crowd driver uploads served by the
+/// cache tier rather than the origin.
 const FLASH_CACHE_SERVED_FLOOR: f64 = 0.90;
 /// Smallest fleet the served-ratio floor applies to: below this the
 /// fixed coalescing cost (caches × device types fetch sessions) is a
 /// large fraction of a tiny crowd and the ratio is meaningless — the
-/// absolute coalescing bound still applies at every size.
+/// coalescing bound still applies at every size.
 const FLASH_FLOOR_MIN_THINGS: usize = 1000;
-/// Report schema version: bumped to 2 when rows gained `shards` and
-/// `fingerprint` (PR 4), to 3 when they gained `peak_rss_bytes`/`cpus`
-/// and the metrics gained the distribution-tier counters (PR 5), to 4
-/// when they gained `faults_injected`/`soak_ticks` and the optional
-/// embedded `soak` report (PR 6), to 5 when the report gained the
-/// per-driver `drivers` image-size table (optimising compiler), to 6
-/// when the soak report gained the deep-chaos counters (interior
-/// partitions, MCU crashes with torn-image rejections, standby
-/// blackouts with unserved-Thing windows, delay/duplicate link frames,
-/// per-epoch follower drains) and soak rows split into `soak` /
-/// `soak-deep` profiles, and to 7 when the soak report gained the
-/// gray-failure counters (degraded hops, aggregate and per-epoch) and
-/// per-fault-family recovery-latency histograms, and `--chaos gray`
-/// rows got the `soak-gray` profile, and to 8 when rows gained
-/// `trace_spans` and the unified `metrics_table` (every subsystem's
-/// counters in one labelled registry), and the soak report gained
-/// recovery-trace exemplars and the attribution-mismatch counter;
-/// older baselines must be regenerated.
-const SCHEMA: u32 = 8;
+/// Report schema version; 9 derives each row's registry from `metrics` and `soak`.
+const SCHEMA: u32 = 9;
 /// Fleet size for the tracing-overhead gate (`--trace-overhead`):
 /// context carriage is always-on, so the discovery wave at this scale
 /// is where a hidden cost would show.
@@ -140,11 +94,9 @@ const TRACE_OVERHEAD_DISABLED_FACTOR: f64 = 1.05;
 /// With tracing *enabled* (every span recorded) the wall-clock must
 /// stay within this factor of the same reference.
 const TRACE_OVERHEAD_ENABLED_FACTOR: f64 = 1.15;
-/// Where the flight-recorder window lands when the identity check or a
-/// soak gate fails on a traced run — CI uploads it as an artifact.
+/// Where the flight-recorder window lands when a gate fails on a traced
+/// run — CI uploads it as an artifact.
 const FLIGHT_DUMP_PATH: &str = "BENCH_flight.json";
-/// Edge caches fronting the origin in the chaos-soak rows.
-const SOAK_CACHES: usize = FLASH_CACHES;
 /// Peak-RSS flatness gate for soak rows: the process high-water mark at
 /// soak end must stay within this factor of the mark after the first
 /// epoch (plus a small absolute slack so tiny fleets aren't gated on
@@ -236,33 +188,58 @@ struct ScenarioRow {
     /// lets a reader tell real multi-core sharding numbers from
     /// single-core cache-locality numbers.
     cpus: usize,
-    /// Faults injected during the scenario (0 outside soak rows).
-    faults_injected: u64,
-    /// Scheduler run/pause phases driven (0 outside soak rows).
-    soak_ticks: u64,
     /// Spans the deterministic tracer recorded during the scenario —
     /// 0 unless the run was traced (`--trace-out`). Deterministic for a
     /// given seed and identical across shard counts.
     trace_spans: u64,
-    /// The unified metrics registry: every subsystem's deterministic
-    /// counters (`scenario.*`, `net.*`, `payload.*`, `distro.*`) as one
-    /// canonically ordered, labelled table.
-    metrics_table: Vec<MetricRow>,
     /// The full chaos-soak report (`null` outside soak rows).
     soak: Option<SoakReport>,
     metrics: ScenarioMetrics,
 }
 
-/// One `group.name = value` line of the unified metrics table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct MetricRow {
-    name: String,
-    value: u64,
+impl ScenarioRow {
+    /// `scenario@things shards=K`: what rows are matched on, within a
+    /// run and against the baseline.
+    fn label(&self) -> String {
+        let m = &self.metrics;
+        format!("{}@{} shards={}", m.scenario, self.things, self.shards)
+    }
+
+    /// Everything deterministic about the row as `group.name` → value:
+    /// the scenario registry, plus the soak's on soak rows.
+    fn registry(&self) -> BTreeMap<String, u64> {
+        let soak = self.soak.iter().map(SoakReport::registry);
+        std::iter::once(self.metrics.registry())
+            .chain(soak)
+            .flat_map(|reg| reg.samples())
+            .map(|s| (format!("{}.{}", s.group, s.name), s.value))
+            .collect()
+    }
+
+    /// Every field where this row's fingerprint or registry differs from
+    /// `other`'s, as `name this vs other`.
+    fn differences(&self, other: &ScenarioRow) -> Vec<String> {
+        let (mine, theirs) = (self.registry(), other.registry());
+        let show = |v: Option<&u64>| v.map_or("-".to_string(), u64::to_string);
+        let mut out: Vec<String> = mine
+            .keys()
+            .chain(theirs.keys())
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .filter(|k| mine.get(*k) != theirs.get(*k))
+            .map(|k| format!("{k} {} vs {}", show(mine.get(k)), show(theirs.get(k))))
+            .collect();
+        if self.fingerprint != other.fingerprint {
+            let (a, b) = (self.fingerprint, other.fingerprint);
+            out.insert(0, format!("fingerprint {a:#018x} vs {b:#018x}"));
+        }
+        out
+    }
 }
 
 /// Accumulates the traced sweep's artifacts: the spans destined for the
 /// Chrome-trace export, and a bounded flight-recorder window of the
-/// most recent spans (dumped on identity/gate failure).
+/// most recent spans (dumped on gate failure).
 struct TraceCollector {
     /// Tracing on for this run (`--trace-out` given)?
     enabled: bool,
@@ -273,31 +250,17 @@ struct TraceCollector {
 }
 
 impl TraceCollector {
-    fn new(enabled: bool) -> Self {
-        TraceCollector {
-            enabled,
-            spans: Vec::new(),
-            recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
-        }
-    }
-
-    /// Drains the world's spans after one scenario; returns the count
-    /// (the row's `trace_spans`) and the drained set.
-    fn drain<W: SimWorld>(&mut self, fleet: &mut Fleet<W>) -> (u64, Vec<Span>) {
+    /// Drains the world's spans after one scenario into the export and
+    /// the flight recorder; returns the count (the row's `trace_spans`).
+    fn drain<W: SimWorld>(&mut self, fleet: &mut Fleet<W>) -> u64 {
         if !self.enabled {
-            return (0, Vec::new());
+            return 0;
         }
         let spans = fleet.world.take_spans();
-        for s in &spans {
-            self.recorder.push(*s);
-        }
-        (spans.len() as u64, spans)
+        spans.iter().for_each(|s| self.recorder.push(*s));
+        self.spans.extend_from_slice(&spans);
+        spans.len() as u64
     }
-}
-
-/// CPUs available to this process (1 when undetectable).
-fn detected_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 struct Options {
@@ -390,349 +353,15 @@ fn wants(opts: &Options, scenario: &str) -> bool {
     opts.scenario.as_deref().is_none_or(|s| s == scenario)
 }
 
-fn row(
-    things: usize,
-    shards: usize,
-    caches: usize,
-    fingerprint: u64,
+/// Prints one scenario's headline and wraps it into a report row.
+fn row<W: SimWorld>(
     trace_spans: u64,
+    fleet: &Fleet<W>,
+    shards: usize,
     metrics: ScenarioMetrics,
 ) -> ScenarioRow {
-    print_row(things, shards, &metrics);
-    let metrics_table = metrics
-        .registry()
-        .samples()
-        .into_iter()
-        .map(|s| MetricRow {
-            name: format!("{}.{}", s.group, s.name),
-            value: s.value,
-        })
-        .collect();
-    ScenarioRow {
-        things,
-        shards,
-        caches,
-        fingerprint,
-        peak_rss_bytes: upnp_core::chaos::peak_rss_kb() * 1024,
-        cpus: detected_cpus(),
-        faults_injected: 0,
-        soak_ticks: 0,
-        trace_spans,
-        metrics_table,
-        soak: None,
-        metrics,
-    }
-}
-
-/// Runs the selected scenarios against one fleet (sequential or sharded)
-/// and appends the rows.
-fn run_fleet<W: SimWorld>(
-    fleet: &mut Fleet<W>,
-    opts: &Options,
-    things: usize,
-    shards: usize,
-    scenarios: &mut Vec<ScenarioRow>,
-    trace: &mut TraceCollector,
-) {
-    // Churn and steady state run against a discovered fleet, so the
-    // discovery wave always runs; it is only *reported* if selected.
-    let discovery = fleet.discovery_wave();
-    let (n, spans) = trace.drain(fleet);
-    trace.spans.extend(spans);
-    if wants(opts, "discovery") {
-        scenarios.push(row(things, shards, 0, fleet.fingerprint(), n, discovery));
-    }
-    if wants(opts, "churn") {
-        let churn = fleet.churn_storm(things / 2);
-        let (n, spans) = trace.drain(fleet);
-        trace.spans.extend(spans);
-        scenarios.push(row(things, shards, 0, fleet.fingerprint(), n, churn));
-    }
-    if wants(opts, "steady") {
-        let steady = fleet.steady_state(things);
-        let (n, spans) = trace.drain(fleet);
-        trace.spans.extend(spans);
-        scenarios.push(row(things, shards, 0, fleet.fingerprint(), n, steady));
-    }
-}
-
-/// Runs the chaos soak (one virtual day of seeded fault injection: cache
-/// crashes mid-transfer, root↔cache partitions, primary→standby
-/// failover, battery churn) on its own fleet fronted by [`SOAK_CACHES`]
-/// caches and a hot-standby Manager. Nightly profile — only run when
-/// `--scenario soak` is selected.
-fn run_soak<W: SimWorld>(
-    fleet: &mut Fleet<W>,
-    opts: &Options,
-    things: usize,
-    shards: usize,
-    scenarios: &mut Vec<ScenarioRow>,
-    trace: &mut TraceCollector,
-) {
-    let chaos = match opts.chaos.as_str() {
-        "deep" => upnp_core::chaos::ChaosConfig::deep(opts.seed),
-        "gray" => upnp_core::chaos::ChaosConfig::gray(opts.seed),
-        _ => upnp_core::chaos::ChaosConfig::day(opts.seed),
-    };
-    let deep = opts.chaos != "day";
-    let gray = opts.chaos == "gray";
-    let (mut metrics, report) = fleet.soak_scenario(&chaos);
-    let (trace_spans, spans) = trace.drain(fleet);
-    if trace.enabled {
-        // Green soaks export only the exemplar traces — the slowest
-        // recovery per fault family — so the Perfetto artifact stays
-        // readable; a red soak keeps the whole span set for debugging.
-        let keep: Vec<TraceId> = report
-            .recovery_exemplars
-            .iter()
-            .map(|x| TraceId(x.trace_id))
-            .collect();
-        if report.invariants_held() && !keep.is_empty() {
-            trace.spans.extend(filter_traces(&spans, &keep));
-        } else {
-            trace.spans.extend(spans);
-        }
-        for x in &report.recovery_exemplars {
-            println!(
-                "  exemplar: {} trace {:016x} recovered in {:.0} ms",
-                x.family,
-                x.trace_id,
-                x.latency_ns as f64 / 1e6,
-            );
-        }
-    }
-    if deep {
-        // Deep and gray rows are distinct scenarios: the fault schedule
-        // (and so every deterministic counter) differs per profile, and
-        // the baseline must keep each without conflating them.
-        metrics.scenario = format!("soak-{}", opts.chaos);
-    }
-    let mut r = row(
-        things,
-        shards,
-        SOAK_CACHES,
-        fleet.fingerprint(),
-        trace_spans,
-        metrics,
-    );
-    println!(
-        "  soak: {} faults over {} epochs ({} crashes, {} partitions, {} failovers, \
-         {} reroots, {} battery deaths), {} followers drained, {} repairs, \
-         violations d={} c={} r={}",
-        report.faults_injected,
-        report.epochs,
-        report.cache_crashes,
-        report.partitions,
-        report.failovers,
-        report.reroots,
-        report.battery_unplugs,
-        report.followers_drained,
-        report.repairs,
-        report.discovery_violations,
-        report.coherence_violations,
-        report.retention_violations,
-    );
-    if deep {
-        println!(
-            "  deep: {} interior cuts, {} MCU crashes ({} torn images rejected, \
-             {} refetched), {} standby blackouts ({} unserved windows, {} Things), \
-             {} frames delayed, {} duplicated",
-            report.interior_partitions,
-            report.thing_crashes,
-            report.half_images_rejected,
-            report.half_image_refetches,
-            report.standby_outages,
-            report.unserved_windows,
-            report.unserved_things,
-            report.frames_delayed,
-            report.frames_duplicated,
-        );
-    }
-    if gray {
-        println!(
-            "  gray: {} hops carried degraded (min/epoch {})",
-            report.frames_degraded,
-            report.degraded_by_epoch.iter().min().copied().unwrap_or(0),
-        );
-    }
-    let recovered: u64 = report
-        .recovery
-        .families()
-        .iter()
-        .map(|(_, h)| h.count)
-        .sum();
-    if recovered > 0 {
-        let p99s: Vec<String> = report
-            .recovery
-            .families()
-            .iter()
-            .filter(|(_, h)| h.count > 0)
-            .map(|(name, h)| format!("{name} n={} p99={:.0}ms", h.count, h.p99_ms()))
-            .collect();
-        println!("  recovery: {}", p99s.join(", "));
-    }
-    r.faults_injected = report.faults_injected;
-    r.soak_ticks = report.soak_ticks;
-    r.soak = Some(report);
-    scenarios.push(r);
-}
-
-/// Runs the flash-crowd scenario on its own fleet fronted by
-/// [`FLASH_CACHES`] edge caches.
-fn run_flash<W: SimWorld>(
-    fleet: &mut Fleet<W>,
-    things: usize,
-    shards: usize,
-    scenarios: &mut Vec<ScenarioRow>,
-    trace: &mut TraceCollector,
-) {
-    let flash = fleet.flash_crowd();
-    let (n, spans) = trace.drain(fleet);
-    trace.spans.extend(spans);
-    scenarios.push(row(
-        things,
-        shards,
-        FLASH_CACHES,
-        fleet.fingerprint(),
-        n,
-        flash,
-    ));
-}
-
-/// Flips the tracer on a freshly built fleet (both backends).
-fn traced<W: SimWorld>(mut fleet: Fleet<W>, on: bool) -> Fleet<W> {
-    fleet.world.set_tracing(on);
-    fleet
-}
-
-fn run(opts: &Options, trace: &mut TraceCollector) -> BenchReport {
-    let mut scenarios = Vec::new();
-    // The soak is opt-in: a day of virtual time per (size, shards) pair
-    // belongs to the nightly profile, not the default sweep.
-    let soak_only = opts.scenario.as_deref() == Some("soak");
-    for &things in &opts.sizes {
-        for &shards in &opts.shards {
-            if soak_only {
-                let config = FleetConfig::new(things)
-                    .with_seed(opts.seed)
-                    .with_caches(SOAK_CACHES)
-                    .with_standby();
-                if shards == 1 {
-                    let mut fleet = traced(Fleet::build(config), trace.enabled);
-                    run_soak(&mut fleet, opts, things, shards, &mut scenarios, trace);
-                } else {
-                    let mut fleet =
-                        traced(ShardedFleet::build_sharded(config, shards), trace.enabled);
-                    run_soak(&mut fleet, opts, things, shards, &mut scenarios, trace);
-                }
-                continue;
-            }
-            // A fresh fleet per (size, shards): scenario metrics are
-            // deltas, but the build itself (indices, routing tree)
-            // belongs to the configuration.
-            let config = FleetConfig::new(things).with_seed(opts.seed);
-            if shards == 1 {
-                let mut fleet = traced(Fleet::build(config), trace.enabled);
-                run_fleet(&mut fleet, opts, things, shards, &mut scenarios, trace);
-            } else {
-                let mut fleet = traced(ShardedFleet::build_sharded(config, shards), trace.enabled);
-                run_fleet(&mut fleet, opts, things, shards, &mut scenarios, trace);
-            }
-            // Flash crowd runs through the edge-cache tier on a fresh
-            // fleet of its own (cold caches, simultaneous cold plugs).
-            if wants(opts, "flash") {
-                let config = FleetConfig::new(things)
-                    .with_seed(opts.seed)
-                    .with_caches(FLASH_CACHES);
-                if shards == 1 {
-                    let mut fleet = traced(Fleet::build(config), trace.enabled);
-                    run_flash(&mut fleet, things, shards, &mut scenarios, trace);
-                } else {
-                    let mut fleet =
-                        traced(ShardedFleet::build_sharded(config, shards), trace.enabled);
-                    run_flash(&mut fleet, things, shards, &mut scenarios, trace);
-                }
-            }
-        }
-    }
-    let drivers = driver_sizes();
-    println!("driver images (optimising compiler):");
-    for d in &drivers {
-        println!(
-            "  {:>8} | {:>4} B shipped ({} chunks) | {:>4} B unoptimised | -{:.1}%",
-            d.name,
-            d.image_bytes,
-            d.chunks,
-            d.unopt_bytes,
-            100.0 * (1.0 - d.image_bytes as f64 / d.unopt_bytes as f64),
-        );
-    }
-    BenchReport {
-        schema: SCHEMA,
-        seed: opts.seed,
-        sizes: opts.sizes.clone(),
-        drivers,
-        scenarios,
-    }
-}
-
-/// The sharded simulator must be *identical* to the sequential one in
-/// every deterministic column — enforced whenever one run covers both.
-fn check_shard_identity(report: &BenchReport) -> Result<(), String> {
-    for row in &report.scenarios {
-        if row.shards == 1 {
-            continue;
-        }
-        let Some(base) = report.scenarios.iter().find(|r| {
-            r.shards == 1 && r.things == row.things && r.metrics.scenario == row.metrics.scenario
-        }) else {
-            eprintln!(
-                "warning: {}@{} shards={} has no shards=1 sibling in this run — \
-                 the sharded/sequential identity check is NOT enforced for it \
-                 (include 1 in --shards to enforce)",
-                row.metrics.scenario, row.things, row.shards,
-            );
-            continue;
-        };
-        let m = &row.metrics;
-        let b = &base.metrics;
-        // One deterministic-field list lives in ScenarioMetrics::
-        // deterministic_summary (shared with the differential and
-        // determinism test suites, so a new metric column is covered
-        // everywhere at once); the payload counters are the only
-        // deterministic fields outside it (they are process-global in
-        // multi-test binaries, but exact in this single-process run).
-        let identical = row.fingerprint == base.fingerprint
-            && m.deterministic_summary() == b.deterministic_summary()
-            && m.payload_allocs == b.payload_allocs
-            && m.payload_clones == b.payload_clones;
-        if !identical {
-            return Err(format!(
-                "{}@{} diverges between shards=1 and shards={}: \
-                 fingerprint {:#018x} vs {:#018x}, \
-                 payload allocs {} vs {}, clones {} vs {},\n  seq: {}\n  shd: {}",
-                m.scenario,
-                row.things,
-                row.shards,
-                base.fingerprint,
-                row.fingerprint,
-                b.payload_allocs,
-                m.payload_allocs,
-                b.payload_clones,
-                m.payload_clones,
-                b.deterministic_summary(),
-                m.deterministic_summary(),
-            ));
-        }
-        println!(
-            "identity ok: {}@{} shards={} matches the sequential run bit for bit",
-            m.scenario, row.things, row.shards,
-        );
-    }
-    Ok(())
-}
-
-fn print_row(things: usize, shards: usize, m: &ScenarioMetrics) {
+    let things = fleet.things.len();
+    let m = &metrics;
     let cache = if m.cache_uploads + m.origin_uploads > 0 {
         format!(
             " | cache {} (h{} m{} c{}) origin {}",
@@ -759,499 +388,512 @@ fn print_row(things: usize, shards: usize, m: &ScenarioMetrics) {
         m.payload_allocs,
         m.payload_clones,
     );
+    ScenarioRow {
+        things,
+        shards,
+        caches: fleet.caches.len(),
+        fingerprint: fleet.fingerprint(),
+        peak_rss_bytes: upnp_core::chaos::peak_rss_kb() * 1024,
+        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        trace_spans,
+        soak: None,
+        metrics,
+    }
 }
 
-fn find<'a>(
-    report: &'a BenchReport,
-    scenario: &str,
-    things: usize,
+/// Runs the selected scenarios against one fleet (sequential or
+/// sharded) and appends the rows. Churn and steady state run against a
+/// discovered fleet, so the discovery wave always runs; it is only
+/// *reported* if selected. The flash crowd and the soak run on fleets
+/// of their own, fronted by edge caches.
+fn run_fleet<W: SimWorld>(
+    fleet: &mut Fleet<W>,
+    opts: &Options,
     shards: usize,
-) -> Option<&'a ScenarioRow> {
-    report
-        .scenarios
-        .iter()
-        .find(|r| r.metrics.scenario == scenario && r.things == things && r.shards == shards)
-}
-
-/// Absolute gates on the flash-crowd rows of the *current* report: the
-/// cache tier must serve at least [`FLASH_CACHE_SERVED_FLOOR`] of all
-/// driver uploads, and coalescing must hold the origin to at most one
-/// fetch session per (cache, distinct device type) pair. Deterministic
-/// counters, so no baseline or tolerance is involved.
-fn gate_cache_tier(current: &BenchReport) -> Result<(), String> {
-    let device_pool = FleetConfig::new(1).device_pool.len() as u64;
-    for row in &current.scenarios {
-        if row.metrics.scenario != "flash" || row.caches == 0 {
-            continue;
+    rows: &mut Vec<ScenarioRow>,
+    trace: &mut TraceCollector,
+) {
+    if opts.scenario.as_deref() == Some("soak") {
+        run_soak(fleet, opts, shards, rows, trace);
+    } else if fleet.caches.is_empty() {
+        let discovery = fleet.discovery_wave();
+        let n = trace.drain(fleet);
+        if wants(opts, "discovery") {
+            rows.push(row(n, fleet, shards, discovery));
         }
-        let m = &row.metrics;
-        let total = m.cache_uploads + m.origin_uploads;
-        let served = if total == 0 {
-            0.0
-        } else {
-            m.cache_uploads as f64 / total as f64
-        };
-        if row.things >= FLASH_FLOOR_MIN_THINGS && served < FLASH_CACHE_SERVED_FLOOR {
-            return Err(format!(
-                "flash@{} shards={}: caches served {:.1}% of driver uploads \
-                 ({} of {}), below the {:.0}% floor",
-                row.things,
-                row.shards,
-                served * 100.0,
-                m.cache_uploads,
-                total,
-                FLASH_CACHE_SERVED_FLOOR * 100.0,
-            ));
+        if wants(opts, "churn") {
+            let churn = fleet.churn_storm(fleet.things.len() / 2);
+            rows.push(row(trace.drain(fleet), fleet, shards, churn));
         }
-        let coalesce_bound = row.caches as u64 * device_pool;
-        if m.origin_uploads > coalesce_bound {
-            return Err(format!(
-                "flash@{} shards={}: origin served {} fetch sessions, \
-                 above the coalescing bound of {} (caches × device types) — \
-                 singleflight is broken",
-                row.things, row.shards, m.origin_uploads, coalesce_bound,
-            ));
+        if wants(opts, "steady") {
+            let steady = fleet.steady_state(fleet.things.len());
+            rows.push(row(trace.drain(fleet), fleet, shards, steady));
         }
-        let floor = if row.things >= FLASH_FLOOR_MIN_THINGS {
-            format!(
-                "cache-served {:.2}% >= {:.0}%",
-                served * 100.0,
-                FLASH_CACHE_SERVED_FLOOR * 100.0
-            )
-        } else {
-            format!(
-                "cache-served {:.2}% (floor waived below {FLASH_FLOOR_MIN_THINGS} things)",
-                served * 100.0
-            )
-        };
-        println!(
-            "gate ok: flash@{} shards={} {floor}, origin fetches {} <= {}",
-            row.things, row.shards, m.origin_uploads, coalesce_bound,
-        );
+    } else {
+        let flash = fleet.flash_crowd();
+        rows.push(row(trace.drain(fleet), fleet, shards, flash));
     }
-    Ok(())
 }
 
-/// Absolute gates on the soak rows of the *current* report: every
-/// whole-soak invariant must have held (exactly-once discovery, cache
-/// coherence, bounded Manager retention), the per-epoch follower-drain
-/// breakdown must tile the aggregate, deep-profile fault families must
-/// show evidence they actually bit (blackouts strand Things, MCU
-/// crashes tear images), gray rows must carry degraded-link deliveries
-/// in *every* epoch (a zero epoch means the schedule silently stopped
-/// firing), and the process peak RSS must stay flat across the day —
-/// within [`SOAK_RSS_FLAT_FACTOR`] (plus slack) of the high-water mark
-/// after the first epoch. When a baseline is supplied, each fault
-/// family's p99 recovery latency (virtual time, deterministic) is
-/// additionally gated within [`SOAK_RECOVERY_P99_FACTOR`] of the
-/// baseline's.
-fn gate_soak(current: &BenchReport, baseline: Option<&BenchReport>) -> Result<(), String> {
-    for row in &current.scenarios {
-        let Some(soak) = &row.soak else { continue };
-        if !soak.invariants_held() {
-            return Err(format!(
-                "soak@{} shards={}: invariants violated \
-                 (discovery {}, coherence {}, retention {}, \
-                 trace-attribution mismatches {}) — a failure path regressed",
-                row.things,
-                row.shards,
-                soak.discovery_violations,
-                soak.coherence_violations,
-                soak.retention_violations,
-                soak.attribution_mismatches,
-            ));
-        }
-        // Recovery-latency attribution: every stop-clock read must have
-        // named the trace that actually served the recovery (satellite
-        // of the tracing tentpole — also folded into invariants_held,
-        // asserted separately so the failure is legible).
-        if soak.attribution_mismatches > 0 {
-            return Err(format!(
-                "soak@{} shards={}: {} recovery-latency samples were \
-                 attributed to the wrong trace",
-                row.things, row.shards, soak.attribution_mismatches,
-            ));
-        }
-        // Per-epoch follower drains must tile the aggregate exactly —
-        // one entry per epoch — so the artifact can prove followers
-        // were actually parked when each epoch's mid-transfer crash
-        // landed, not merely that some epoch drained somebody.
-        if soak.followers_drained_by_epoch.len() != soak.epochs {
-            return Err(format!(
-                "soak@{} shards={}: {} per-epoch drain entries for {} epochs — \
-                 the per-epoch breakdown is incomplete",
-                row.things,
-                row.shards,
-                soak.followers_drained_by_epoch.len(),
-                soak.epochs,
-            ));
-        }
-        let drained_sum: u64 = soak.followers_drained_by_epoch.iter().sum();
-        if drained_sum != soak.followers_drained {
-            return Err(format!(
-                "soak@{} shards={}: per-epoch drains sum to {} but the aggregate \
-                 says {} — the breakdown lost a crash window",
-                row.things, row.shards, drained_sum, soak.followers_drained,
-            ));
-        }
-        // Deep-profile evidence gates: when the deeper fault families
-        // ran, they must have actually bitten. A blackout that strands
-        // nobody or an MCU-crash schedule that never tears an image
-        // means the injection silently stopped landing mid-transfer.
-        if soak.standby_outages > 0 && soak.unserved_windows == 0 {
-            return Err(format!(
-                "soak@{} shards={}: {} standby blackouts stranded zero Things — \
-                 the unserved-detection window is not observing the outage",
-                row.things, row.shards, soak.standby_outages,
-            ));
-        }
-        if soak.thing_crashes > 0
-            && (soak.half_images_rejected == 0 || soak.half_image_refetches == 0)
-        {
-            return Err(format!(
-                "soak@{} shards={}: {} MCU crashes produced {} torn-image \
-                 rejections and {} refetches — mid-install crashes are no \
-                 longer landing while chunks are in flight",
-                row.things,
-                row.shards,
-                soak.thing_crashes,
-                soak.half_images_rejected,
-                soak.half_image_refetches,
-            ));
-        }
-        // Gray evidence gate: the degrade schedule is probabilistic per
-        // (edge, window) but an hour-long epoch crosses hundreds of
-        // windows — an epoch with zero degraded deliveries means the
-        // schedule is no longer reaching the hop path at all.
-        if row.metrics.scenario == "soak-gray" {
-            if let Some(zero) = soak.degraded_by_epoch.iter().position(|&d| d == 0) {
-                return Err(format!(
-                    "soak-gray@{} shards={}: epoch {} carried zero degraded-link \
-                     deliveries — the gray schedule is not firing",
-                    row.things, row.shards, zero,
-                ));
-            }
-            if soak.degraded_by_epoch.len() != soak.epochs {
-                return Err(format!(
-                    "soak-gray@{} shards={}: {} per-epoch degraded entries for {} \
-                     epochs — the per-epoch breakdown is incomplete",
-                    row.things,
-                    row.shards,
-                    soak.degraded_by_epoch.len(),
-                    soak.epochs,
-                ));
-            }
-        }
-        // Recovery-latency SLO: per-family p99 against the baseline's,
-        // when both sides carry the family. A family the baseline never
-        // saw recover is reported, not gated — there is no SLO to hold
-        // it to until the baseline is refreshed.
-        if let Some(base) = baseline
-            .and_then(|b| find(b, &row.metrics.scenario, row.things, row.shards))
-            .and_then(|r| r.soak.as_ref())
-        {
-            for ((name, cur), (_, prev)) in soak
-                .recovery
-                .families()
-                .iter()
-                .zip(base.recovery.families().iter())
-            {
-                if prev.count == 0 {
-                    if cur.count > 0 {
-                        eprintln!(
-                            "warning: {}@{} shards={} family {name} recovered {} Things \
-                             (p99 {:.0} ms) but the baseline has no samples — refresh \
-                             bench/baseline.json to put it under the p99 gate",
-                            row.metrics.scenario,
-                            row.things,
-                            row.shards,
-                            cur.count,
-                            cur.p99_ms(),
-                        );
-                    }
-                    continue;
-                }
-                let limit = prev.p99_ms() * SOAK_RECOVERY_P99_FACTOR;
-                if cur.p99_ms() > limit {
-                    return Err(format!(
-                        "{}@{} shards={}: {name} p99 recovery latency regressed: \
-                         {:.0} ms > {:.0} ms (baseline {:.0} ms × {SOAK_RECOVERY_P99_FACTOR}) — \
-                         recovery after a {name} fault got slower",
-                        row.metrics.scenario,
-                        row.things,
-                        row.shards,
-                        cur.p99_ms(),
-                        limit,
-                        prev.p99_ms(),
-                    ));
-                }
-                println!(
-                    "gate ok: {}@{} shards={} {name} p99 {:.0} ms <= {:.0} ms \
-                     (baseline {:.0} ms × {SOAK_RECOVERY_P99_FACTOR})",
-                    row.metrics.scenario,
-                    row.things,
-                    row.shards,
-                    cur.p99_ms(),
-                    limit,
-                    prev.p99_ms(),
-                );
-            }
-        }
-        let limit =
-            (soak.rss_epoch1_kb as f64 * SOAK_RSS_FLAT_FACTOR) as u64 + SOAK_RSS_FLAT_SLACK_KB;
-        if soak.rss_epoch1_kb > 0 && soak.peak_rss_kb > limit {
-            return Err(format!(
-                "soak@{} shards={}: peak RSS {} kB grew past {} kB \
-                 (epoch-1 mark {} kB × {SOAK_RSS_FLAT_FACTOR} + {SOAK_RSS_FLAT_SLACK_KB}) — \
-                 a day of fault churn is accreting state",
-                row.things, row.shards, soak.peak_rss_kb, limit, soak.rss_epoch1_kb,
-            ));
-        }
-        println!(
-            "gate ok: {}@{} shards={} held all invariants over {} faults \
-             ({} blackouts / {} unserved windows, {} torn images rejected); \
-             peak RSS {} kB within the flatness bound ({} kB)",
-            row.metrics.scenario,
-            row.things,
-            row.shards,
-            soak.faults_injected,
-            soak.standby_outages,
-            soak.unserved_windows,
-            soak.half_images_rejected,
-            soak.peak_rss_kb,
-            limit,
-        );
-    }
-    Ok(())
-}
-
-/// The tracing-overhead gate: one discovery wave at
-/// [`TRACE_OVERHEAD_THINGS`] with the tracer off, one with it on.
-/// Against the baseline's discovery row at the same size the untraced
-/// wall must stay within [`TRACE_OVERHEAD_DISABLED_FACTOR`] (context
-/// carriage is always-on and must cost ~nothing) and the traced wall
-/// within [`TRACE_OVERHEAD_ENABLED_FACTOR`]. Without a baseline row
-/// the traced run is gated against the untraced one from this same
-/// process, using the enabled factor.
-fn gate_trace_overhead(seed: u64, baseline: Option<&BenchReport>) -> Result<(), String> {
-    let run_once = |traced_on: bool| -> (f64, u64) {
-        let config = FleetConfig::new(TRACE_OVERHEAD_THINGS).with_seed(seed);
-        let mut fleet = traced(Fleet::build(config), traced_on);
-        let m = fleet.discovery_wave();
-        (m.wall_ms, fleet.world.take_spans().len() as u64)
+/// Runs the chaos soak (one virtual day of seeded fault injection: cache
+/// crashes mid-transfer, root↔cache partitions, primary→standby
+/// failover, battery churn) on its own fleet fronted by edge caches and
+/// a hot-standby Manager, and prints the soak's registry. Nightly
+/// profile — only run when `--scenario soak` is selected.
+fn run_soak<W: SimWorld>(
+    fleet: &mut Fleet<W>,
+    opts: &Options,
+    shards: usize,
+    rows: &mut Vec<ScenarioRow>,
+    trace: &mut TraceCollector,
+) {
+    let chaos = match opts.chaos.as_str() {
+        "deep" => upnp_core::chaos::ChaosConfig::deep(opts.seed),
+        "gray" => upnp_core::chaos::ChaosConfig::gray(opts.seed),
+        _ => upnp_core::chaos::ChaosConfig::day(opts.seed),
     };
-    // Best of three: scheduler noise is one-sided (contention only ever
-    // slows a run), so the minimum is the faithful cost estimate — and
-    // comparing a best-of-3 against the baseline's single-shot wall
-    // biases the absolute gates *against* false alarms.
-    let measure = |traced_on: bool| -> (f64, u64) {
+    let (mut metrics, report) = fleet.soak_scenario(&chaos);
+    let start = trace.spans.len();
+    let trace_spans = trace.drain(fleet);
+    // Green soaks export only the exemplar traces — the slowest
+    // recovery per fault family — so the Perfetto artifact stays
+    // readable; a red soak keeps the whole span set for debugging.
+    let keep: Vec<TraceId> = report
+        .recovery_exemplars
+        .iter()
+        .map(|x| TraceId(x.trace_id))
+        .collect();
+    if report.invariants_held() && !keep.is_empty() {
+        let kept = filter_traces(&trace.spans[start..], &keep);
+        trace.spans.truncate(start);
+        trace.spans.extend(kept);
+    }
+    if opts.chaos != "day" {
+        // Deep and gray rows are distinct scenarios: the fault schedule
+        // (and so every deterministic counter) differs per profile, and
+        // the baseline must keep each without conflating them.
+        metrics.scenario = format!("soak-{}", opts.chaos);
+    }
+    let mut r = row(trace_spans, fleet, shards, metrics);
+    for line in report.registry().table().lines() {
+        println!("  {line}");
+    }
+    r.soak = Some(report);
+    rows.push(r);
+}
+
+/// Flips the tracer on a freshly built fleet (both backends).
+fn traced<W: SimWorld>(mut fleet: Fleet<W>, on: bool) -> Fleet<W> {
+    fleet.world.set_tracing(on);
+    fleet
+}
+
+fn run(opts: &Options, trace: &mut TraceCollector) -> BenchReport {
+    let mut rows = Vec::new();
+    // The soak is opt-in: a day of virtual time per (size, shards) pair
+    // belongs to the nightly profile, not the default sweep.
+    let soak = opts.scenario.as_deref() == Some("soak");
+    let on = trace.enabled;
+    for &things in &opts.sizes {
+        for &shards in &opts.shards {
+            // A fresh fleet per (size, shards, shape): scenario metrics
+            // are deltas, but the build itself (indices, routing tree)
+            // belongs to the configuration.
+            let base = FleetConfig::new(things).with_seed(opts.seed);
+            let configs = if soak {
+                vec![base.with_caches(FLASH_CACHES).with_standby()]
+            } else if wants(opts, "flash") {
+                vec![base.clone(), base.with_caches(FLASH_CACHES)]
+            } else {
+                vec![base]
+            };
+            for config in configs {
+                if shards == 1 {
+                    let mut fleet = traced(Fleet::build(config), on);
+                    run_fleet(&mut fleet, opts, shards, &mut rows, trace);
+                } else {
+                    let mut fleet = traced(ShardedFleet::build_sharded(config, shards), on);
+                    run_fleet(&mut fleet, opts, shards, &mut rows, trace);
+                }
+            }
+        }
+    }
+    let drivers = driver_sizes();
+    println!("driver images (optimising compiler):");
+    for d in &drivers {
+        println!(
+            "  {:>8} | {:>4} B shipped ({} chunks) | {:>4} B unoptimised | -{:.1}%",
+            d.name,
+            d.image_bytes,
+            d.chunks,
+            d.unopt_bytes,
+            100.0 * (1.0 - d.image_bytes as f64 / d.unopt_bytes as f64),
+        );
+    }
+    BenchReport {
+        schema: SCHEMA,
+        seed: opts.seed,
+        sizes: opts.sizes.clone(),
+        drivers,
+        scenarios: rows,
+    }
+}
+
+/// The tracing-overhead rows: the discovery wave at
+/// [`TRACE_OVERHEAD_THINGS`] with the tracer off (`trace-off`) and on
+/// (`trace-on`), each the best wall of three. Scheduler noise is
+/// one-sided (contention only ever slows a run), so the minimum is the
+/// faithful cost estimate — and comparing a best-of-3 against the
+/// baseline's single-shot wall biases the gates *against* false alarms.
+fn trace_overhead(seed: u64) -> BenchReport {
+    let measure = |on: bool| {
         (0..3)
-            .map(|_| run_once(traced_on))
-            .reduce(|a, b| if b.0 < a.0 { b } else { a })
+            .map(|_| {
+                let config = FleetConfig::new(TRACE_OVERHEAD_THINGS).with_seed(seed);
+                let mut fleet = traced(Fleet::build(config), on);
+                let mut m = fleet.discovery_wave();
+                m.scenario = if on { "trace-on" } else { "trace-off" }.into();
+                let spans = fleet.world.take_spans().len() as u64;
+                row(spans, &fleet, 1, m)
+            })
+            .min_by(|a, b| a.metrics.wall_ms.total_cmp(&b.metrics.wall_ms))
             .expect("three runs")
     };
-    let (disabled_ms, _) = measure(false);
-    let (enabled_ms, spans) = measure(true);
-    println!(
-        "trace overhead: discovery@{TRACE_OVERHEAD_THINGS} wall {disabled_ms:.1} ms untraced, \
-         {enabled_ms:.1} ms traced ({spans} spans)",
-    );
-    let base = baseline
-        .and_then(|b| find(b, GATE_SCENARIO, TRACE_OVERHEAD_THINGS, 1))
-        .map(|r| r.metrics.wall_ms);
-    match base {
-        Some(base_ms) => {
-            let off_limit = base_ms * TRACE_OVERHEAD_DISABLED_FACTOR;
-            if disabled_ms > off_limit {
-                return Err(format!(
-                    "tracing-overhead gate: untraced discovery@{TRACE_OVERHEAD_THINGS} wall \
-                     {disabled_ms:.1} ms > {off_limit:.1} ms (baseline {base_ms:.1} ms × \
-                     {TRACE_OVERHEAD_DISABLED_FACTOR}) — the disabled tracer is not free",
-                ));
-            }
-            let on_limit = base_ms * TRACE_OVERHEAD_ENABLED_FACTOR;
-            if enabled_ms > on_limit {
-                return Err(format!(
-                    "tracing-overhead gate: traced discovery@{TRACE_OVERHEAD_THINGS} wall \
-                     {enabled_ms:.1} ms > {on_limit:.1} ms (baseline {base_ms:.1} ms × \
-                     {TRACE_OVERHEAD_ENABLED_FACTOR}) — span recording got expensive",
-                ));
-            }
-            println!(
-                "gate ok: tracing overhead — untraced {disabled_ms:.1} <= {off_limit:.1} ms, \
-                 traced {enabled_ms:.1} <= {on_limit:.1} ms (baseline {base_ms:.1} ms)",
-            );
-        }
-        None => {
-            let limit = disabled_ms * TRACE_OVERHEAD_ENABLED_FACTOR;
-            if enabled_ms > limit {
-                return Err(format!(
-                    "tracing-overhead gate: traced discovery@{TRACE_OVERHEAD_THINGS} wall \
-                     {enabled_ms:.1} ms > {limit:.1} ms (untraced {disabled_ms:.1} ms × \
-                     {TRACE_OVERHEAD_ENABLED_FACTOR}) — span recording got expensive",
-                ));
-            }
-            println!(
-                "gate ok: tracing overhead — traced {enabled_ms:.1} <= {limit:.1} ms \
-                 (untraced {disabled_ms:.1} ms; no baseline row to anchor the absolute gates)",
-            );
-        }
+    BenchReport {
+        schema: SCHEMA,
+        seed,
+        sizes: vec![TRACE_OVERHEAD_THINGS],
+        drivers: Vec::new(),
+        scenarios: vec![measure(false), measure(true)],
     }
-    Ok(())
 }
 
-/// Applies the regression gates; returns an error message on failure.
-fn gate(current: &BenchReport, baseline: &BenchReport) -> Result<(), String> {
-    // Driver-image gates: compiler output is deterministic, so any
-    // growth in shipped bytes or chunk count over the baseline is a real
-    // optimiser regression — no tolerance factor.
-    for d in &current.drivers {
-        let Some(base) = baseline.drivers.iter().find(|b| b.name == d.name) else {
+/// One row a gate reads: a scenario row, one fault family of a soak
+/// row, or a shipped driver.
+#[derive(Clone, Copy)]
+enum Row<'a> {
+    Run(&'a ScenarioRow),
+    Family(&'a ScenarioRow, &'static str, &'a RecoveryHistogram),
+    Driver(&'a DriverSizeRow),
+}
+
+impl<'a> Row<'a> {
+    /// What the row is matched on, within a run and against the baseline.
+    fn label(&self) -> String {
+        match self {
+            Row::Run(r) => r.label(),
+            Row::Family(r, family, _) => format!("{} {family}", r.label()),
+            Row::Driver(d) => format!("driver {}", d.name),
+        }
+    }
+
+    /// The scenario row, if this is one.
+    fn run(&self) -> Option<&'a ScenarioRow> {
+        let Row::Run(r) = *self else { return None };
+        Some(r)
+    }
+
+    /// Does this scenario row run `scenario`?
+    fn is(&self, scenario: &str) -> bool {
+        self.run().is_some_and(|r| r.metrics.scenario == scenario)
+    }
+
+    /// The soak report, for soak rows.
+    fn soak_row(&self) -> Option<&'a SoakReport> {
+        self.run()?.soak.as_ref()
+    }
+
+    // Views for gate values, which only read rows their gate selects.
+    fn scenario(&self) -> &'a ScenarioRow {
+        self.run().expect("a scenario gate")
+    }
+    fn metrics(&self) -> &'a ScenarioMetrics {
+        &self.scenario().metrics
+    }
+    fn soak(&self) -> &'a SoakReport {
+        self.soak_row().expect("a soak gate")
+    }
+}
+
+impl BenchReport {
+    /// Every row the gates can read.
+    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        let families = self
+            .scenarios
+            .iter()
+            .filter_map(|r| Some((r, r.soak.as_ref()?)))
+            .flat_map(|(r, s)| s.recovery.families().map(|(f, h)| Row::Family(r, f, h)));
+        self.scenarios
+            .iter()
+            .map(Row::Run)
+            .chain(families)
+            .chain(self.drivers.iter().map(Row::Driver))
+    }
+
+    /// The row labelled `label`.
+    fn find(&self, label: &str) -> Option<Row<'_>> {
+        self.rows().find(|r| r.label() == label)
+    }
+}
+
+/// Which rows of a run a gate reads.
+enum Rows {
+    /// Every row the filter accepts.
+    Each(fn(&Row) -> bool),
+    /// The row with this label. Once a run gated against a baseline has
+    /// any row of the label's scenario, this one must exist in both.
+    Required(&'static str),
+}
+
+/// How a value must relate to its bound: the symbol and the test.
+type Op = (&'static str, fn(f64, f64) -> bool);
+const AT_MOST: Op = ("<=", |v, b| v <= b);
+const AT_LEAST: Op = (">=", |v, b| v >= b);
+const EQUALS: Op = ("==", |v, b| v == b);
+
+/// What a gate checks on each row it reads.
+enum Check {
+    /// `value op bound`. A row without a bound (no baseline, or nothing
+    /// in it to compare with) is skipped — with a warning when a
+    /// baseline was given and the value is non-zero.
+    Compare(fn(&Row) -> f64, Op, fn(&Bounds) -> Option<f64>),
+    /// Fingerprint and registry equal the run's `shards = 1` row of the
+    /// same scenario and size.
+    Sequential,
+}
+
+/// What a bound may read: the row, the run it is in, and the baseline.
+struct Bounds<'a> {
+    row: Row<'a>,
+    run: &'a BenchReport,
+    baseline: Option<&'a BenchReport>,
+    /// The gate's value, to read it off other rows.
+    value: fn(&Row) -> f64,
+}
+
+impl Bounds<'_> {
+    /// The gate's value on `report`'s row labelled `label`.
+    fn at(&self, report: Option<&BenchReport>, label: &str) -> Option<f64> {
+        Some((self.value)(&report?.find(label)?))
+    }
+
+    /// The gate's value on the baseline's row with this row's label.
+    fn twin(&self) -> Option<f64> {
+        self.at(self.baseline, &self.row.label())
+    }
+
+    /// The gate's value on the baseline's discovery wave at the
+    /// tracing-overhead size: what the tracing-overhead rows answer to.
+    fn discovery(&self) -> Option<f64> {
+        let label = format!("discovery@{TRACE_OVERHEAD_THINGS} shards=1");
+        self.at(self.baseline, &label)
+    }
+
+    /// The gate's value on this run's untraced tracing-overhead wave.
+    fn untraced(&self) -> Option<f64> {
+        let label = format!("trace-off@{TRACE_OVERHEAD_THINGS} shards=1");
+        self.at(Some(self.run), &label)
+    }
+}
+
+/// One line of the gate table: the rows it reads, the metric, and the
+/// check every one of those rows must pass.
+struct Gate(Rows, &'static str, Check);
+
+use Check::{Compare, Sequential};
+use Rows::{Each, Required};
+
+/// Every gate of the benchmark, walked in order by [`gate`].
+#[rustfmt::skip]
+const GATES: &[Gate] = &[
+    // Sharded rows reproduce their sequential sibling bit for bit.
+    Gate(Each(|r| r.run().is_some_and(|r| r.shards > 1)), "registry", Sequential),
+    // Flash rows: the caches serve >= 90 % of uploads (at >= 1k Things),
+    // and coalescing holds the origin to caches x device types sessions.
+    Gate(Each(|r| r.is("flash") && r.scenario().caches > 0
+            && r.scenario().things >= FLASH_FLOOR_MIN_THINGS), "cache_served",
+        Compare(|r| {
+            let m = r.metrics();
+            m.cache_uploads as f64 / (m.cache_uploads + m.origin_uploads).max(1) as f64
+        }, AT_LEAST, |_| Some(FLASH_CACHE_SERVED_FLOOR))),
+    Gate(Each(|r| r.is("flash") && r.scenario().caches > 0), "origin_uploads",
+        Compare(|r| r.metrics().origin_uploads as f64, AT_MOST, |b| {
+            let device_types = FleetConfig::new(1).device_pool.len();
+            Some((b.row.scenario().caches * device_types) as f64)
+        })),
+    // Soak rows: every invariant held (exactly-once discovery, cache
+    // coherence, bounded retention, recovery attribution) ...
+    Gate(Each(|r| r.soak_row().is_some()), "violations",
+        Compare(|r| r.soak().violations() as f64, AT_MOST, |_| Some(0.0))),
+    Gate(Each(|r| r.soak_row().is_some()), "attribution_mismatches",
+        Compare(|r| r.soak().attribution_mismatches as f64, AT_MOST, |_| Some(0.0))),
+    // ... the per-epoch follower drains tile the total, one per epoch ...
+    Gate(Each(|r| r.soak_row().is_some()), "followers_drained_by_epoch.sum",
+        Compare(|r| r.soak().followers_drained_by_epoch.iter().sum::<u64>() as f64, EQUALS,
+            |b| Some(b.row.soak().followers_drained as f64))),
+    Gate(Each(|r| r.soak_row().is_some()), "followers_drained_by_epoch.len",
+        Compare(|r| r.soak().followers_drained_by_epoch.len() as f64, EQUALS,
+            |b| Some(b.row.soak().epochs as f64))),
+    // ... the deep families bit: blackouts strand Things, MCU crashes
+    // tear images that are rejected and refetched ...
+    Gate(Each(|r| r.soak_row().is_some_and(|s| s.standby_outages > 0)), "unserved_windows",
+        Compare(|r| r.soak().unserved_windows as f64, AT_LEAST, |_| Some(1.0))),
+    Gate(Each(|r| r.soak_row().is_some_and(|s| s.thing_crashes > 0)), "half_images_rejected",
+        Compare(|r| r.soak().half_images_rejected as f64, AT_LEAST, |_| Some(1.0))),
+    Gate(Each(|r| r.soak_row().is_some_and(|s| s.thing_crashes > 0)), "half_image_refetches",
+        Compare(|r| r.soak().half_image_refetches as f64, AT_LEAST, |_| Some(1.0))),
+    // ... every gray epoch carried degraded hops, one entry per epoch ...
+    Gate(Each(|r| r.is("soak-gray") && r.soak_row().is_some()), "degraded_by_epoch.min",
+        Compare(|r| r.soak().degraded_by_epoch.iter().min().map_or(0.0, |&d| d as f64), AT_LEAST,
+            |_| Some(1.0))),
+    Gate(Each(|r| r.is("soak-gray") && r.soak_row().is_some()), "degraded_by_epoch.len",
+        Compare(|r| r.soak().degraded_by_epoch.len() as f64, EQUALS,
+            |b| Some(b.row.soak().epochs as f64))),
+    // ... peak RSS stayed flat across the day ...
+    Gate(Each(|r| r.soak_row().is_some_and(|s| s.rss_epoch1_kb > 0)), "peak_rss_kb",
+        Compare(|r| r.soak().peak_rss_kb as f64, AT_MOST, |b| {
+            let epoch1 = b.row.soak().rss_epoch1_kb as f64;
+            Some(((epoch1 * SOAK_RSS_FLAT_FACTOR) as u64 + SOAK_RSS_FLAT_SLACK_KB) as f64)
+        })),
+    // ... and each fault family recovers within 2x the baseline's p99.
+    Gate(Each(|r| matches!(r, Row::Family(..))), "p99_ms",
+        Compare(|r| if let Row::Family(.., h) = r { h.p99_ms() } else { 0.0 }, AT_MOST,
+            |b| b.twin().filter(|&p99| p99 > 0.0).map(|p99| p99 * SOAK_RECOVERY_P99_FACTOR))),
+    // Shipped driver images never grow past the baseline's.
+    Gate(Each(|r| matches!(r, Row::Driver(_))), "image_bytes",
+        Compare(|r| if let Row::Driver(d) = r { d.image_bytes as f64 } else { 0.0 }, AT_MOST,
+            |b| b.twin())),
+    Gate(Each(|r| matches!(r, Row::Driver(_))), "chunks",
+        Compare(|r| if let Row::Driver(d) = r { d.chunks as f64 } else { 0.0 }, AT_MOST,
+            |b| b.twin())),
+    // Discovery walls within 25 % of the baseline: 1k and 5k sequential
+    // always, 1k at 4 shards when both sides carry it.
+    Gate(Required("discovery@1000 shards=1"), "wall_ms",
+        Compare(|r| r.metrics().wall_ms, AT_MOST, |b| b.twin().map(|w| w * GATE_FACTOR))),
+    Gate(Required("discovery@5000 shards=1"), "wall_ms",
+        Compare(|r| r.metrics().wall_ms, AT_MOST, |b| b.twin().map(|w| w * GATE_FACTOR))),
+    Gate(Each(|r| r.label() == "discovery@1000 shards=4"), "wall_ms",
+        Compare(|r| r.metrics().wall_ms, AT_MOST, |b| b.twin().map(|w| w * GATE_FACTOR))),
+    // Discovery payload allocations within 25 % of the baseline.
+    Gate(Each(|r| r.is("discovery")), "payload_allocs",
+        Compare(|r| r.metrics().payload_allocs as f64, AT_MOST,
+            |b| b.twin().map(|a| (a * GATE_FACTOR).ceil()))),
+    // Tracing overhead (`--trace-overhead` rows): the untraced wave
+    // within 5 % of the baseline's discovery wall, the traced within 15 %
+    // (of the untraced wave when there is no baseline).
+    Gate(Each(|r| r.is("trace-off")), "wall_ms",
+        Compare(|r| r.metrics().wall_ms, AT_MOST,
+            |b| b.discovery().map(|w| w * TRACE_OVERHEAD_DISABLED_FACTOR))),
+    Gate(Each(|r| r.is("trace-on")), "wall_ms",
+        Compare(|r| r.metrics().wall_ms, AT_MOST,
+            |b| b.discovery().or_else(|| b.untraced()).map(|w| w * TRACE_OVERHEAD_ENABLED_FACTOR))),
+];
+
+/// Warns for every row whose fingerprint or registry drifted from the
+/// baseline's row with the same label.
+fn warn_drift(run: &BenchReport, baseline: &BenchReport) {
+    for row in &run.scenarios {
+        let twin = baseline.scenarios.iter().find(|t| t.label() == row.label());
+        let drift = twin
+            .map(|t| row.differences(t).join(", "))
+            .unwrap_or_default();
+        if !drift.is_empty() {
             eprintln!(
-                "warning: driver `{}` has no baseline size row — \
-                 refresh bench/baseline.json to gate it",
-                d.name,
+                "warning: {} drifted from the baseline (now vs baseline): {drift}; \
+                 refresh bench/baseline.json if intentional",
+                row.label(),
             );
-            continue;
-        };
-        if d.image_bytes > base.image_bytes || d.chunks > base.chunks {
-            return Err(format!(
-                "driver `{}` image grew: {} bytes / {} chunks, baseline {} bytes / {} chunks — \
-                 an optimiser pass regressed",
-                d.name, d.image_bytes, d.chunks, base.image_bytes, base.chunks,
-            ));
         }
-        println!(
-            "gate ok: driver {} ships {} bytes ({} chunks) <= baseline {} bytes ({} chunks)",
-            d.name, d.image_bytes, d.chunks, base.image_bytes, base.chunks,
-        );
     }
+}
 
-    // Deterministic metrics should match the baseline bit-for-bit; drift
-    // means behaviour changed and the baseline wants a refresh. Warn —
-    // the hard gates are wall-clock and the allocation counters.
-    for row in &current.scenarios {
-        if let Some(b) = find(baseline, &row.metrics.scenario, row.things, row.shards) {
-            // The soak summary covers every deterministic fault and
-            // unserved counter (including the deep-chaos families), so
-            // schedule drift in any of them is surfaced here.
-            let soak_summary = |r: &ScenarioRow| r.soak.as_ref().map(|s| s.deterministic_summary());
-            if soak_summary(row) != soak_summary(b) {
-                eprintln!(
-                    "warning: {}@{} shards={} soak counters drifted from baseline; \
-                     refresh bench/baseline.json if intentional\n  base: {:?}\n  now:  {:?}",
-                    row.metrics.scenario,
-                    row.things,
-                    row.shards,
-                    soak_summary(b),
-                    soak_summary(row),
-                );
+/// Walks `gates` over `run`, printing every pass and warning; returns
+/// one message per failure, naming the row, metric, value and bound.
+fn gate(gates: &[Gate], run: &BenchReport, baseline: Option<&BenchReport>) -> Vec<String> {
+    let mut failures = Vec::new();
+    for Gate(rows, metric, check) in gates {
+        let rows: Vec<Row> = match *rows {
+            Each(keep) => run.rows().filter(|r| keep(r)).collect(),
+            Required(label) => {
+                let row = run.find(label);
+                let scenario = label.split('@').next().unwrap_or(label);
+                let gated = baseline.is_some() && run.rows().any(|r| r.is(scenario));
+                if gated && (row.is_none() || baseline.and_then(|b| b.find(label)).is_none()) {
+                    failures.push(format!(
+                        "{label}: missing from the run or the baseline ({metric})"
+                    ));
+                }
+                row.into_iter().collect()
             }
-            if row.metrics.frames_tx != b.metrics.frames_tx
-                || row.metrics.virtual_ms != b.metrics.virtual_ms
-                || row.metrics.payload_allocs != b.metrics.payload_allocs
-                || row.metrics.payload_clones != b.metrics.payload_clones
-                || row.faults_injected != b.faults_injected
-                || row.soak_ticks != b.soak_ticks
-            {
-                eprintln!(
-                    "warning: {}@{} drifted from baseline \
-                     (frames {} -> {}, virtual {:.1} -> {:.1} ms, \
-                     payload allocs {} -> {}, clones {} -> {}, \
-                     faults {} -> {}, soak ticks {} -> {}); \
-                     refresh bench/baseline.json if intentional",
-                    row.metrics.scenario,
-                    row.things,
-                    b.metrics.frames_tx,
-                    row.metrics.frames_tx,
-                    b.metrics.virtual_ms,
-                    row.metrics.virtual_ms,
-                    b.metrics.payload_allocs,
-                    row.metrics.payload_allocs,
-                    b.metrics.payload_clones,
-                    row.metrics.payload_clones,
-                    b.faults_injected,
-                    row.faults_injected,
-                    b.soak_ticks,
-                    row.soak_ticks,
-                );
+        };
+        for row in rows {
+            let label = row.label();
+            let Compare(value, (symbol, holds), bound) = *check else {
+                failures.extend(identity(row.scenario(), run));
+                continue;
+            };
+            let v = value(&row);
+            let bounds = Bounds {
+                row,
+                run,
+                baseline,
+                value,
+            };
+            match bound(&bounds) {
+                Some(b) if holds(v, b) => println!("gate ok: {label}: {metric} {v} {symbol} {b}"),
+                Some(b) => failures.push(format!("{label}: {metric} {v} breaks {symbol} {b}")),
+                None if baseline.is_some() && v != 0.0 => eprintln!(
+                    "warning: {label}: {metric} {v} has no baseline value to gate against; \
+                     refresh bench/baseline.json to gate it"
+                ),
+                None => {}
             }
         }
     }
+    failures
+}
 
-    // Wall-clock gates: 1k and 5k sequential discovery, plus the sharded
-    // rows in GATE_WALL_SHARDED when both sides carry them. A run that
-    // produced no discovery rows at all (e.g. the nightly soak-only
-    // profile) skips them: there is nothing to time, and the drift
-    // comparison above already covered whatever rows it did produce.
-    if !current
-        .scenarios
-        .iter()
-        .any(|r| r.metrics.scenario == GATE_SCENARIO)
-    {
-        println!("gate skipped: no {GATE_SCENARIO} rows in this run (scenario subset)");
-        return Ok(());
-    }
-    let wall_rows: Vec<(usize, usize, bool)> = GATE_WALL_THINGS
-        .iter()
-        .map(|&t| (t, 1, true))
-        .chain(GATE_WALL_SHARDED.iter().map(|&(t, k)| (t, k, false)))
-        .collect();
-    for (things, shards, required) in wall_rows {
-        let cur = find(current, GATE_SCENARIO, things, shards);
-        let base = find(baseline, GATE_SCENARIO, things, shards);
-        let (cur, base) = match (cur, base, required) {
-            (Some(c), Some(b), _) => (c, b),
-            (_, _, false) => continue,
-            _ => {
-                return Err(format!(
-                    "missing {GATE_SCENARIO}@{things} shards={shards} row to gate on"
-                ))
-            }
-        };
-        let limit = base.metrics.wall_ms * GATE_FACTOR;
-        if cur.metrics.wall_ms > limit {
-            return Err(format!(
-                "{GATE_SCENARIO}@{things} shards={shards} wall-clock regressed: \
-                 {:.1} ms > {:.1} ms (baseline {:.1} ms × {GATE_FACTOR})",
-                cur.metrics.wall_ms, limit, base.metrics.wall_ms,
-            ));
-        }
-        println!(
-            "gate ok: {GATE_SCENARIO}@{things} shards={shards} wall {:.1} ms <= {:.1} ms \
-             (baseline {:.1} ms × {GATE_FACTOR})",
-            cur.metrics.wall_ms, limit, base.metrics.wall_ms,
+/// The identity check: `row`'s fingerprint and registry against the
+/// run's `shards = 1` row of the same scenario and size.
+fn identity(row: &ScenarioRow, run: &BenchReport) -> Option<String> {
+    let label = row.label();
+    let seq = format!("{}@{} shards=1", row.metrics.scenario, row.things);
+    let Some(seq) = run.scenarios.iter().find(|s| s.label() == seq) else {
+        eprintln!(
+            "warning: {label} has no shards=1 sibling in this run — the sharded/sequential \
+             identity check is NOT enforced for it (include 1 in --shards to enforce)"
         );
+        return None;
+    };
+    let d = row.differences(seq).join(", ");
+    if d.is_empty() {
+        println!("identity ok: {label} matches the sequential run bit for bit");
+        return None;
     }
+    Some(format!(
+        "{label}: fingerprint and registry diverge from the shards=1 run \
+         (sharded vs sequential): {d}"
+    ))
+}
 
-    // Allocation-counter gates: every discovery row the baseline also
-    // has. These are deterministic, so a failure means a copy or an
-    // allocation genuinely entered the data plane.
-    for row in &current.scenarios {
-        if row.metrics.scenario != GATE_SCENARIO {
-            continue;
-        }
-        let Some(base) = find(baseline, GATE_SCENARIO, row.things, row.shards) else {
-            continue;
-        };
-        let limit = (base.metrics.payload_allocs as f64 * GATE_FACTOR).ceil() as u64;
-        if row.metrics.payload_allocs > limit {
-            return Err(format!(
-                "{GATE_SCENARIO}@{} shards={} payload allocations regressed: {} > {} \
-                 (baseline {} × {GATE_FACTOR})",
-                row.things,
-                row.shards,
-                row.metrics.payload_allocs,
-                limit,
-                base.metrics.payload_allocs,
-            ));
-        }
-        println!(
-            "gate ok: {GATE_SCENARIO}@{} shards={} payload allocs {} <= {} \
-             (baseline {} × {GATE_FACTOR})",
-            row.things, row.shards, row.metrics.payload_allocs, limit, base.metrics.payload_allocs,
-        );
+/// Reads a baseline report, refusing any other schema.
+fn load(path: &str) -> Result<BenchReport, String> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let b: BenchReport = serde_json::from_str(&json).map_err(|e| format!("{path}: {e}"))?;
+    if b.schema != SCHEMA {
+        return Err(format!(
+            "{path}: schema {} != expected {SCHEMA} — regenerate it with \
+             `fleet --shards 1,4 --out {path}`",
+            b.schema,
+        ));
     }
+    Ok(b)
+}
+
+/// Writes `contents` to `path`, reporting what it wrote.
+fn write(path: &str, contents: String, what: &str) -> Result<(), String> {
+    std::fs::write(path, contents + "\n").map_err(|e| format!("writing {path}: {e}"))?;
+    println!("wrote {path}{what}");
     Ok(())
 }
 
@@ -1269,115 +911,189 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    // Read the baseline (when gating) up front: the per-family p99
-    // recovery SLOs and the tracing-overhead gate compare against it.
-    let baseline = match &opts.gate {
-        None => None,
-        Some(path) => match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<BenchReport>(&s).map_err(|e| e.to_string()))
-            .and_then(|b| {
-                if b.schema == SCHEMA {
-                    Ok(b)
-                } else {
-                    Err(format!(
-                        "baseline schema {} != expected {SCHEMA} — regenerate it with \
-                         `fleet --shards 1,4 --out {path}`",
-                        b.schema,
-                    ))
-                }
-            }) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("error: reading baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-
-    // `--trace-overhead` is a standalone mode: measure and gate the
-    // tracer's cost, skip the sweep (CI runs it as its own step).
-    if opts.trace_overhead {
-        return match gate_trace_overhead(opts.seed, baseline.as_ref()) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let mut trace = TraceCollector::new(opts.trace_out.is_some());
-    let report = run(&opts, &mut trace);
-
-    // Write the report *before* the identity check: a divergence is
-    // exactly when the per-row artifact is needed to debug, and CI's
-    // upload step runs `if: always()`.
-    if let Some(path) = &opts.out {
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("error: writing {path}: {e}");
+    let mut failures = Vec::new();
+    let baseline = match opts.gate.as_deref().map(load).transpose() {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("error: baseline {e}");
             return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
-    // The Perfetto artifact is likewise written before any gate runs.
-    if let Some(path) = &opts.trace_out {
-        let json = chrome_trace_json(&trace.spans, "upnp fleet");
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path} ({} spans)", trace.spans.len());
-    }
-
-    // On a traced run, a tripped identity check or soak gate dumps the
-    // flight-recorder window next to the failure for CI to upload.
-    let flight_dump = |reason: &str| {
-        if !trace.enabled {
-            return;
-        }
-        let dump = trace.recorder.dump_json(reason);
-        match std::fs::write(FLIGHT_DUMP_PATH, dump + "\n") {
-            Ok(()) => eprintln!(
-                "wrote {FLIGHT_DUMP_PATH} ({} spans held, {} evicted)",
-                trace.recorder.len(),
-                trace.recorder.evicted(),
-            ),
-            Err(e) => eprintln!("error: writing {FLIGHT_DUMP_PATH}: {e}"),
         }
     };
 
-    if let Err(e) = check_shard_identity(&report) {
-        flight_dump(&e);
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    // The cache-tier floors are absolute (deterministic counters), so
-    // they apply whenever flash rows were produced — no baseline needed.
-    if let Err(e) = gate_cache_tier(&report) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    // Soak gates: invariant verdicts, gray evidence and RSS flatness
-    // are absolute (they travel inside the rows); the recovery p99
-    // SLOs engage when a baseline is present.
-    if let Err(e) = gate_soak(&report, baseline.as_ref()) {
-        flight_dump(&e);
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-
+    let mut trace = TraceCollector {
+        enabled: opts.trace_out.is_some(),
+        spans: Vec::new(),
+        recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
+    };
+    // `--trace-overhead` is a standalone mode: measure the tracer's
+    // cost and gate it, skip the sweep (CI runs it as its own step).
+    let report = if opts.trace_overhead {
+        trace_overhead(opts.seed)
+    } else {
+        let report = run(&opts, &mut trace);
+        // Write the artifacts *before* gating: a failure is exactly when
+        // they are needed to debug, and CI's upload step runs `if:
+        // always()`.
+        if let Some(path) = &opts.out {
+            let json = serde_json::to_string_pretty(&report).expect("report serializes");
+            failures.extend(write(path, json, "").err());
+        }
+        if let Some(path) = &opts.trace_out {
+            let json = chrome_trace_json(&trace.spans, "upnp fleet");
+            let what = format!(" ({} spans)", trace.spans.len());
+            failures.extend(write(path, json, &what).err());
+        }
+        report
+    };
     if let Some(baseline) = &baseline {
-        if let Err(e) = gate(&report, baseline) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+        warn_drift(&report, baseline);
+    }
+    failures.extend(gate(GATES, &report, baseline.as_ref()));
+    if failures.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    // On a traced run, a failed gate dumps the flight-recorder window
+    // next to the failure for CI to upload.
+    if trace.enabled {
+        let dump = trace.recorder.dump_json(&failures.join("\n"));
+        let what = format!(
+            " ({} spans held, {} evicted)",
+            trace.recorder.len(),
+            trace.recorder.evicted()
+        );
+        failures.extend(write(FLIGHT_DUMP_PATH, dump, &what).err());
+    }
+    for f in &failures {
+        eprintln!("error: {f}");
+    }
+    ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn baseline() -> BenchReport {
+        load(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../bench/baseline.json"
+        ))
+        .unwrap()
+    }
+
+    /// Breaks `metric` on every row that gates on it.
+    fn tamper(metric: &str, run: &mut BenchReport) {
+        for r in &mut run.scenarios {
+            let m = &mut r.metrics;
+            match metric {
+                "registry" if r.shards > 1 => m.frames_tx += 1,
+                "cache_served" => m.cache_uploads = 0,
+                "origin_uploads" => m.origin_uploads += 1_000,
+                "wall_ms" => m.wall_ms *= 2.0,
+                "payload_allocs" => m.payload_allocs = 2 * m.payload_allocs + 1,
+                _ => {}
+            }
+            let Some(s) = r.soak.as_mut() else { continue };
+            match metric {
+                "violations" => s.coherence_violations += 1,
+                "attribution_mismatches" => s.attribution_mismatches += 1,
+                "followers_drained_by_epoch.sum" => s.followers_drained += 1,
+                "followers_drained_by_epoch.len" => s.followers_drained_by_epoch.push(0),
+                "unserved_windows" => s.unserved_windows = 0,
+                "half_images_rejected" => s.half_images_rejected = 0,
+                "half_image_refetches" => s.half_image_refetches = 0,
+                "degraded_by_epoch.min" => s.degraded_by_epoch[0] = 0,
+                "degraded_by_epoch.len" => s.degraded_by_epoch.push(1),
+                "peak_rss_kb" => s.peak_rss_kb = 2 * s.rss_epoch1_kb + SOAK_RSS_FLAT_SLACK_KB,
+                "p99_ms" => {
+                    // As many recoveries again in the open last bucket:
+                    // p99 resolves to the (huge) maximum.
+                    let h = &mut s.recovery.cache_crash;
+                    *h.bucket_counts.last_mut().unwrap() += h.count;
+                    h.count *= 2;
+                    h.max_ns = 1 << 60;
+                }
+                _ => {}
+            }
+        }
+        for d in &mut run.drivers {
+            match metric {
+                "image_bytes" => d.image_bytes += 1,
+                "chunks" => d.chunks += 1,
+                _ => {}
+            }
+        }
+        if metric == "wall_ms" {
+            // The tracing-overhead rows, measured as slow as the
+            // (already doubled) discovery wave they answer to.
+            let wave = format!("discovery@{TRACE_OVERHEAD_THINGS} shards=1");
+            let wave = run.scenarios.iter().find(|r| r.label() == wave).unwrap();
+            let mut rows = [wave.clone(), wave.clone()];
+            rows[0].metrics.scenario = "trace-off".into();
+            rows[1].metrics.scenario = "trace-on".into();
+            run.scenarios.extend(rows);
         }
     }
 
-    ExitCode::SUCCESS
+    #[test]
+    fn baseline_passes_every_gate_against_itself() {
+        let b = baseline();
+        assert_eq!(gate(GATES, &b, Some(&b)), Vec::<String>::new());
+    }
+
+    #[test]
+    fn every_gate_fails_a_run_tampered_on_its_metric() {
+        let b = baseline();
+        for (i, g) in GATES.iter().enumerate() {
+            let Gate(_, metric, _) = g;
+            let mut run = b.clone();
+            tamper(metric, &mut run);
+            let failures = gate(std::slice::from_ref(g), &run, Some(&b));
+            assert!(
+                !failures.is_empty(),
+                "gate {i} ({metric}) passed a tampered run"
+            );
+            for f in &failures {
+                assert!(f.contains(metric), "gate {i}: `{f}` does not name {metric}");
+            }
+        }
+    }
+
+    #[test]
+    fn required_rows_fail_when_missing() {
+        let b = baseline();
+        let mut run = b.clone();
+        run.scenarios
+            .retain(|r| r.label() != "discovery@5000 shards=1");
+        let failures = gate(GATES, &run, Some(&b));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("discovery@5000 shards=1: missing"));
+        assert!(failures[0].contains("wall_ms"));
+    }
+
+    #[test]
+    fn identity_compares_the_soak_report() {
+        let b = baseline();
+        let seq = b
+            .scenarios
+            .iter()
+            .find(|r| r.soak.is_some())
+            .unwrap()
+            .clone();
+        let mut sharded = seq.clone();
+        sharded.shards = 2;
+        sharded.soak.as_mut().unwrap().repairs += 1;
+        let run = BenchReport {
+            scenarios: vec![seq, sharded],
+            drivers: Vec::new(),
+            ..b
+        };
+        let identity = GATES
+            .iter()
+            .position(|Gate(_, _, check)| matches!(check, Sequential))
+            .unwrap();
+        let failures = gate(&GATES[identity..=identity], &run, None);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("soak.repairs"), "{failures:?}");
+    }
 }

@@ -48,8 +48,9 @@ use serde::{Deserialize, Serialize};
 use upnp_net::link::{LinkChaos, LinkDegrade, LinkQuality};
 use upnp_net::NodeId;
 use upnp_sim::{SimDuration, SimRng};
+use upnp_trace::{Digest, MetricsRegistry};
 
-use crate::fleet::{Fleet, ScenarioMetrics};
+use crate::fleet::{summary_line, Fleet, ScenarioMetrics};
 use crate::manager::MAX_INVENTORY;
 use crate::world::{CacheId, SimWorld, WorldOp};
 
@@ -253,7 +254,7 @@ enum FaultFamily {
 }
 
 impl FaultFamily {
-    /// Every family, in the [`RecoveryLatencies::families`] label order.
+    /// Every family, in declaration order.
     const ALL: [FaultFamily; 6] = [
         FaultFamily::Partition,
         FaultFamily::InteriorCut,
@@ -263,7 +264,7 @@ impl FaultFamily {
         FaultFamily::Blackout,
     ];
 
-    /// The family's stable label (the key the summary string, the
+    /// The family's stable label (the key the registry, the
     /// bench gates and the recovery exemplars all share).
     fn label(self) -> &'static str {
         match self {
@@ -356,10 +357,10 @@ impl RecoveryHistogram {
     }
 
     /// Order-sensitive fold of every deterministic field — count,
-    /// totals, and both per-bucket vectors — for embedding the full
-    /// distribution in a shard-identity string without printing ~40
-    /// numbers per family. Uses the shared [`upnp_trace::Digest`]
-    /// helper (same SplitMix64 chain the trace subsystem folds with).
+    /// totals, and both per-bucket vectors — so the registry carries
+    /// the full distribution as one counter instead of ~40. Uses the
+    /// shared [`upnp_trace::Digest`] helper (same SplitMix64 chain the
+    /// trace subsystem folds with).
     pub fn digest(&self) -> u64 {
         upnp_trace::Digest::seeded(self.count ^ 0x4ec0)
             .fold_all([self.total_ns, self.max_ns, self.bucket_counts.len() as u64])
@@ -392,16 +393,20 @@ pub struct RecoveryLatencies {
 
 impl RecoveryLatencies {
     /// Every family with its stable label, in declaration order — the
-    /// order the summary string and the bench gates iterate.
+    /// order the registry and the bench gates iterate.
     pub fn families(&self) -> [(&'static str, &RecoveryHistogram); 6] {
-        [
-            ("partition", &self.partition),
-            ("interior_cut", &self.interior_cut),
-            ("cache_crash", &self.cache_crash),
-            ("mcu_crash", &self.mcu_crash),
-            ("failover", &self.failover),
-            ("blackout", &self.blackout),
-        ]
+        FaultFamily::ALL.map(|f| (f.label(), self.family(f)))
+    }
+
+    fn family(&self, family: FaultFamily) -> &RecoveryHistogram {
+        match family {
+            FaultFamily::Partition => &self.partition,
+            FaultFamily::InteriorCut => &self.interior_cut,
+            FaultFamily::CacheCrash => &self.cache_crash,
+            FaultFamily::McuCrash => &self.mcu_crash,
+            FaultFamily::Failover => &self.failover,
+            FaultFamily::Blackout => &self.blackout,
+        }
     }
 
     fn family_mut(&mut self, family: FaultFamily) -> &mut RecoveryHistogram {
@@ -530,65 +535,75 @@ impl SoakReport {
         self.violations() == 0
     }
 
-    /// Everything deterministic about the soak in one comparable string.
-    /// Host RSS is excluded (wall-side), and so is the retention
-    /// verdict: its bound scales with the replica count, which is
-    /// shard-dependent the same way `mgr_inventory` is (see
-    /// [`crate::fleet::ScenarioMetrics::deterministic_summary`]) —
-    /// [`SoakReport::invariants_held`] still enforces it per run.
+    /// Everything deterministic about the soak in one comparable
+    /// string: [`SoakReport::registry`] rendered as one line.
     pub fn deterministic_summary(&self) -> String {
-        // Each recovery family contributes its count plus a digest
-        // folding the full histogram (bucket counts AND bucket sums),
-        // so two runs agree here only if the distributions are
-        // bit-identical.
-        let recovery: Vec<String> = self
-            .recovery
-            .families()
-            .iter()
-            .map(|(name, h)| format!("{name}:{}/{:016x}", h.count, h.digest()))
-            .collect();
-        format!(
-            "soak epochs={} ticks={} virtual={} faults={} \
-             crash={} cut={} icut={} mcu=({},{},{}) \
-             failover={} blackout={} unserved=({},{}) \
-             reroot={} battery=({},{}) link=({},{}) \
-             drained={} drained_by_epoch={:?} repairs={} violations=({},{}) \
-             degraded={} degraded_by_epoch={:?} recovery=[{}] \
-             mismatches={} exemplars=[{}]",
-            self.epochs,
-            self.soak_ticks,
-            self.virtual_ms,
-            self.faults_injected,
-            self.cache_crashes,
-            self.partitions,
-            self.interior_partitions,
-            self.thing_crashes,
-            self.half_images_rejected,
-            self.half_image_refetches,
-            self.failovers,
-            self.standby_outages,
-            self.unserved_windows,
-            self.unserved_things,
-            self.reroots,
-            self.battery_unplugs,
-            self.battery_replugs,
-            self.frames_delayed,
-            self.frames_duplicated,
-            self.followers_drained,
-            self.followers_drained_by_epoch,
-            self.repairs,
-            self.discovery_violations,
-            self.coherence_violations,
-            self.frames_degraded,
-            self.degraded_by_epoch,
-            recovery.join(" "),
+        summary_line(&self.registry())
+    }
+
+    /// Every deterministic field, registered once: the `soak` counters,
+    /// each family's `recovery` histogram (count, slowest recovery, and
+    /// a digest folding every bucket count and sum) and the `exemplar`
+    /// traces. Per-epoch series register one digest each; the float
+    /// `virtual_ms` registers its bits.
+    ///
+    /// Left out: host RSS, and the retention verdict — its bound scales
+    /// with the replica count, which is shard-dependent the same way
+    /// `mgr_inventory` is (see [`ScenarioMetrics::registry`]);
+    /// [`SoakReport::invariants_held`] still enforces it per run.
+    pub fn registry(&self) -> MetricsRegistry {
+        let series = |v: &[u64]| {
+            Digest::seeded(v.len() as u64)
+                .fold_all(v.iter().copied())
+                .value()
+        };
+        let mut reg = MetricsRegistry::new();
+        reg.register("soak", "epochs", self.epochs as u64);
+        reg.register("soak", "soak_ticks", self.soak_ticks);
+        reg.register("soak", "virtual_ms_bits", self.virtual_ms.to_bits());
+        reg.register("soak", "faults_injected", self.faults_injected);
+        reg.register("soak", "cache_crashes", self.cache_crashes);
+        reg.register("soak", "partitions", self.partitions);
+        reg.register("soak", "interior_partitions", self.interior_partitions);
+        reg.register("soak", "thing_crashes", self.thing_crashes);
+        reg.register("soak", "half_images_rejected", self.half_images_rejected);
+        reg.register("soak", "half_image_refetches", self.half_image_refetches);
+        reg.register("soak", "failovers", self.failovers);
+        reg.register("soak", "standby_outages", self.standby_outages);
+        reg.register("soak", "unserved_windows", self.unserved_windows);
+        reg.register("soak", "unserved_things", self.unserved_things);
+        reg.register("soak", "reroots", self.reroots);
+        reg.register("soak", "battery_unplugs", self.battery_unplugs);
+        reg.register("soak", "battery_replugs", self.battery_replugs);
+        reg.register("soak", "followers_drained", self.followers_drained);
+        let drained = series(&self.followers_drained_by_epoch);
+        reg.register("soak", "followers_drained_by_epoch", drained);
+        reg.register("soak", "frames_delayed", self.frames_delayed);
+        reg.register("soak", "frames_duplicated", self.frames_duplicated);
+        reg.register("soak", "frames_degraded", self.frames_degraded);
+        reg.register("soak", "degraded_by_epoch", series(&self.degraded_by_epoch));
+        reg.register(
+            "soak",
+            "attribution_mismatches",
             self.attribution_mismatches,
-            self.recovery_exemplars
-                .iter()
-                .map(|x| format!("{}:{:016x}/{}", x.family, x.trace_id, x.latency_ns))
-                .collect::<Vec<_>>()
-                .join(" "),
-        )
+        );
+        reg.register("soak", "repairs", self.repairs);
+        reg.register("soak", "discovery_violations", self.discovery_violations);
+        reg.register("soak", "coherence_violations", self.coherence_violations);
+        for (family, h) in self.recovery.families() {
+            reg.register("recovery", &format!("{family}.count"), h.count);
+            reg.register("recovery", &format!("{family}.max_ns"), h.max_ns);
+            reg.register("recovery", &format!("{family}.digest"), h.digest());
+        }
+        for x in &self.recovery_exemplars {
+            reg.register("exemplar", &format!("{}.trace_id", x.family), x.trace_id);
+            reg.register(
+                "exemplar",
+                &format!("{}.latency_ns", x.family),
+                x.latency_ns,
+            );
+        }
+        reg
     }
 }
 
@@ -1452,5 +1467,107 @@ mod tests {
         assert_eq!(report.partitions, 0);
         assert!(report.battery_replugs > 0);
         assert!(report.invariants_held(), "{report:?}");
+    }
+
+    /// The one list of fields no registry carries: host measurements,
+    /// and the shard-dependent Manager retention level and verdict.
+    const UNREGISTERED: [&str; 6] = [
+        "wall_ms",
+        "events_per_wall_s",
+        "mgr_inventory",
+        "peak_rss_kb",
+        "rss_epoch1_kb",
+        "retention_violations",
+    ];
+
+    /// Perturbs every numeric leaf of `value`'s serde tree in turn and
+    /// returns the field names whose perturbation left `digest` alone.
+    fn unregistered_fields<T: Serialize + Deserialize>(
+        value: &T,
+        digest: impl Fn(&T) -> u64,
+    ) -> Vec<String> {
+        fn leaves(v: &serde::Value, path: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+            match v {
+                serde::Value::Int(_) | serde::Value::Number(_) => out.push(path.clone()),
+                serde::Value::Array(items) => {
+                    for (i, item) in items.iter().enumerate() {
+                        path.push(i.to_string());
+                        leaves(item, path, out);
+                        path.pop();
+                    }
+                }
+                serde::Value::Object(entries) => {
+                    for (key, item) in entries {
+                        path.push(key.clone());
+                        leaves(item, path, out);
+                        path.pop();
+                    }
+                }
+                _ => {}
+            }
+        }
+        let tree = value.to_value();
+        let mut paths = Vec::new();
+        leaves(&tree, &mut Vec::new(), &mut paths);
+        let before = digest(value);
+        let mut missed = Vec::new();
+        for path in paths {
+            let mut tampered = tree.clone();
+            let leaf = path.iter().fold(&mut tampered, |v, step| match v {
+                serde::Value::Array(items) => &mut items[step.parse::<usize>().unwrap()],
+                serde::Value::Object(entries) => {
+                    &mut entries.iter_mut().find(|(k, _)| k == step).unwrap().1
+                }
+                _ => unreachable!("paths end at numeric leaves"),
+            });
+            *leaf = match *leaf {
+                serde::Value::Int(i) => serde::Value::Int(i ^ 1),
+                serde::Value::Number(n) => serde::Value::Number(n + 0.5),
+                _ => unreachable!("paths end at numeric leaves"),
+            };
+            let back = T::from_value(&tampered).expect("a perturbed leaf still parses");
+            if digest(&back) == before {
+                // Name the field: the innermost object key on the path.
+                let field = path.iter().rev().find(|s| s.parse::<usize>().is_err());
+                missed.push(field.cloned().unwrap_or_default());
+            }
+        }
+        missed.sort();
+        missed.dedup();
+        missed
+    }
+
+    #[test]
+    fn registries_cover_every_deterministic_field() {
+        let mut fleet = Fleet::build(soak_config(12));
+        let (metrics, mut report) = fleet.soak_scenario(&ChaosConfig::gray_smoke(3));
+        // Fill every family's histogram and exemplar so the walk reaches
+        // bucket vectors and exemplar fields whatever the smoke produced.
+        for (i, family) in FaultFamily::ALL.into_iter().enumerate() {
+            report
+                .recovery
+                .family_mut(family)
+                .record(SimDuration::from_millis(3 + i as u64));
+        }
+        report.recovery_exemplars = FaultFamily::ALL
+            .iter()
+            .map(|f| RecoveryExemplar {
+                family: f.label().to_string(),
+                trace_id: 0x5eed,
+                latency_ns: 7,
+            })
+            .collect();
+        assert!(!report.followers_drained_by_epoch.is_empty());
+        assert!(!report.degraded_by_epoch.is_empty());
+
+        let mut missed = unregistered_fields(&metrics, |m| m.registry().digest());
+        missed.extend(unregistered_fields(&report, |r| r.registry().digest()));
+        missed.sort();
+        let mut expected = UNREGISTERED.map(String::from).to_vec();
+        expected.sort();
+        assert_eq!(
+            missed, expected,
+            "every numeric field but the unregistered ones must move the registry digest"
+        );
     }
 }

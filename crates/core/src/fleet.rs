@@ -18,6 +18,7 @@ use upnp_hw::peripheral::Interconnect;
 use upnp_net::link::LinkQuality;
 use upnp_net::NodeId;
 use upnp_sim::{SimDuration, SimRng, SimTime};
+use upnp_trace::MetricsRegistry;
 
 use crate::catalog::Catalog;
 use crate::shard::ShardedWorld;
@@ -209,59 +210,45 @@ pub struct ScenarioMetrics {
 
 impl ScenarioMetrics {
     /// Everything deterministic about the outcome in one comparable
-    /// string — wall-clock and throughput fields deliberately excluded.
-    /// The differential and determinism test suites compare these, so a
-    /// new deterministic column belongs here to be covered by both.
+    /// string: the scenario name and [`ScenarioMetrics::registry`]
+    /// rendered without its `payload` group, whose counters are
+    /// process-global and so not exact in test binaries whose tests run
+    /// in parallel. The differential and determinism test suites
+    /// compare these.
+    pub fn deterministic_summary(&self) -> String {
+        format!("{} {}", self.scenario, summary_line(&self.registry()))
+    }
+
+    /// Every deterministic field, registered once under a group label
+    /// (`scenario`, `net`, `payload`, `distro`). Floats register their
+    /// IEEE-754 bits (the `_bits` names), so equal registries mean
+    /// bit-identical outcomes.
     ///
-    /// `mgr_inventory` is also excluded: it is a *level* of the
-    /// replicated Manager, and the per-replica
+    /// Left out: the host-side `wall_ms` and `events_per_wall_s`, and
+    /// the `mgr_inventory` level. The per-replica
     /// [`crate::manager::MAX_INVENTORY`] cap means the summed level only
     /// decomposes across shards while every replica is under its cap —
     /// beyond that, sequential and sharded runs legitimately retain
     /// different sets. Counters (acks, uploads) are additive deltas and
     /// decompose exactly, so they stay in.
-    pub fn deterministic_summary(&self) -> String {
-        format!(
-            "{} nodes={} events={} completed={} virtual={} frames={} bytes={} drops={} \
-             lat=({},{},{},{},{},{}) joules={} \
-             cache=({},{},{},{}) origin={} racks={}",
-            self.scenario,
-            self.nodes,
-            self.events,
-            self.completed,
-            self.virtual_ms,
-            self.frames_tx,
-            self.bytes_tx,
-            self.drops,
-            self.latency.samples,
-            self.latency.mean_ms,
-            self.latency.p50_ms,
-            self.latency.p90_ms,
-            self.latency.p99_ms,
-            self.latency.max_ms,
-            self.joules_per_thing,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_coalesced,
-            self.cache_uploads,
-            self.origin_uploads,
-            self.mgr_removal_acks,
-        )
-    }
-
-    /// Registers every deterministic counter into one unified
-    /// [`upnp_trace::MetricsRegistry`] — the scenario, network-traffic,
-    /// payload and distribution-tier groups a bench row emits as a
-    /// single labelled table. Wall-side fields (throughput, wall
-    /// milliseconds) are deliberately left out, as is the
-    /// shard-dependent `mgr_inventory` level, so the registry digest is
-    /// comparable across backends like the summary string.
-    pub fn registry(&self) -> upnp_trace::MetricsRegistry {
-        let mut reg = upnp_trace::MetricsRegistry::new();
+    pub fn registry(&self) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        let lat = &self.latency;
         reg.register("scenario", "nodes", self.nodes as u64);
         reg.register("scenario", "events", self.events as u64);
         reg.register("scenario", "completed", self.completed as u64);
-        reg.register("scenario", "latency_samples", self.latency.samples as u64);
+        reg.register("scenario", "virtual_ms_bits", self.virtual_ms.to_bits());
+        reg.register("scenario", "latency_samples", lat.samples as u64);
+        reg.register("scenario", "latency_mean_ms_bits", lat.mean_ms.to_bits());
+        reg.register("scenario", "latency_p50_ms_bits", lat.p50_ms.to_bits());
+        reg.register("scenario", "latency_p90_ms_bits", lat.p90_ms.to_bits());
+        reg.register("scenario", "latency_p99_ms_bits", lat.p99_ms.to_bits());
+        reg.register("scenario", "latency_max_ms_bits", lat.max_ms.to_bits());
+        reg.register(
+            "scenario",
+            "joules_per_thing_bits",
+            self.joules_per_thing.to_bits(),
+        );
         reg.register("net", "frames_tx", self.frames_tx);
         reg.register("net", "bytes_tx", self.bytes_tx);
         reg.register("net", "drops", self.drops);
@@ -275,6 +262,17 @@ impl ScenarioMetrics {
         reg.register("distro", "mgr_removal_acks", self.mgr_removal_acks);
         reg
     }
+}
+
+/// A registry as one line of `group.name=value` pairs, without the
+/// process-global `payload` group — the deterministic summaries.
+pub(crate) fn summary_line(reg: &MetricsRegistry) -> String {
+    reg.samples()
+        .iter()
+        .filter(|s| s.group != "payload")
+        .map(|s| format!("{}.{}={}", s.group, s.name, s.value))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// A built fleet, ready to run scenarios.

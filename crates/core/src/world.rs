@@ -1788,16 +1788,6 @@ pub trait SimWorld {
     /// as self-describing JSON — the artifact the soak gate uploads on
     /// failure.
     fn flight_dump(&self, reason: &str) -> String;
-    /// The live unified metrics registry: the network and
-    /// distribution-tier stat blocks register their cumulative counters
-    /// under group labels, coming back out as one labelled table.
-    /// Deterministic, and identical across shard counts.
-    fn metrics_registry(&self) -> upnp_trace::MetricsRegistry {
-        let mut reg = upnp_trace::MetricsRegistry::new();
-        self.net_stats().register_into(&mut reg);
-        self.distro_stats().register_into(&mut reg);
-        reg
-    }
 }
 
 impl SimWorld for World {
@@ -1992,19 +1982,5 @@ impl SimWorld for World {
 
     fn flight_dump(&self, reason: &str) -> String {
         self.trace.recorder().dump_json(reason)
-    }
-}
-
-impl DistroStats {
-    /// Registers every counter into a unified metrics registry under
-    /// the `distro` group.
-    pub fn register_into(&self, reg: &mut upnp_trace::MetricsRegistry) {
-        reg.register("distro", "cache_hits", self.cache_hits);
-        reg.register("distro", "cache_misses", self.cache_misses);
-        reg.register("distro", "cache_coalesced", self.cache_coalesced);
-        reg.register("distro", "cache_uploads", self.cache_uploads);
-        reg.register("distro", "origin_uploads", self.origin_uploads);
-        reg.register("distro", "mgr_inventory", self.mgr_inventory);
-        reg.register("distro", "mgr_removal_acks", self.mgr_removal_acks);
     }
 }

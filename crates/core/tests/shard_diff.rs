@@ -9,7 +9,8 @@
 //! the single-process `fleet` benchmark asserts their equality instead.
 
 use upnp_core::fleet::{Fleet, FleetConfig, FleetTopology, ScenarioMetrics, ShardedFleet};
-use upnp_core::world::{ClientId, SimWorld, WorldOp};
+use upnp_core::world::{ClientId, DistroStats, SimWorld, WorldOp};
+use upnp_net::network::NetStats;
 use upnp_net::NodeId;
 use upnp_sim::SimDuration;
 
@@ -578,35 +579,32 @@ fn gray_soak_on_tree_matches_at_every_shard_count() {
 
 use upnp_trace::{span_digest, Span, SpanKind};
 
-/// Runs discovery + churn with tracing enabled and returns the
-/// canonically sorted span set, its digest and the metric summaries
-/// (which must be unchanged by tracing).
-fn run_traced<W: SimWorld>(mut fleet: Fleet<W>, things: usize) -> (Vec<Span>, u64, String) {
+/// What a traced run leaves behind: the canonically sorted span set,
+/// its digest, the metric summaries (which must be unchanged by
+/// tracing) and the world's cumulative net and distro counters.
+type Traced = (Vec<Span>, u64, String, NetStats, DistroStats);
+
+/// Runs discovery + churn with tracing enabled.
+fn run_traced<W: SimWorld>(mut fleet: Fleet<W>, things: usize) -> Traced {
     fleet.world.set_tracing(true);
     let d = fleet.discovery_wave();
     let c = fleet.churn_storm(things / 4);
     let spans = fleet.world.take_spans();
     let digest = span_digest(&spans);
-    // The unified metrics registry (net + distro counters under group
-    // labels) rides along in the summary: its digest must be as
-    // shard-invariant as the metrics themselves.
-    let summary = format!(
-        "{}\n{}\nregistry={:016x}",
-        virtual_summary(&d),
-        virtual_summary(&c),
-        fleet.world.metrics_registry().digest()
-    );
-    (spans, digest, summary)
+    let summary = format!("{}\n{}", virtual_summary(&d), virtual_summary(&c));
+    let (net, distro) = (fleet.world.net_stats(), fleet.world.distro_stats());
+    (spans, digest, summary, net, distro)
 }
 
 fn assert_spans_equivalent(config: FleetConfig, things: usize, shard_counts: &[usize]) {
-    let (seq_spans, seq_digest, seq_summary) = run_traced(Fleet::build(config.clone()), things);
+    let (seq_spans, seq_digest, seq_summary, seq_net, seq_distro) =
+        run_traced(Fleet::build(config.clone()), things);
     assert!(
         !seq_spans.is_empty(),
         "a traced discovery wave must record spans"
     );
     for &k in shard_counts {
-        let (spans, digest, summary) =
+        let (spans, digest, summary, net, distro) =
             run_traced(ShardedFleet::build_sharded(config.clone(), k), things);
         // Element-wise equality covers every field of every span: ids,
         // trace membership, parentage and both virtual timestamps.
@@ -616,6 +614,8 @@ fn assert_spans_equivalent(config: FleetConfig, things: usize, shard_counts: &[u
             seq_summary, summary,
             "tracing perturbed the virtual metrics at K={k}"
         );
+        assert_eq!(seq_net, net, "net counters diverged at K={k}");
+        assert_eq!(seq_distro, distro, "distro counters diverged at K={k}");
     }
 }
 
@@ -642,7 +642,7 @@ fn traced_span_taxonomy_covers_the_pipeline() {
     // plug→scan→identify→resolve→serve→verify→install→join→advertise
     // chain plus cache classification spans, with coherent parentage.
     let config = FleetConfig::new(64).with_seed(0x6030).with_caches(2);
-    let (spans, _, _) = run_traced(Fleet::build(config), 64);
+    let (spans, ..) = run_traced(Fleet::build(config), 64);
     let count = |kind: SpanKind| spans.iter().filter(|s| s.kind == kind).count();
     for kind in [
         SpanKind::Plug,

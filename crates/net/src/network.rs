@@ -108,19 +108,6 @@ pub struct NetStats {
     pub frames_degraded: u64,
 }
 
-impl NetStats {
-    /// Registers every counter into a unified metrics registry under
-    /// the `net` group.
-    pub fn register_into(&self, reg: &mut upnp_trace::MetricsRegistry) {
-        reg.register("net", "frames_tx", self.frames_tx);
-        reg.register("net", "bytes_tx", self.bytes_tx);
-        reg.register("net", "drops", self.drops);
-        reg.register("net", "frames_delayed", self.frames_delayed);
-        reg.register("net", "frames_duplicated", self.frames_duplicated);
-        reg.register("net", "frames_degraded", self.frames_degraded);
-    }
-}
-
 /// A handle into the route arena (a memoised tree path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RouteHandle(u32);

@@ -27,9 +27,9 @@
 //!   history instead of a bare counter.
 //! * [`chrome_trace_json`] — Chrome trace-event / Perfetto export for
 //!   `fleet --trace-out`.
-//! * [`MetricsRegistry`] — the unified labelled-counter table that the
-//!   scattered ScenarioMetrics / DistroStats / NetStats counters
-//!   register into for bench rows.
+//! * [`MetricsRegistry`] — the labelled-counter table that a
+//!   scenario's and a soak's deterministic fields register into: what
+//!   the deterministic summaries render and the bench gates compare.
 //! * [`Digest`] — the shared order-sensitive fold used by every
 //!   deterministic summary (previously copy-pasted per call site).
 //!
