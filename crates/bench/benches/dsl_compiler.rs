@@ -1,5 +1,6 @@
 //! Compiler pipeline benchmarks: lexing through image serialization for
-//! each shipped driver (the toolchain a driver developer exercises).
+//! each shipped driver (the toolchain a driver developer exercises), plus
+//! the two install-path steps a Thing runs on every image it receives.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use upnp_dsl::{compile_source, drivers};
@@ -16,11 +17,14 @@ fn bench_compile(c: &mut Criterion) {
             b.iter(|| black_box(compile_source(src, 1).expect("compiles")))
         });
     }
-    // Round-trip through the wire format.
+    // The install path: decode the wire format, then verify the image.
     let image = compile_source(drivers::BMP180, 1).unwrap();
     let bytes = image.to_bytes();
     g.bench_function("image_decode_bmp180", |b| {
         b.iter(|| black_box(upnp_dsl::image::DriverImage::from_bytes(&bytes).unwrap()))
+    });
+    g.bench_function("verify_bmp180", |b| {
+        b.iter(|| upnp_dsl::verify(black_box(&image)).unwrap())
     });
     g.finish();
 }

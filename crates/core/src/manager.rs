@@ -7,12 +7,12 @@
 //!
 //! Since the distribution tier landed, the Manager is also the **origin**
 //! behind the [`upnp_distro::EdgeCache`] nodes: it serves their (18)
-//! chunk requests from a lazily encoded copy of each image and stamps
-//! every chunk with the repository version. [`Manager::push_update`]
-//! includes (20) invalidations for the registered caches in its returned
-//! datagrams, and removal flows build them explicitly with
-//! [`Manager::invalidate_caches`], so origin updates propagate to the
-//! tier coherently.
+//! chunk requests, like its own (5) uploads, from a lazily encoded copy
+//! of each image and stamps every chunk with the repository version.
+//! [`Manager::push_update`] includes (20) invalidations for the
+//! registered caches in its returned datagrams, and removal flows build
+//! them explicitly with [`Manager::invalidate_caches`], so origin updates
+//! propagate to the tier coherently.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv6Addr;
@@ -51,8 +51,9 @@ pub struct Manager {
     /// The global address space registry this manager fronts.
     pub registry: AddressSpace,
     repository: HashMap<u32, DriverImage>,
-    /// Lazily encoded wire images for chunk serving, keyed by device id
-    /// (dropped on republish so chunks always reflect the live version).
+    /// Lazily encoded wire images for uploads and chunks, keyed by
+    /// device id (dropped on republish so both always carry the live
+    /// version).
     encoded: HashMap<u32, Vec<u8>>,
     /// Encoded bytes of each driver's previous published version, kept
     /// so a republish can ship caches an [`ImageDelta`] patch inside the
@@ -178,6 +179,17 @@ impl Manager {
         Ok(())
     }
 
+    /// The wire bytes of a published driver, encoded on first use and
+    /// reused until the driver is republished.
+    fn encoded(&mut self, peripheral: u32) -> Option<&Vec<u8>> {
+        let image = self.repository.get(&peripheral)?;
+        Some(
+            self.encoded
+                .entry(peripheral)
+                .or_insert_with(|| image.to_bytes()),
+        )
+    }
+
     /// The repository's current version of a driver (latest recorded in
     /// the registry; 1 when nothing is recorded).
     pub fn driver_version(&self, device_id: DeviceTypeId) -> u16 {
@@ -277,16 +289,13 @@ impl Manager {
                 let mut cost = CpuCost::ZERO;
                 cost += calib::UDP_RECV_PATH;
                 cost += calib::REPO_LOOKUP;
-                match self.repository.get(&peripheral) {
+                match self.encoded(peripheral).cloned() {
                     Some(image) => {
                         cost += calib::UPLOAD_SETUP;
                         self.uploads_served += 1;
                         let reply = Message {
                             seq: msg.seq,
-                            body: MessageBody::DriverUpload {
-                                peripheral,
-                                image: image.to_bytes(),
-                            },
+                            body: MessageBody::DriverUpload { peripheral, image },
                         };
                         (
                             vec![self.datagram(dgram.src, reply)],
@@ -310,13 +319,9 @@ impl Manager {
                 let mut cost = CpuCost::ZERO;
                 cost += calib::UDP_RECV_PATH;
                 cost += calib::REPO_LOOKUP;
-                if !self.repository.contains_key(&peripheral) {
+                let Some(bytes) = self.encoded(peripheral) else {
                     return (Vec::new(), calib::duration(cost), SimDuration::ZERO);
-                }
-                let bytes = self
-                    .encoded
-                    .entry(peripheral)
-                    .or_insert_with(|| self.repository[&peripheral].to_bytes());
+                };
                 let total = bytes.len().div_ceil(DRIVER_CHUNK_PAYLOAD).max(1) as u16;
                 if chunk >= total {
                     return (Vec::new(), calib::duration(cost), SimDuration::ZERO);
@@ -387,7 +392,7 @@ impl Manager {
     /// distribution tier. Call after [`Manager::publish_driver`] with
     /// the new image.
     pub fn push_update(&mut self, device_id: DeviceTypeId) -> Vec<Datagram> {
-        let Some(image) = self.repository.get(&device_id.raw()).cloned() else {
+        let Some(image) = self.encoded(device_id.raw()).cloned() else {
             return Vec::new();
         };
         let targets: Vec<Ipv6Addr> = self
@@ -407,7 +412,7 @@ impl Manager {
                         seq,
                         body: MessageBody::DriverUpload {
                             peripheral: device_id.raw(),
-                            image: image.to_bytes(),
+                            image: image.clone(),
                         },
                     },
                 )

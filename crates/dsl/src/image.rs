@@ -117,8 +117,11 @@ pub enum ImageError {
     BadTag(u8),
     /// A handler offset points outside the code region.
     BadOffset(u16),
-    /// The bytecode fails to disassemble at the given offset.
+    /// The bytecode does not decode at the given offset.
     BadCode(usize),
+    /// Bytes follow the code region; the image proper ends at the given
+    /// offset.
+    TrailingBytes(usize),
 }
 
 impl std::fmt::Display for ImageError {
@@ -130,6 +133,7 @@ impl std::fmt::Display for ImageError {
             ImageError::BadTag(t) => write!(f, "unknown tag {t:#x}"),
             ImageError::BadOffset(o) => write!(f, "handler offset {o} out of range"),
             ImageError::BadCode(o) => write!(f, "undecodable bytecode at offset {o}"),
+            ImageError::TrailingBytes(end) => write!(f, "trailing bytes after offset {end}"),
         }
     }
 }
@@ -185,8 +189,9 @@ impl DriverImage {
     ///
     /// # Errors
     ///
-    /// Returns an [`ImageError`] for malformed input; a valid result is
-    /// guaranteed to have in-range handler offsets and decodable bytecode.
+    /// Returns an [`ImageError`] for malformed input, including bytes
+    /// after the code region; a valid result is guaranteed to have
+    /// in-range handler offsets and decodable bytecode.
     pub fn from_bytes(data: &[u8]) -> Result<DriverImage, ImageError> {
         let mut r = Reader { data, i: 0 };
         if r.take(2)? != MAGIC {
@@ -222,13 +227,20 @@ impl DriverImage {
         }
         let code_len = u16::from_le_bytes(r.take(2)?.try_into().expect("len 2")) as usize;
         let code = r.take(code_len)?.to_vec();
+        if r.i != data.len() {
+            return Err(ImageError::TrailingBytes(r.i));
+        }
 
         for h in &handlers {
             if h.offset as usize >= code.len() && !(code.is_empty() && h.offset == 0) {
                 return Err(ImageError::BadOffset(h.offset));
             }
         }
-        isa::disassemble(&code).map_err(ImageError::BadCode)?;
+        let mut pc = 0;
+        while pc < code.len() {
+            let (_, operands) = isa::decode(&code, pc).map_err(ImageError::BadCode)?;
+            pc += 1 + operands.len();
+        }
 
         Ok(DriverImage {
             device_id,
@@ -383,6 +395,17 @@ mod tests {
         assert_eq!(
             DriverImage::from_bytes(&bytes).unwrap_err(),
             ImageError::BadCode(3)
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        let mut bytes = sample().to_bytes();
+        let end = bytes.len();
+        bytes.extend_from_slice(&[0x63, 0x00]);
+        assert_eq!(
+            DriverImage::from_bytes(&bytes).unwrap_err(),
+            ImageError::TrailingBytes(end)
         );
     }
 

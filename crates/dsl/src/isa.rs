@@ -246,8 +246,24 @@ impl Op {
     }
 }
 
+/// Decodes the instruction at `pc`: its opcode and its operand bytes.
+///
+/// The one instruction decoder: the image parser walks a code region
+/// with it, the verifier follows control flow with it, and the
+/// disassembler formats what it returns.
+///
+/// # Errors
+///
+/// Returns `pc` when the byte there is not a known opcode or its
+/// operands run past the end of `code`.
+pub(crate) fn decode(code: &[u8], pc: usize) -> Result<(Op, &[u8]), usize> {
+    let op = code.get(pc).and_then(|&b| Op::from_byte(b)).ok_or(pc)?;
+    let operands = code.get(pc + 1..pc + 1 + op.operand_len()).ok_or(pc)?;
+    Ok((op, operands))
+}
+
 /// Disassembles a code region into printable lines (offset, mnemonic,
-/// operands).
+/// operands), for listings and tests.
 ///
 /// # Errors
 ///
@@ -256,13 +272,8 @@ pub fn disassemble(code: &[u8]) -> Result<Vec<String>, usize> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < code.len() {
-        let op = Op::from_byte(code[i]).ok_or(i)?;
-        let n = op.operand_len();
-        if i + 1 + n > code.len() {
-            return Err(i);
-        }
-        let operands = &code[i + 1..i + 1 + n];
-        let text = match (op, n) {
+        let (op, operands) = decode(code, i)?;
+        let text = match (op, operands.len()) {
             (Op::Push8, _) => format!("{:04x}  PUSH8  {}", i, operands[0] as i8),
             (Op::Push16, _) => {
                 let v = i16::from_le_bytes([operands[0], operands[1]]);
@@ -290,7 +301,7 @@ pub fn disassemble(code: &[u8]) -> Result<Vec<String>, usize> {
             _ => format!("{i:04x}  {op:?}    {operands:?}"),
         };
         out.push(text);
-        i += 1 + n;
+        i += 1 + operands.len();
     }
     Ok(out)
 }
@@ -357,6 +368,19 @@ mod tests {
         assert_eq!(disassemble(&[0x03, 1, 2]), Err(0));
         // Valid prefix, bad tail.
         assert_eq!(disassemble(&[0x00, 0x99]), Err(1));
+    }
+
+    #[test]
+    fn decode_returns_opcode_and_operands() {
+        // NOP; PUSH16 0x0201; SIG 1 2 0
+        let code = [0x00, 0x02, 1, 2, 0x60, 1, 2, 0];
+        assert_eq!(decode(&code, 0), Ok((Op::Nop, &[][..])));
+        assert_eq!(decode(&code, 1), Ok((Op::Push16, &[1, 2][..])));
+        assert_eq!(decode(&code, 4), Ok((Op::Sig, &[1, 2, 0][..])));
+        // Past the end, an unknown opcode, operands cut short.
+        assert_eq!(decode(&code, 8), Err(8));
+        assert_eq!(decode(&[0x99], 0), Err(0));
+        assert_eq!(decode(&code[..6], 4), Err(4));
     }
 
     #[test]

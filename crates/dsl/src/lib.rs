@@ -19,7 +19,8 @@
 //!   cells at runtime with width-truncation on store; `int op float`
 //!   promotes; conditions must be boolean or integer);
 //! * [`isa`] — the instruction set (every instruction is an 8-bit opcode
-//!   followed by zero or more operands, §4.1) and disassembler;
+//!   followed by zero or more operands, §4.1), its decoder and the
+//!   disassembler;
 //! * [`opt`] — the staged optimisation pipeline: typed-IR passes
 //!   (constant/branch folding, strength reduction, dead code, dead
 //!   globals) under a collector→transform→validator protocol, plus the

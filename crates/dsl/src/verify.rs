@@ -20,12 +20,15 @@
 //! validator's job is to reject bad images *before* they replace a
 //! working driver.
 
-use std::collections::HashMap;
-
 use crate::events;
-use crate::image::DriverImage;
-use crate::isa::Op;
+use crate::image::{DriverImage, HandlerEntry};
+use crate::isa::{self, Op};
 use crate::vm_limits::STACK_DEPTH;
+
+/// Stack height recorded for a code offset no path has reached yet.
+/// Reached offsets hold heights of at most [`STACK_DEPTH`].
+const UNSEEN: u8 = u8::MAX;
+const _: () = assert!(STACK_DEPTH < UNSEEN as usize);
 
 /// Validation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,8 +103,13 @@ impl std::error::Error for VerifyError {}
 /// unknown destination.
 pub fn verify(image: &DriverImage) -> Result<(), VerifyError> {
     verify_structure(image)?;
+    let slots = slot_counts(image);
+    // Stack height on entry per code offset, and the pending
+    // `(offset, height)` work list: allocated once, reset per handler.
+    let mut heights = vec![UNSEEN; image.code.len()];
+    let mut work = Vec::new();
     for h in &image.handlers {
-        verify_handler(image, h.offset as usize, h.event_id, h.n_params)?;
+        verify_handler(image, slots, h, &mut heights, &mut work)?;
     }
     Ok(())
 }
@@ -129,9 +137,9 @@ fn verify_structure(image: &DriverImage) -> Result<(), VerifyError> {
             return Err(VerifyError::UnknownImport(lib));
         }
     }
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = [false; 256];
     for h in &image.handlers {
-        if !seen.insert(h.event_id) {
+        if std::mem::replace(&mut seen[h.event_id as usize], true) {
             return Err(VerifyError::DuplicateHandler(h.event_id));
         }
         if h.offset as usize >= image.code.len() && !image.code.is_empty() {
@@ -160,34 +168,31 @@ fn slot_counts(image: &DriverImage) -> (usize, usize) {
 /// every path, checking instruction-level safety properties as we go.
 fn verify_handler(
     image: &DriverImage,
-    entry: usize,
-    event_id: u8,
-    n_params: u8,
+    (n_scalars, n_arrays): (usize, usize),
+    handler: &HandlerEntry,
+    heights: &mut [u8],
+    work: &mut Vec<(usize, u8)>,
 ) -> Result<(), VerifyError> {
     let code = &image.code;
-    let (n_scalars, n_arrays) = slot_counts(image);
-    // offset → stack height on entry.
-    let mut seen: HashMap<usize, usize> = HashMap::new();
-    let mut work: Vec<(usize, usize)> = vec![(entry, 0)];
+    heights.fill(UNSEEN);
+    work.clear();
+    // Depth-first: the successor pushed last would be the next one
+    // popped, so it waits here instead of going through the work list.
+    let mut next = Some((handler.offset as usize, 0));
 
-    while let Some((pc, height)) = work.pop() {
-        if pc >= code.len() {
-            return Err(VerifyError::FallsOffEnd(event_id));
+    while let Some((pc, height)) = next.take().or_else(|| work.pop()) {
+        let Some(seen) = heights.get_mut(pc) else {
+            return Err(VerifyError::FallsOffEnd(handler.event_id));
+        };
+        if *seen == height {
+            continue;
         }
-        match seen.get(&pc) {
-            Some(&h) if h == height => continue,
-            Some(_) => return Err(VerifyError::InconsistentStack(pc)),
-            None => {
-                seen.insert(pc, height);
-            }
+        if *seen != UNSEEN {
+            return Err(VerifyError::InconsistentStack(pc));
         }
-        let op = Op::from_byte(code[pc]).ok_or(VerifyError::BadInstruction(pc))?;
-        let n = op.operand_len();
-        if pc + 1 + n > code.len() {
-            return Err(VerifyError::BadInstruction(pc));
-        }
-        let operands = &code[pc + 1..pc + 1 + n];
-        let next_pc = pc + 1 + n;
+        *seen = height;
+        let (op, operands) = isa::decode(code, pc).map_err(VerifyError::BadInstruction)?;
+        let next_pc = pc + 1 + operands.len();
 
         // Slot and target checks.
         match op {
@@ -197,7 +202,7 @@ fn verify_handler(
             Op::Lda | Op::Sta | Op::Len | Op::RetA if operands[0] as usize >= n_arrays => {
                 return Err(VerifyError::BadGlobalSlot(pc, operands[0]));
             }
-            Op::Ldl | Op::Stl if operands[0] >= n_params => {
+            Op::Ldl | Op::Stl if operands[0] >= handler.n_params => {
                 return Err(VerifyError::BadParamSlot(pc, operands[0]));
             }
             Op::Sig => {
@@ -222,6 +227,7 @@ fn verify_handler(
             op.pops()
         };
         let pushes = if op == Op::Sig { 0 } else { op.pushes() };
+        let height = height as usize;
         if height < pops {
             return Err(VerifyError::StackUnderflow(pc));
         }
@@ -229,17 +235,18 @@ fn verify_handler(
         if after > STACK_DEPTH {
             return Err(VerifyError::StackOverflow(pc));
         }
+        let after = after as u8;
 
         // Successors.
-        match op {
-            Op::Ret | Op::RetV | Op::RetA => {}
+        next = match op {
+            Op::Ret | Op::RetV | Op::RetA => None,
             Op::Jmp => {
                 let delta = i16::from_le_bytes([operands[0], operands[1]]) as i64;
                 let target = next_pc as i64 + delta;
                 if target < 0 || target as usize > code.len() {
                     return Err(VerifyError::BadJumpTarget(pc));
                 }
-                work.push((target as usize, after));
+                Some((target as usize, after))
             }
             Op::Jz | Op::Jnz => {
                 let delta = i16::from_le_bytes([operands[0], operands[1]]) as i64;
@@ -248,10 +255,10 @@ fn verify_handler(
                     return Err(VerifyError::BadJumpTarget(pc));
                 }
                 work.push((target as usize, after));
-                work.push((next_pc, after));
+                Some((next_pc, after))
             }
-            _ => work.push((next_pc, after)),
-        }
+            _ => Some((next_pc, after)),
+        };
     }
     Ok(())
 }
@@ -261,7 +268,7 @@ mod tests {
     use super::*;
     use crate::ast::Type;
     use crate::compile_source;
-    use crate::image::{BusKind, GlobalSlot, HandlerEntry};
+    use crate::image::{BusKind, GlobalSlot, HandlerEntry, ImageError};
 
     fn image_with_code(code: Vec<u8>) -> DriverImage {
         DriverImage {
@@ -423,6 +430,62 @@ mod tests {
         let mut img = image_with_code(vec![0x63, 0x63]);
         img.imports = vec![99];
         assert_eq!(verify(&img), Err(VerifyError::UnknownImport(99)));
+    }
+
+    // ---- install-path verdicts, pinned --------------------------------
+
+    /// Decode-then-verify verdict on raw image bytes.
+    fn install_verdict(bytes: &[u8]) -> Result<Result<(), VerifyError>, ImageError> {
+        match DriverImage::from_bytes(bytes) {
+            // Refused outright; what the digest pins is the verdict on
+            // the image proper in front of the junk.
+            Err(ImageError::TrailingBytes(end)) => install_verdict(&bytes[..end]),
+            parsed => parsed.map(|img| verify(&img)),
+        }
+    }
+
+    /// FNV-1a over every case of the sweep below, recorded against the
+    /// parser that built a disassembly and the verifier that hashed
+    /// offsets: the rewrites must give the same verdict and the same
+    /// first error on every case.
+    const INSTALL_VERDICTS_DIGEST: u64 = 0xd27d_435c_2c71_111f;
+
+    #[test]
+    fn install_verdicts_match_the_pinned_digest() {
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |case: String| {
+            for b in case.bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for (i, (name, src)) in crate::drivers::ALL.iter().enumerate() {
+            let img = compile_source(src, i as u32 + 1).unwrap();
+            let bytes = img.to_bytes();
+            for cut in 0..bytes.len() {
+                fold(format!(
+                    "{name} [..{cut}] {:?}\n",
+                    install_verdict(&bytes[..cut])
+                ));
+            }
+            for pos in 0..bytes.len() {
+                let b = bytes[pos];
+                for v in [0x00, 0xff, b ^ 1, b.wrapping_add(1)] {
+                    let mut m = bytes.clone();
+                    m[pos] = v;
+                    fold(format!("{name} [{pos}]={v} {:?}\n", install_verdict(&m)));
+                }
+            }
+            // The verifier alone, on code the parser would have refused.
+            for pos in 0..img.code.len() {
+                let b = img.code[pos];
+                for v in [0x00, 0xff, b ^ 1, b.wrapping_add(1)] {
+                    let mut m = img.clone();
+                    m.code[pos] = v;
+                    fold(format!("{name} code[{pos}]={v} {:?}\n", verify(&m)));
+                }
+            }
+        }
+        assert_eq!(digest, INSTALL_VERDICTS_DIGEST, "{digest:#018x}");
     }
 
     // ---- delta × verifier: a patched image must still be verifiable -

@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 use upnp_dsl::ast::Type;
-use upnp_dsl::image::{BusKind, DriverImage, GlobalSlot, HandlerEntry};
+use upnp_dsl::image::{BusKind, DriverImage, GlobalSlot, HandlerEntry, ImageError};
 use upnp_dsl::isa::disassemble;
-use upnp_dsl::{compile_source, lexer};
+use upnp_dsl::{compile_source, lexer, Op};
 
 /// Strategy for a structurally valid driver image (terminated handlers).
 fn arb_image() -> impl Strategy<Value = DriverImage> {
@@ -44,6 +44,24 @@ fn arb_image() -> impl Strategy<Value = DriverImage> {
         })
 }
 
+/// Code bytes that mostly decode: seven bytes in eight are known opcodes
+/// (operand bytes included), the rest arbitrary, so a walk over them
+/// runs long before it stops on a bad opcode or a cut-off operand.
+fn arb_code() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec((any::<u8>(), 0u8..8), 0..128).prop_map(|bytes| {
+        bytes
+            .into_iter()
+            .map(|(b, pick)| match pick {
+                0 => b,
+                _ => (b..=u8::MAX)
+                    .chain(0..b)
+                    .find(|&c| Op::from_byte(c).is_some())
+                    .expect("opcodes exist"),
+            })
+            .collect()
+    })
+}
+
 proptest! {
     /// Image serialization round-trips exactly.
     #[test]
@@ -65,6 +83,23 @@ proptest! {
     #[test]
     fn disassembler_is_total(code in prop::collection::vec(any::<u8>(), 0..128)) {
         let _ = disassemble(&code);
+    }
+
+    /// The image parser's code walk accepts exactly the code the
+    /// disassembler lists, and stops at the same offset when it does not.
+    #[test]
+    fn code_walk_agrees_with_disassembler(code in arb_code()) {
+        let img = DriverImage {
+            device_id: 1,
+            bus: BusKind::None,
+            imports: vec![],
+            globals: vec![],
+            handlers: vec![],
+            code: code.clone(),
+        };
+        let walked = DriverImage::from_bytes(&img.to_bytes()).map(|_| ());
+        let listed = disassemble(&code).map(|_| ()).map_err(ImageError::BadCode);
+        prop_assert_eq!(walked, listed);
     }
 
     /// The lexer never panics on arbitrary ASCII-ish source.
