@@ -573,6 +573,62 @@ fn gray_soak_on_tree_matches_at_every_shard_count() {
     }
 }
 
+// ---- Pinned soak outcome: every smoke profile over a grid of seeds,
+// topologies and cache counts, at K = 1 and K = 4 ------------------------
+
+/// FNV-1a over the soak summary and fleet fingerprint of every run in
+/// [`smoke_soak_sweep_matches_the_pinned_digest`], recorded before the
+/// soak kept its injected faults as one log: injection, attribution and
+/// heal order must reproduce every outcome bit for bit.
+const SOAK_SWEEP_DIGEST: u64 = 0x065d_5931_59b8_8a29;
+
+/// Runs one soak and returns everything deterministic about it.
+fn soak_outcome<W: SimWorld>(mut fleet: Fleet<W>, chaos: &ChaosConfig) -> String {
+    let report = fleet.chaos_soak(chaos);
+    assert!(report.invariants_held(), "soak invariants: {report:?}");
+    format!(
+        "{} {:#x}\n",
+        report.deterministic_summary(),
+        fleet.fingerprint()
+    )
+}
+
+#[test]
+fn smoke_soak_sweep_matches_the_pinned_digest() {
+    let profiles: [fn(u64) -> ChaosConfig; 3] = [
+        ChaosConfig::smoke,
+        ChaosConfig::deep_smoke,
+        ChaosConfig::gray_smoke,
+    ];
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for (p, profile) in profiles.iter().enumerate() {
+        for seed in 1..=6 {
+            for topology in [FleetTopology::Star, FleetTopology::Tree { fanout: 3 }] {
+                for caches in [0, 2] {
+                    let config = FleetConfig::new(16)
+                        .with_topology(topology)
+                        .with_caches(caches)
+                        .with_standby();
+                    let chaos = profile(seed);
+                    let seq = soak_outcome(Fleet::build(config.clone()), &chaos);
+                    let sharded = soak_outcome(ShardedFleet::build_sharded(config, 4), &chaos);
+                    assert_eq!(
+                        seq, sharded,
+                        "profile {p}, seed {seed}, {topology:?}, {caches} caches: K=4 diverged"
+                    );
+                    for b in seq.bytes() {
+                        digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        digest, SOAK_SWEEP_DIGEST,
+        "soak outcomes drifted: {digest:#x}"
+    );
+}
+
 // ---- Distributed tracing (ISSUE 10: the span sets — ids, parentage,
 // virtual timestamps — must be bit-identical sequential vs sharded at
 // every shard count, soaks included) -------------------------------------
