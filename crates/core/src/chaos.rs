@@ -19,8 +19,9 @@
 //! followers, root↔cache link partitions, interior-router partitions
 //! that orphan whole subtrees, mid-install MCU crashes that tear driver
 //! images in the flash, primary-Manager failover to the hot standby,
-//! and (on blackout epochs) the standby dying too — the chaos plays out
-//! to idle, operators heal and reroot, crashed MCUs revive and refetch,
+//! and (on blackout epochs) the standby dying too — each logged once as
+//! the op that repairs it. The chaos plays out to idle, operators apply
+//! the logged repairs and reroot, crashed MCUs revive and refetch,
 //! a repair wave replugs anything the faults starved, and the
 //! whole-soak invariants are checked: exactly-once discovery against
 //! the occupancy oracle, cache coherence against a fresh-build DODAG,
@@ -45,14 +46,14 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use upnp_net::link::{LinkChaos, LinkDegrade, LinkQuality};
+use upnp_net::link::{LinkChaos, LinkDegrade};
 use upnp_net::NodeId;
 use upnp_sim::{SimDuration, SimRng};
 use upnp_trace::{Digest, MetricsRegistry};
 
 use crate::fleet::{summary_line, Fleet, ScenarioMetrics};
 use crate::manager::MAX_INVENTORY;
-use crate::world::{CacheId, SimWorld, WorldOp};
+use crate::world::{SimWorld, WorldOp};
 
 /// Shape of one chaos soak: how long, and how hostile.
 #[derive(Debug, Clone)]
@@ -85,10 +86,6 @@ pub struct ChaosConfig {
     pub battery_budget_j: f64,
     /// Delay from epoch start (battery deaths) to the replug wave.
     pub replug_delay: SimDuration,
-    /// Offset past the replug-wave base at which the run pauses and the
-    /// epoch's faults land — small enough that driver chunk transfers
-    /// are still in flight.
-    pub fault_offset: SimDuration,
     /// Interior-router partitions injected mid-wave each epoch: the
     /// routing edge above an arbitrary Thing is severed, orphaning its
     /// whole subtree until the reroot storm repairs routing.
@@ -136,10 +133,6 @@ impl ChaosConfig {
             battery_churn_per_epoch: 32,
             battery_budget_j: 0.75,
             replug_delay: SimDuration::from_millis(500),
-            // Peripheral identification takes ~240 ms after a plug;
-            // this offset drops the faults while the replug wave's
-            // driver fetches are in flight at the caches.
-            fault_offset: SimDuration::from_millis(250),
             interior_partitions_per_epoch: 0,
             thing_crashes_per_epoch: 0,
             blackout_every: 0,
@@ -149,11 +142,10 @@ impl ChaosConfig {
         }
     }
 
-    /// A short soak for tests: three 30-second epochs, one fault of
-    /// each kind per epoch, failover every other epoch.
+    /// [`ChaosConfig::day`] shrunk for tests: three 30-second epochs,
+    /// one fault of each kind per epoch, failover every other epoch.
     pub fn smoke(seed: u64) -> Self {
         ChaosConfig {
-            seed,
             epochs: 3,
             epoch: SimDuration::from_secs(30),
             cache_crashes_per_epoch: 1,
@@ -163,13 +155,7 @@ impl ChaosConfig {
             battery_churn_per_epoch: 4,
             battery_budget_j: 0.25,
             replug_delay: SimDuration::from_millis(200),
-            fault_offset: SimDuration::from_millis(250),
-            interior_partitions_per_epoch: 0,
-            thing_crashes_per_epoch: 0,
-            blackout_every: 0,
-            link_chaos: None,
-            link_degrade: None,
-            cache_crawl_factor: 0,
+            ..Self::day(seed)
         }
     }
 
@@ -235,7 +221,12 @@ impl ChaosConfig {
     }
 }
 
-/// One fault family a knocked-out Thing's recovery is attributed to.
+/// One fault family: the tag of each entry in an epoch's fault log, and
+/// the family a knocked-out Thing's recovery is attributed to.
+///
+/// Declaration order is heal order: the log is stably sorted by family
+/// and each logged repair applied in turn, except that MCU revives wait
+/// for the reroot storm.
 ///
 /// Attribution is a deterministic precedence over the epoch's injected
 /// faults, not causal tracing: an exact match (the Thing's own MCU
@@ -243,7 +234,7 @@ impl ChaosConfig {
 /// wins over epoch-wide conditions (blackout, then cache crash, then
 /// uplink partition, then failover). A Thing that is unserved with no
 /// fault injected this epoch — lossy-link noise — is not recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum FaultFamily {
     Partition,
     InteriorCut,
@@ -430,12 +421,14 @@ pub struct SoakReport {
     pub soak_ticks: u64,
     /// Virtual time the soak spanned, milliseconds.
     pub virtual_ms: f64,
-    /// Total faults injected (crashes + partitions + failovers +
-    /// reroots + battery deaths).
+    /// Total faults injected: every cache crash, uplink partition,
+    /// interior partition, MCU crash, failover and standby outage, plus
+    /// reroots and battery deaths.
     pub faults_injected: u64,
     /// Cache crashes injected.
     pub cache_crashes: u64,
-    /// Link partitions injected.
+    /// Root↔cache uplink partitions injected (interior cuts count in
+    /// `interior_partitions`).
     pub partitions: u64,
     /// Interior-router partitions injected (the routing edge above an
     /// arbitrary Thing severed, orphaning its subtree).
@@ -615,6 +608,12 @@ impl SoakReport {
 /// keeping a genuine (deterministic) starvation loud.
 const REPAIR_ROUNDS: usize = 4;
 
+/// Offset past the replug-wave base at which the run pauses and the
+/// epoch's faults land. Peripheral identification takes ~240 ms after a
+/// plug, so the faults drop while the replug wave's driver fetches are
+/// in flight at the caches.
+const FAULT_OFFSET: SimDuration = SimDuration::from_millis(250);
+
 /// Host peak-RSS high-water mark (`VmHWM`), kilobytes; 0 off-Linux.
 pub fn peak_rss_kb() -> u64 {
     std::fs::read_to_string("/proc/self/status")
@@ -729,32 +728,33 @@ impl<W: SimWorld> Fleet<W> {
                 last_swap_j[i] = self.world.radio_energy_j(self.thing_node(self.things[i]));
             }
 
-            // Pause mid-wave — replugs are still fetching drivers — and
-            // land the epoch's faults at that exact instant.
-            let mid = epoch_start + cfg.replug_delay + cfg.fault_offset;
+            // Inject: pause mid-wave — replugs are still fetching
+            // drivers — and land the epoch's faults at that exact
+            // instant. Each fault is logged once, as the op that repairs
+            // it; everything after injection reads this log.
+            let mid = epoch_start + cfg.replug_delay + FAULT_OFFSET;
             self.world.run_until(mid);
             report.soak_ticks += 1;
+            let mut faults: Vec<(FaultFamily, WorldOp)> = Vec::new();
             let drained_before = report.followers_drained;
-            let mut crashed: Vec<CacheId> = Vec::new();
-            let mut cut: Vec<(NodeId, LinkQuality)> = Vec::new();
             if !self.caches.is_empty() {
                 for _ in 0..cfg.cache_crashes_per_epoch {
                     let pick = self.caches[rng.index(self.caches.len())];
-                    if crashed.contains(&pick) {
+                    let revive = (FaultFamily::CacheCrash, WorldOp::ReviveCache(pick));
+                    if faults.contains(&revive) {
                         continue;
                     }
                     report.followers_drained += self
                         .world
                         .apply(mid, WorldOp::CrashCache(pick))
                         .followers_drained;
-                    crashed.push(pick);
-                    report.cache_crashes += 1;
+                    faults.push(revive);
                 }
                 for _ in 0..cfg.partitions_per_epoch {
                     let node = self.cache_node(self.caches[rng.index(self.caches.len())]);
                     if let Some(quality) = self.world.apply(mid, WorldOp::CutLink(root, node)).cut {
-                        cut.push((node, quality));
-                        report.partitions += 1;
+                        let heal = WorldOp::HealLink(root, node, quality);
+                        faults.push((FaultFamily::Partition, heal));
                     }
                 }
             }
@@ -768,92 +768,65 @@ impl<W: SimWorld> Fleet<W> {
             // repairs routing. The edge may already be cut this epoch —
             // the cut then reports no quality and the draw is a
             // deterministic no-op on both backends.
-            let mut interior_cut: Vec<(NodeId, NodeId, LinkQuality)> = Vec::new();
             for _ in 0..cfg.interior_partitions_per_epoch {
                 let node = self.thing_node(self.things[rng.index(n)]);
                 let Some(parent) = self.world.dodag_parent(node) else {
                     continue;
                 };
                 if let Some(quality) = self.world.apply(mid, WorldOp::CutLink(parent, node)).cut {
-                    interior_cut.push((parent, node, quality));
-                    report.interior_partitions += 1;
+                    let heal = WorldOp::HealLink(parent, node, quality);
+                    faults.push((FaultFamily::InteriorCut, heal));
                 }
             }
             // Mid-install MCU crashes: pick Things from the churn
             // wave's early lanes — they plugged before `mid`, so their
             // driver fetch is in flight right now. A DriverUpload
             // arriving while the MCU is dead tears mid-flash; the
-            // revive below must reject the half-written image and
+            // revive in the heal must reject the half-written image and
             // refetch end-to-end.
-            let mut crashed_things: Vec<usize> = Vec::new();
             if !churn.is_empty() {
                 for _ in 0..cfg.thing_crashes_per_epoch {
-                    let i = churn[rng.index(churn.len().min(12))];
-                    if crashed_things.contains(&i) {
+                    let thing = self.things[churn[rng.index(churn.len().min(12))]];
+                    let revive = (FaultFamily::McuCrash, WorldOp::ReviveThing(thing));
+                    if faults.contains(&revive) {
                         continue;
                     }
-                    self.world.apply(mid, WorldOp::CrashThing(self.things[i]));
-                    crashed_things.push(i);
-                    report.thing_crashes += 1;
+                    self.world.apply(mid, WorldOp::CrashThing(thing));
+                    faults.push(revive);
                 }
             }
-            let failover = cfg.failover_every > 0 && (e + 1) % cfg.failover_every == 0;
-            if failover {
+            if cfg.failover_every > 0 && (e + 1) % cfg.failover_every == 0 {
                 self.world.apply(mid, WorldOp::FailPrimary);
-                report.failovers += 1;
+                faults.push((FaultFamily::Failover, WorldOp::RestorePrimary));
+                // Standby blackout: on every `blackout_every`-th failover
+                // the hot standby dies too, leaving zero live instances
+                // behind the manager anycast. Cache hits still serve;
+                // every miss drops at anycast resolution and its Thing
+                // goes unserved until the repair wave after a replica
+                // returns.
+                let nth_failover = (e + 1) / cfg.failover_every;
+                if cfg.blackout_every > 0 && nth_failover.is_multiple_of(cfg.blackout_every) {
+                    self.world.apply(mid, WorldOp::FailStandby);
+                    faults.push((FaultFamily::Blackout, WorldOp::RestoreStandby));
+                }
             }
-            // Standby blackout: on every `blackout_every`-th failover
-            // the hot standby dies too, leaving zero live instances
-            // behind the manager anycast. Cache hits still serve; every
-            // miss drops at anycast resolution and its Thing goes
-            // unserved until the repair wave after a replica returns.
-            let blackout = failover
-                && cfg.blackout_every > 0
-                && report.failovers % cfg.blackout_every as u64 == 0;
-            if blackout {
-                self.world.apply(mid, WorldOp::FailStandby);
-                report.standby_outages += 1;
-            }
+            let logged = |family| faults.iter().filter(|&&(f, _)| f == family).count() as u64;
+            report.cache_crashes += logged(FaultFamily::CacheCrash);
+            report.partitions += logged(FaultFamily::Partition);
+            report.interior_partitions += logged(FaultFamily::InteriorCut);
+            report.thing_crashes += logged(FaultFamily::McuCrash);
+            report.failovers += logged(FaultFamily::Failover);
+            report.standby_outages += logged(FaultFamily::Blackout);
+            report.faults_injected += faults.len() as u64;
 
-            // Let the chaos play out against the rest of the wave.
+            // Observe: let the chaos play out against the rest of the
+            // wave.
             self.world.run_until_idle();
             report.soak_ticks += 1;
 
-            // Detect (not punish) the blackout's damage while both
-            // replicas are still dark: occupied Things whose driver
-            // fetch died with the anycast are first-class observations
-            // the heal below must repair. Crashed MCUs are excluded —
-            // their unserved state belongs to the crash family.
-            if blackout {
-                let mut unserved = 0u64;
-                for i in 0..n {
-                    let Some(device) = self.occupancy[i] else {
-                        continue;
-                    };
-                    if crashed_things.contains(&i) {
-                        continue;
-                    }
-                    let thing = self.world.thing(self.things[i]);
-                    if !thing.served_peripherals().contains(&device.raw()) {
-                        unserved += 1;
-                    }
-                }
-                report.unserved_things += unserved;
-                if unserved > 0 {
-                    report.unserved_windows += 1;
-                }
-            }
-
             // Start the recovery clocks: while the fabric is still
             // broken (DODAG parents stale, links still cut), attribute
-            // every knocked-out Thing to a fault family. Exact matches
-            // first — the Thing's own MCU crashed, or an interior cut
-            // severed its stale ancestor chain — then the epoch-wide
-            // conditions by blast radius: a blackout kills every miss,
-            // a cache crash kills its fetches, an uplink partition
-            // strands a subtree's requests, a bare failover only the
-            // requests in flight at the switch. Unserved Things in a
-            // fault-free epoch are lossy-link noise and not recorded.
+            // every knocked-out Thing to a fault family.
             let mut outages: Vec<(usize, FaultFamily, u64)> = Vec::new();
             for i in 0..n {
                 let Some(device) = self.occupancy[i] else {
@@ -870,84 +843,53 @@ impl<W: SimWorld> Fleet<W> {
                     .timelines
                     .get(&device.raw())
                     .map_or(0, |tl| tl.trace_id);
-                let orphaned = !interior_cut.is_empty() && {
-                    let mut node = self.thing_node(self.things[i]);
-                    let mut hit = false;
-                    // Bounded walk: a (stale) DODAG parent chain is
-                    // acyclic, but cap it anyway so a broken oracle
-                    // can't hang the soak.
-                    for _ in 0..=n {
-                        if interior_cut.iter().any(|&(_, child, _)| child == node) {
-                            hit = true;
-                            break;
-                        }
-                        match self.world.dodag_parent(node) {
-                            Some(p) => node = p,
-                            None => break,
-                        }
-                    }
-                    hit
-                };
-                let family = if crashed_things.contains(&i) {
-                    FaultFamily::McuCrash
-                } else if orphaned {
-                    FaultFamily::InteriorCut
-                } else if blackout {
-                    FaultFamily::Blackout
-                } else if !crashed.is_empty() {
-                    FaultFamily::CacheCrash
-                } else if !cut.is_empty() {
-                    FaultFamily::Partition
-                } else if failover {
-                    FaultFamily::Failover
-                } else {
-                    continue;
-                };
-                outages.push((i, family, trace_before));
+                if let Some(family) = self.attribute(i, &faults) {
+                    outages.push((i, family, trace_before));
+                }
+            }
+            // Detect (not punish) the blackout's damage: occupied Things
+            // whose driver fetch died with the anycast are first-class
+            // observations the heal below must repair. Crashed MCUs are
+            // excluded — their unserved state belongs to the crash
+            // family.
+            if logged(FaultFamily::Blackout) > 0 {
+                let unserved = outages
+                    .iter()
+                    .filter(|&&(_, family, _)| family != FaultFamily::McuCrash)
+                    .count() as u64;
+                report.unserved_things += unserved;
+                report.unserved_windows += u64::from(unserved > 0);
             }
 
-            // Suspend gray degradation for the heal: a gray cut on a
+            // Heal. Suspend gray degradation first: a gray cut on a
             // repair path would starve the repair wave into a spurious
             // invariant trip. The schedule is pure in absolute time, so
             // re-enabling below resumes it exactly where it would have
-            // been.
+            // been. Then apply each logged repair, family by family:
+            // links back (every healed edge gets back the exact quality
+            // sampled when it was cut, so the post-heal radio is
+            // bit-identical to the pre-fault radio), caches revived
+            // cold, replicas restored, then a reroot storm rebuilds the
+            // DODAG. Crashed MCUs revive after the storm so their
+            // refetch rides the fresh DODAG: each revive audits the torn
+            // flash (half-written images must fail verification — never
+            // be stitched) and reissues every interrupted driver request
+            // end-to-end.
             let now = self.world.now();
             self.world.apply(now, WorldOp::LinkDegrade(None));
-
-            // Ops heal: links back, caches revived cold, replicas
-            // restored, then a reroot storm rebuilds the DODAG. Every
-            // healed edge — root↔cache and interior alike — gets back
-            // the exact quality sampled when it was cut, never a
-            // resampled one, so the post-heal radio is bit-identical to
-            // the pre-fault radio.
-            for (node, quality) in cut {
-                self.world
-                    .apply(now, WorldOp::HealLink(root, node, quality));
-            }
-            for (parent, node, quality) in interior_cut {
-                self.world
-                    .apply(now, WorldOp::HealLink(parent, node, quality));
-            }
-            for c in crashed {
-                self.world.apply(now, WorldOp::ReviveCache(c));
-            }
-            if failover {
-                self.world.apply(now, WorldOp::RestorePrimary);
-            }
-            if blackout {
-                self.world.apply(now, WorldOp::RestoreStandby);
+            faults.sort_by_key(|&(family, _)| family);
+            let (revives, repairs): (Vec<_>, Vec<_>) = faults
+                .into_iter()
+                .partition(|&(family, _)| family == FaultFamily::McuCrash);
+            for (_, op) in repairs {
+                self.world.apply(now, op);
             }
             for _ in 0..cfg.reroots_per_heal {
                 self.world.apply(now, WorldOp::Reroot);
                 report.reroots += 1;
             }
-            // Revive crashed MCUs after the reroot storm so their
-            // refetch rides the fresh DODAG: each revive audits the
-            // torn flash (half-written images must fail verification —
-            // never be stitched) and reissues every interrupted driver
-            // request end-to-end.
-            for i in crashed_things {
-                let revived = self.world.apply(now, WorldOp::ReviveThing(self.things[i]));
+            for (_, op) in revives {
+                let revived = self.world.apply(now, op);
                 report.half_images_rejected += revived.images_rejected;
                 report.half_image_refetches += revived.refetches;
             }
@@ -990,7 +932,7 @@ impl<W: SimWorld> Fleet<W> {
                 report.soak_ticks += 1;
             }
 
-            // Whole-soak invariants, checked every epoch.
+            // Check the whole-soak invariants, every epoch.
             for i in 0..n {
                 let served = self.world.thing(self.things[i]).served_peripherals();
                 let ok = match self.occupancy[i] {
@@ -1085,14 +1027,7 @@ impl<W: SimWorld> Fleet<W> {
             .now()
             .saturating_since(soak_start)
             .as_millis_f64();
-        report.faults_injected = report.cache_crashes
-            + report.partitions
-            + report.interior_partitions
-            + report.thing_crashes
-            + report.failovers
-            + report.standby_outages
-            + report.reroots
-            + report.battery_unplugs;
+        report.faults_injected += report.reroots + report.battery_unplugs;
         report.peak_rss_kb = peak_rss_kb();
         for family in FaultFamily::ALL {
             if let Some(&(latency_ns, trace_id)) = exemplars.get(family.label()) {
@@ -1104,6 +1039,38 @@ impl<W: SimWorld> Fleet<W> {
             }
         }
         report
+    }
+
+    /// The fault family Thing `i`'s outage is attributed to (see
+    /// [`FaultFamily`]), read from the epoch's fault log while the
+    /// fabric is still broken. Exact matches come first: its own MCU
+    /// crash, else an interior cut on its stale DODAG parent chain. Then
+    /// the epoch-wide families by blast radius: a blackout kills every
+    /// miss, a cache crash kills its fetches, an uplink partition
+    /// strands a subtree's requests, a bare failover only the requests
+    /// in flight at the switch. `None` in a fault-free epoch.
+    fn attribute(&self, i: usize, faults: &[(FaultFamily, WorldOp)]) -> Option<FaultFamily> {
+        use FaultFamily::{Blackout, CacheCrash, Failover, InteriorCut, McuCrash, Partition};
+        if faults.contains(&(McuCrash, WorldOp::ReviveThing(self.things[i]))) {
+            return Some(McuCrash);
+        }
+        let cut_above = |node: NodeId| {
+            faults.iter().any(|&(family, op)| {
+                family == InteriorCut
+                    && matches!(op, WorldOp::HealLink(_, child, _) if child == node)
+            })
+        };
+        // Bounded walk: a (stale) DODAG parent chain is acyclic, but
+        // cap it anyway so a broken oracle can't hang the soak.
+        let chain = std::iter::successors(Some(self.thing_node(self.things[i])), |&node| {
+            self.world.dodag_parent(node)
+        });
+        if chain.take(self.things.len() + 1).any(cut_above) {
+            return Some(InteriorCut);
+        }
+        [Blackout, CacheCrash, Partition, Failover]
+            .into_iter()
+            .find(|&family| faults.iter().any(|&(f, _)| f == family))
     }
 
     /// Runs the chaos soak as a measured scenario — the standard
@@ -1181,7 +1148,6 @@ mod tests {
             cache_crashes_per_epoch: 1,
             partitions_per_epoch: 0,
             failover_every: 0,
-            fault_offset: SimDuration::from_millis(250),
             epochs: 1,
             ..ChaosConfig::smoke(3)
         };

@@ -957,16 +957,6 @@ impl World {
         true
     }
 
-    /// Applies one edge cache's reply: sends go out after the processing
-    /// legs (mirroring the manager's accounting), retry timers enter the
-    /// world scheduler, and cache-served (5) uploads stitch the
-    /// upload-ready stamp into the requesting Thing's plug timeline just
-    /// as origin-served ones do.
-    /// Stitches the upload-ready stamp into the requesting Thing's plug
-    /// timeline when `dgram` is a (5) driver upload — the shared leg of
-    /// origin-served and cache-served replies, so their latency rows can
-    /// never drift apart. The type-byte pre-check keeps non-upload
-    /// traffic (chunk requests, acks) off the decoder.
     /// Feeds one delivery to a Manager replica (`standby` selects which)
     /// and applies its replies — the upload is "ready" after processing
     /// (end of the request-driver leg); its send path belongs to the
@@ -1007,6 +997,11 @@ impl World {
         }
     }
 
+    /// Stitches the upload-ready stamp into the requesting Thing's plug
+    /// timeline when `dgram` is a (5) driver upload — the shared leg of
+    /// origin-served and cache-served replies, so their latency rows can
+    /// never drift apart. The type-byte pre-check keeps non-upload
+    /// traffic (chunk requests, acks) off the decoder.
     fn stitch_upload_sent(&mut self, dgram: &Datagram, ready_at: SimTime) {
         if dgram.payload.first() != Some(&upnp_net::msg::MessageBody::DRIVER_UPLOAD_TYPE) {
             return;
@@ -1041,6 +1036,11 @@ impl World {
         }
     }
 
+    /// Applies one edge cache's reply: sends go out after the processing
+    /// legs (mirroring the manager's accounting), retry timers enter the
+    /// world scheduler, and cache-served (5) uploads stitch the
+    /// upload-ready stamp into the requesting Thing's plug timeline just
+    /// as origin-served ones do.
     fn apply_cache_reply(
         &mut self,
         cache: usize,

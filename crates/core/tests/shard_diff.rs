@@ -577,9 +577,9 @@ fn gray_soak_on_tree_matches_at_every_shard_count() {
 // topologies and cache counts, at K = 1 and K = 4 ------------------------
 
 /// FNV-1a over the soak summary and fleet fingerprint of every run in
-/// [`smoke_soak_sweep_matches_the_pinned_digest`], recorded before the
-/// soak kept its injected faults as one log: injection, attribution and
-/// heal order must reproduce every outcome bit for bit.
+/// [`smoke_soak_sweep_matches_the_pinned_digest`]. A refactor of fault
+/// injection, attribution or the heal must reproduce every outcome bit
+/// for bit; only a deliberate change of soak behaviour re-records it.
 const SOAK_SWEEP_DIGEST: u64 = 0x065d_5931_59b8_8a29;
 
 /// Runs one soak and returns everything deterministic about it.
