@@ -43,8 +43,8 @@ fn bench_net(c: &mut Criterion) {
             topo.link(i, (i - 1) / 2, LinkQuality::PERFECT);
         }
         let dodag = Dodag::build(&topo, 0);
-        let members: std::collections::BTreeSet<usize> = (56..64).collect();
-        b.iter(|| black_box(upnp_net::smrf::plan(&dodag, 5, &members).unwrap()))
+        let mut scratch = upnp_net::smrf::MarkScratch::new();
+        b.iter(|| black_box(upnp_net::smrf::plan(&dodag, 5, 56..64, &mut scratch).unwrap()))
     });
 
     g.bench_function("unicast_send_3_hops", |b| {

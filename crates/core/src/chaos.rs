@@ -24,9 +24,9 @@
 //! the logged repairs and reroot, crashed MCUs revive and refetch,
 //! a repair wave replugs anything the faults starved, and the
 //! whole-soak invariants are checked: exactly-once discovery against
-//! the occupancy oracle, cache coherence against a fresh-build DODAG,
-//! bounded Manager retention, and (reported, gated by the bench layer)
-//! peak-RSS flatness. The deep profile additionally runs the whole soak
+//! the occupancy oracle, bounded Manager retention, recovery
+//! attribution, and (reported, gated by the bench layer) peak-RSS
+//! flatness. The deep profile additionally runs the whole soak
 //! under a seeded delay/duplicate link schedule
 //! ([`upnp_net::link::LinkChaos`]), so every retry timer and
 //! stop-and-wait cursor is exercised against late and doubled frames.
@@ -499,9 +499,6 @@ pub struct SoakReport {
     /// Epoch-end Things whose served-driver state disagreed with the
     /// occupancy oracle (must be 0).
     pub discovery_violations: u64,
-    /// Epoch-end cache/anycast coherence failures against the
-    /// fresh-build DODAG oracle (must be 0).
-    pub coherence_violations: u64,
     /// Epoch-end Manager-retention breaches of
     /// `MAX_INVENTORY × replicas` (must be 0).
     pub retention_violations: u64,
@@ -514,13 +511,10 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
-    /// Invariant breaches across the soak: discovery, coherence and
-    /// retention violations plus recovery-attribution mismatches.
+    /// Invariant breaches across the soak: discovery and retention
+    /// violations plus recovery-attribution mismatches.
     pub fn violations(&self) -> u64 {
-        self.discovery_violations
-            + self.coherence_violations
-            + self.retention_violations
-            + self.attribution_mismatches
+        self.discovery_violations + self.retention_violations + self.attribution_mismatches
     }
 
     /// Did every whole-soak invariant hold?
@@ -582,7 +576,6 @@ impl SoakReport {
         );
         reg.register("soak", "repairs", self.repairs);
         reg.register("soak", "discovery_violations", self.discovery_violations);
-        reg.register("soak", "coherence_violations", self.coherence_violations);
         for (family, h) in self.recovery.families() {
             reg.register("recovery", &format!("{family}.count"), h.count);
             reg.register("recovery", &format!("{family}.max_ns"), h.max_ns);
@@ -942,9 +935,6 @@ impl<W: SimWorld> Fleet<W> {
                 if !ok {
                     report.discovery_violations += 1;
                 }
-            }
-            if !self.world.caches_coherent() {
-                report.coherence_violations += 1;
             }
             let bound = MAX_INVENTORY as u64 * self.world.manager_replicas();
             if self.world.distro_stats().mgr_inventory > bound {

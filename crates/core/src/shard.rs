@@ -454,10 +454,6 @@ impl SimWorld for ShardedWorld {
         self.shards[s].dodag_parent(node)
     }
 
-    fn caches_coherent(&self) -> bool {
-        self.shards.iter().all(|w| w.caches_coherent())
-    }
-
     fn manager_replicas(&self) -> u64 {
         self.shards.iter().map(|w| w.manager_replicas()).sum()
     }

@@ -1761,10 +1761,6 @@ pub trait SimWorld {
     /// interior node, which a [`WorldOp::CutLink`] can sever to orphan
     /// its whole subtree.
     fn dodag_parent(&self, node: NodeId) -> Option<NodeId>;
-    /// Whether every memoised route, SMRF plan and anycast resolution
-    /// matches a fresh recomputation (the fresh-build oracle the soak
-    /// invariants check continuously).
-    fn caches_coherent(&self) -> bool;
     /// Manager replicas constructed (primary + standby) — the multiplier
     /// on the bounded-retention invariant; a sharded world counts each
     /// shard's replicas.
@@ -1933,10 +1929,6 @@ impl SimWorld for World {
 
     fn dodag_parent(&self, node: NodeId) -> Option<NodeId> {
         self.net.dodag_parent(node)
-    }
-
-    fn caches_coherent(&self) -> bool {
-        self.net.caches_coherent()
     }
 
     fn manager_replicas(&self) -> u64 {

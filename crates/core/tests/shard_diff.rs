@@ -580,7 +580,7 @@ fn gray_soak_on_tree_matches_at_every_shard_count() {
 /// [`smoke_soak_sweep_matches_the_pinned_digest`]. A refactor of fault
 /// injection, attribution or the heal must reproduce every outcome bit
 /// for bit; only a deliberate change of soak behaviour re-records it.
-const SOAK_SWEEP_DIGEST: u64 = 0x065d_5931_59b8_8a29;
+const SOAK_SWEEP_DIGEST: u64 = 0xe878_83b1_16c0_6dd9;
 
 /// Runs one soak and returns everything deterministic about it.
 fn soak_outcome<W: SimWorld>(mut fleet: Fleet<W>, chaos: &ChaosConfig) -> String {

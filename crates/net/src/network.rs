@@ -108,82 +108,6 @@ pub struct NetStats {
     pub frames_degraded: u64,
 }
 
-/// A handle into the route arena (a memoised tree path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RouteHandle(u32);
-
-/// A handle into the plan arena (a memoised SMRF plan).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlanHandle(u32);
-
-/// Flat arena of interned node chains (tree routes, uplink paths).
-///
-/// Paths are stored back to back in one `Vec<Node>`; a handle names a
-/// `(start, len)` span. Lookups hand out handles, not owned paths, so a
-/// cache hit costs nothing and the arena is reclaimed wholesale when a
-/// topology change invalidates every path at once.
-#[derive(Debug, Default)]
-struct RouteArena {
-    nodes: Vec<Node>,
-    spans: Vec<(u32, u32)>,
-}
-
-impl RouteArena {
-    fn intern(&mut self, path: &[Node]) -> RouteHandle {
-        let start = self.nodes.len() as u32;
-        self.nodes.extend_from_slice(path);
-        self.spans.push((start, path.len() as u32));
-        RouteHandle(self.spans.len() as u32 - 1)
-    }
-
-    fn slice(&self, h: RouteHandle) -> &[Node] {
-        let (start, len) = self.spans[h.0 as usize];
-        &self.nodes[start as usize..(start + len) as usize]
-    }
-
-    fn clear(&mut self) {
-        self.nodes.clear();
-        self.spans.clear();
-    }
-}
-
-/// Slab of interned SMRF plans with a free list: plans die per group on
-/// membership churn, so slots are recycled instead of leaking.
-#[derive(Debug, Default)]
-struct PlanArena {
-    slots: Vec<Option<MulticastPlan>>,
-    free: Vec<u32>,
-}
-
-impl PlanArena {
-    fn intern(&mut self, plan: MulticastPlan) -> PlanHandle {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(plan);
-                PlanHandle(i)
-            }
-            None => {
-                self.slots.push(Some(plan));
-                PlanHandle(self.slots.len() as u32 - 1)
-            }
-        }
-    }
-
-    fn get(&self, h: PlanHandle) -> &MulticastPlan {
-        self.slots[h.0 as usize].as_ref().expect("live plan handle")
-    }
-
-    fn release(&mut self, h: PlanHandle) {
-        self.slots[h.0 as usize] = None;
-        self.free.push(h.0);
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-    }
-}
-
 /// A multicast frame that has climbed to the DODAG root and may still
 /// have group members outside this network slice (see
 /// [`Network::take_cross_frames`]).
@@ -207,14 +131,15 @@ pub struct RootedFrame {
 /// * `addr_index` resolves unicast destinations in O(1);
 /// * `group_index` maps each multicast group to its member set, so
 ///   membership queries and SMRF planning never walk the node table;
-/// * `anycast_index` keeps the instance set per anycast address;
-/// * routes, SMRF plans and per-source uplink chains are interned in
-///   arenas and memoised by handle — a cache hit copies nothing, and
-///   multicast fan-out to *m* receivers shares one refcounted payload
-///   instead of allocating *m* times;
-/// * the plan cache is keyed group-first, so membership churn invalidates
-///   one group's plans in O(plans of that group) instead of scanning the
-///   whole cache (formerly an O(n²) term in discovery waves).
+/// * `anycast_index` keeps the instance set per anycast address.
+///
+/// Apart from the DODAG, the network remembers nothing between sends,
+/// as SMRF itself is stateless: every send computes its tree route, its
+/// SMRF plan and its anycast answer afresh from the tree and these
+/// indices, so no mutator has a memo to invalidate. A plan costs the
+/// union of the members' root paths (see [`smrf::plan`]), and multicast
+/// fan-out to *m* receivers shares one refcounted payload instead of
+/// allocating *m* times.
 ///
 /// # Determinism
 ///
@@ -239,20 +164,9 @@ pub struct Network {
     addr_index: HashMap<Ipv6Addr, NodeId>,
     group_index: HashMap<Ipv6Addr, BTreeSet<Node>>,
     anycast_index: HashMap<Ipv6Addr, BTreeSet<NodeId>>,
-    /// Memoised anycast resolution per `(source, anycast address)` —
-    /// invalidated on instance join/leave and topology churn, like the
-    /// route caches.
-    anycast_cache: HashMap<(NodeId, Ipv6Addr), NodeId>,
     /// Instances registered via [`Network::set_anycast_scoped`] — they
     /// only resolve for senders whose root path passes through them.
     scoped_instances: BTreeSet<NodeId>,
-    routes: RouteArena,
-    route_cache: HashMap<(NodeId, NodeId), RouteHandle>,
-    /// Memoised `path_to_root` per source (SMRF uplink) — deep trees stop
-    /// re-walking the same chain for every (group, source) pair.
-    uplink_cache: HashMap<NodeId, RouteHandle>,
-    plans: PlanArena,
-    plan_cache: HashMap<Ipv6Addr, HashMap<NodeId, PlanHandle>>,
     /// Dense per-send arrival scratch, generation-stamped so it is reused
     /// across sends without clearing (no per-multicast allocation).
     arrival: Vec<(u64, SimTime)>,
@@ -268,7 +182,7 @@ pub struct Network {
     /// [`Network::take_cross_frames`] after their uplink completes.
     cross_capture: bool,
     cross_outbox: Vec<RootedFrame>,
-    /// Memoised `all_clients_group(prefix)` (compared per multicast).
+    /// `all_clients_group(prefix)`, derived once (compared per multicast).
     all_clients: Ipv6Addr,
     /// Seeded delay/duplicate perturbation applied at delivery
     /// scheduling time, when enabled (see [`LinkChaos`]).
@@ -300,13 +214,7 @@ impl Network {
             addr_index: HashMap::with_capacity(nodes),
             group_index: HashMap::new(),
             anycast_index: HashMap::new(),
-            anycast_cache: HashMap::new(),
             scoped_instances: BTreeSet::new(),
-            routes: RouteArena::default(),
-            route_cache: HashMap::new(),
-            uplink_cache: HashMap::new(),
-            plans: PlanArena::default(),
-            plan_cache: HashMap::new(),
             arrival: Vec::new(),
             arrival_gen: 0,
             smrf_scratch: MarkScratch::new(),
@@ -380,8 +288,6 @@ impl Network {
     /// Connects two nodes with the given link quality.
     pub fn link(&mut self, a: NodeId, b: NodeId, quality: LinkQuality) {
         self.topo.link(a.0 as usize, b.0 as usize, quality);
-        // Paths and plans may now be stale; recompute lazily.
-        self.invalidate_topology_caches();
     }
 
     /// Severs the link between two nodes (a fault-injected partition).
@@ -389,11 +295,7 @@ impl Network {
     /// call [`Network::build_tree`] when the routing layer notices, as a
     /// real RPL network would repair after a trickle interval.
     pub fn unlink(&mut self, a: NodeId, b: NodeId) -> bool {
-        let severed = self.topo.unlink(a.0 as usize, b.0 as usize);
-        if severed {
-            self.invalidate_topology_caches();
-        }
-        severed
+        self.topo.unlink(a.0 as usize, b.0 as usize)
     }
 
     /// The quality of the direct link `a → b`, if one exists (used by
@@ -405,29 +307,15 @@ impl Network {
     /// (Re)builds the RPL DODAG rooted at `root`.
     pub fn build_tree(&mut self, root: NodeId) {
         self.dodag = Some(Dodag::build(&self.topo, root.0 as usize));
-        self.invalidate_topology_caches();
-    }
-
-    fn invalidate_topology_caches(&mut self) {
-        self.route_cache.clear();
-        self.uplink_cache.clear();
-        self.routes.clear();
-        self.plan_cache.clear();
-        self.plans.clear();
-        self.anycast_cache.clear();
     }
 
     /// Joins `node` to a multicast group.
     pub fn join_group(&mut self, node: NodeId, group: Ipv6Addr) {
         assert!(group.is_multicast(), "not a multicast address: {group}");
-        if self
-            .group_index
+        self.group_index
             .entry(group)
             .or_default()
-            .insert(node.0 as usize)
-        {
-            self.invalidate_group_plans(group);
-        }
+            .insert(node.0 as usize);
     }
 
     /// Removes `node` from a multicast group. Returns whether it was a
@@ -437,22 +325,10 @@ impl Network {
             return false;
         };
         let was_member = members.remove(&(node.0 as usize));
-        if was_member {
-            if members.is_empty() {
-                self.group_index.remove(&group);
-            }
-            self.invalidate_group_plans(group);
+        if members.is_empty() {
+            self.group_index.remove(&group);
         }
         was_member
-    }
-
-    /// Drops every memoised plan for `group` — O(plans of that group).
-    fn invalidate_group_plans(&mut self, group: Ipv6Addr) {
-        if let Some(per_source) = self.plan_cache.remove(&group) {
-            for (_, h) in per_source {
-                self.plans.release(h);
-            }
-        }
     }
 
     /// Iterates the current members of `group` in node order, without
@@ -476,9 +352,7 @@ impl Network {
     /// and a send resolves to the instance nearest the sender.
     pub fn set_anycast(&mut self, node: NodeId, anycast: Ipv6Addr) {
         self.scoped_instances.remove(&node);
-        if self.anycast_index.entry(anycast).or_default().insert(node) {
-            self.anycast_cache.retain(|&(_, a), _| a != anycast);
-        }
+        self.anycast_index.entry(anycast).or_default().insert(node);
     }
 
     /// Registers `node` as a *subtree-scoped* instance of an anycast
@@ -496,9 +370,7 @@ impl Network {
     /// a replicated backbone instance, else unresolved" is.
     pub fn set_anycast_scoped(&mut self, node: NodeId, anycast: Ipv6Addr) {
         self.scoped_instances.insert(node);
-        if self.anycast_index.entry(anycast).or_default().insert(node) {
-            self.anycast_cache.retain(|&(_, a), _| a != anycast);
-        }
+        self.anycast_index.entry(anycast).or_default().insert(node);
     }
 
     /// Deregisters `node` as an instance of an anycast address (an edge
@@ -508,11 +380,8 @@ impl Network {
             return false;
         };
         let was = instances.remove(&node);
-        if was {
-            if instances.is_empty() {
-                self.anycast_index.remove(&anycast);
-            }
-            self.anycast_cache.retain(|&(_, a), _| a != anycast);
+        if instances.is_empty() {
+            self.anycast_index.remove(&anycast);
         }
         was
     }
@@ -521,11 +390,6 @@ impl Network {
     /// registered in — the ungraceful counterpart of
     /// [`Network::unset_anycast`], for instances that die without a
     /// goodbye. Returns whether the node was registered anywhere.
-    ///
-    /// Memoised anycast resolutions pointing at the dead instance are
-    /// invalidated exactly as topology churn would invalidate them;
-    /// without that, a per-`(source, address)` memo keeps steering
-    /// traffic into the corpse until an unrelated rebuild flushes it.
     pub fn fail_node(&mut self, node: NodeId) -> bool {
         let mut was_instance = false;
         self.anycast_index.retain(|_, instances| {
@@ -534,9 +398,6 @@ impl Network {
             }
             !instances.is_empty()
         });
-        if was_instance {
-            self.anycast_cache.retain(|_, resolved| *resolved != node);
-        }
         was_instance
     }
 
@@ -658,30 +519,17 @@ impl Network {
     /// Anycast resolves to the *live instance nearest the sender* by
     /// DODAG hop distance (ties to the lowest node id) — so a Thing's
     /// driver request lands on the edge cache in its own subtree, not a
-    /// replica across the tree. Resolution is memoised per
-    /// `(source, anycast)` and invalidated on instance churn and
-    /// topology changes.
-    fn resolve_destination(&mut self, from: NodeId, dst: Ipv6Addr) -> Option<NodeId> {
+    /// replica across the tree. Only the registered instances are
+    /// examined, not the whole node table; instances unreachable in this
+    /// slice's DODAG (another shard's ghost nodes) never win, and a
+    /// *scoped* instance ([`Network::set_anycast_scoped`]) is only a
+    /// candidate for senders whose root path passes through it — so the
+    /// answer is the same in the sequential tree and in every shard
+    /// slice.
+    fn resolve_destination(&self, from: NodeId, dst: Ipv6Addr) -> Option<NodeId> {
         if let Some(n) = self.node_by_addr(dst) {
             return Some(n);
         }
-        if let Some(&n) = self.anycast_cache.get(&(from, dst)) {
-            return Some(n);
-        }
-        let resolved = self.resolve_anycast_fresh(from, dst)?;
-        self.anycast_cache.insert((from, dst), resolved);
-        Some(resolved)
-    }
-
-    /// Uncached nearest-instance anycast resolution (also the oracle the
-    /// cache-coherence diagnostics recompute against). Only the
-    /// registered instances are examined, not the whole node table;
-    /// instances unreachable in this slice's DODAG (another shard's
-    /// ghost nodes) never win, and a *scoped* instance
-    /// ([`Network::set_anycast_scoped`]) is only a candidate for senders
-    /// whose root path passes through it — so the answer is the same in
-    /// the sequential tree and in every shard slice.
-    fn resolve_anycast_fresh(&self, from: NodeId, dst: Ipv6Addr) -> Option<NodeId> {
         let dodag = self.dodag.as_ref()?;
         self.anycast_index
             .get(&dst)?
@@ -700,33 +548,6 @@ impl Network {
             .map(|(_, inst)| inst)
     }
 
-    /// The tree path `from → to`, memoised per destination pair and
-    /// interned in the route arena.
-    fn route(&mut self, from: NodeId, to: NodeId) -> Option<RouteHandle> {
-        if let Some(&h) = self.route_cache.get(&(from, to)) {
-            return Some(h);
-        }
-        let path = self.dodag.as_ref()?.route(from.0 as usize, to.0 as usize)?;
-        let h = self.routes.intern(&path);
-        self.route_cache.insert((from, to), h);
-        Some(h)
-    }
-
-    /// The memoised source→root chain used by SMRF uplinks.
-    fn uplink(&mut self, from: NodeId) -> Option<RouteHandle> {
-        if let Some(&h) = self.uplink_cache.get(&from) {
-            return Some(h);
-        }
-        let dodag = self.dodag.as_ref()?;
-        if !dodag.reachable(from.0 as usize) {
-            return None;
-        }
-        let path = dodag.path_to_root(from.0 as usize);
-        let h = self.routes.intern(&path);
-        self.uplink_cache.insert(from, h);
-        Some(h)
-    }
-
     fn datagram_wire_size(&self, dgram: &Datagram) -> usize {
         sixlowpan::compressed_header(dgram.src, dgram.dst, self.prefix) + dgram.payload.len()
     }
@@ -740,26 +561,24 @@ impl Network {
         report: &mut SendReport,
     ) {
         report.receivers = 1;
-        let Some(h) = self.route(from, to) else {
+        let route = self
+            .dodag
+            .as_ref()
+            .and_then(|d| d.route(from.0 as usize, to.0 as usize));
+        let Some(path) = route else {
             self.stats.drops += 1;
             report.lost = 1;
             return;
         };
         let total = self.datagram_wire_size(&dgram);
         let frames = sixlowpan::fragment(total, &self.radio);
-        let hops = self.routes.slice(h).len().saturating_sub(1);
         let mut t = now;
-        for i in 0..hops {
-            // Short immutable borrows of the arena; the loop body mutates
-            // stats/meters freely in between.
-            let (a, b) = {
-                let path = self.routes.slice(h);
-                (path[i], path[i + 1])
-            };
-            // Routes are memoised against the DODAG snapshot; a fault
-            // injector may have severed this hop since. The packet dies
-            // at the break — stale routing tables are repaired by the
-            // next reroot, not by the data plane.
+        for hop in path.windows(2) {
+            let (a, b) = (hop[0], hop[1]);
+            // The DODAG is only rebuilt on reroot; a fault injector may
+            // have severed this hop since. The packet dies at the break —
+            // stale routing tables are repaired by the next reroot, not
+            // by the data plane.
             let Some(quality) = self.topo.quality(a, b) else {
                 self.stats.drops += 1;
                 report.lost = 1;
@@ -796,38 +615,6 @@ impl Network {
         self.schedule(t, to, dgram);
     }
 
-    /// The SMRF plan for `from` multicasting to `group`, memoised per
-    /// `(group, source)` — discovery waves and streams re-multicast to the
-    /// same group from the same sources over and over.
-    fn multicast_plan(&mut self, group: Ipv6Addr, from: NodeId) -> Option<(PlanHandle, u32)> {
-        let receivers = {
-            let members = self.group_index.get(&group);
-            members.map_or(0, |m| m.len() - usize::from(m.contains(&(from.0 as usize)))) as u32
-        };
-        if let Some(&h) = self.plan_cache.get(&group).and_then(|m| m.get(&from)) {
-            return Some((h, receivers));
-        }
-        let up = self.uplink(from)?;
-        let dodag = self.dodag.as_ref()?;
-        let up_path = self.routes.slice(up);
-        let members = self.group_index.get(&group);
-        let scratch = &mut self.smrf_scratch;
-        let plan = match members {
-            Some(m) if m.contains(&(from.0 as usize)) => {
-                // SMRF never loops a packet back to its source; plan over
-                // the membership without it.
-                let mut others = m.clone();
-                others.remove(&(from.0 as usize));
-                smrf::plan_from_path(dodag, up_path, &others, scratch)?
-            }
-            Some(m) => smrf::plan_from_path(dodag, up_path, m, scratch)?,
-            None => smrf::plan_from_path(dodag, up_path, &BTreeSet::new(), scratch)?,
-        };
-        let h = self.plans.intern(plan);
-        self.plan_cache.entry(group).or_default().insert(from, h);
-        Some((h, receivers))
-    }
-
     fn send_multicast(
         &mut self,
         now: SimTime,
@@ -835,13 +622,21 @@ impl Network {
         dgram: Datagram,
         report: &mut SendReport,
     ) {
-        let Some((h, receivers)) = self.multicast_plan(dgram.dst, from) else {
-            let receivers = self.group_len(dgram.dst)
-                - usize::from(
-                    self.group_index
-                        .get(&dgram.dst)
-                        .is_some_and(|m| m.contains(&(from.0 as usize))),
-                );
+        // SMRF never loops a packet back to its source: plan over the
+        // membership without it.
+        let members = self.group_index.get(&dgram.dst);
+        let receivers =
+            members.map_or(0, |m| m.len() - usize::from(m.contains(&(from.0 as usize)))) as u32;
+        let others = members
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(|&m| m != from.0 as usize);
+        let plan = self
+            .dodag
+            .as_ref()
+            .and_then(|dodag| smrf::plan(dodag, from.0 as usize, others, &mut self.smrf_scratch));
+        let Some(plan) = plan else {
             self.stats.drops += receivers as u64;
             // A partitioned source has no uplink, but the group may still
             // have members in other shards: mirror the failure so they
@@ -869,9 +664,7 @@ impl Network {
         self.arrival[from.0 as usize] = (generation, now);
 
         // Uplink to the root: link-local unicast hops (reliable).
-        let uplink_hops = self.plans.get(h).uplink.len();
-        for i in 0..uplink_hops {
-            let (a, b) = self.plans.get(h).uplink[i];
+        for &(a, b) in &plan.uplink {
             let (g, t_in) = self.arrival[a];
             debug_assert_eq!(g, generation, "uplink hops chain from the source");
             let mut t = t_in;
@@ -879,8 +672,8 @@ impl Network {
                 t += crate::calib::duration(crate::calib::FORWARD_HOP);
             }
             // A fault injector may have severed this tree link since the
-            // plan was memoised; the dissemination dies at the break,
-            // exactly like a lossy-uplink failure.
+            // last reroot; the dissemination dies at the break, exactly
+            // like a lossy-uplink failure.
             let quality = self.topo.quality(a, b).and_then(|q|
                 // A gray one-direction cut kills the uplink exactly
                 // like a severed tree link.
@@ -946,7 +739,7 @@ impl Network {
             }
         }
 
-        self.run_downlink(h, generation, &frames, &dgram, Some(report));
+        self.run_downlink(&plan, generation, &frames, &dgram, Some(report));
     }
 
     /// Runs the downlink (root-to-members) half of an SMRF dissemination:
@@ -955,22 +748,20 @@ impl Network {
     /// `generation`'s stamp for the subtree heads the plan starts from.
     fn run_downlink(
         &mut self,
-        h: PlanHandle,
+        plan: &MulticastPlan,
         generation: u64,
         frames: &[usize],
         dgram: &Datagram,
         mut report: Option<&mut SendReport>,
     ) {
-        let downlink_hops = self.plans.get(h).downlink.len();
-        for i in 0..downlink_hops {
-            let (f, child) = self.plans.get(h).downlink[i];
+        for &(f, child) in &plan.downlink {
             let (g, t_in) = self.arrival[f];
             if g != generation {
                 continue; // Forwarder never got the packet.
             }
             let mut t = t_in + crate::calib::duration(crate::calib::FORWARD_HOP);
-            // Severed since the plan was memoised: the child never hears
-            // the flood and the member loop below books the drop. A gray
+            // Severed since the last reroot: the child never hears the
+            // flood and the member loop below books the drop. A gray
             // one-direction cut silences the same hop the same way.
             let quality = self
                 .topo
@@ -999,9 +790,7 @@ impl Network {
             }
         }
 
-        let member_count = self.plans.get(h).member_hops.len();
-        for i in 0..member_count {
-            let (m, _) = self.plans.get(h).member_hops[i];
+        for &(m, _) in &plan.member_hops {
             let (g, t) = self.arrival[m];
             if g == generation {
                 // Payload is refcounted: this clone shares bytes.
@@ -1050,17 +839,16 @@ impl Network {
         self.cross_capture && dst != self.all_clients && dst.octets()[11] != addr::STREAM_FLAG
     }
 
-    /// This slice's deliverable members of `group`: joined nodes minus
-    /// replicated nodes and the root itself — the set a cross-shard
-    /// continuation would deliver to.
-    fn remote_members(&self, group: Ipv6Addr, root: Node) -> BTreeSet<Node> {
+    /// This slice's deliverable members of `group`, in node order: joined
+    /// nodes minus replicated nodes and the root itself — the set a
+    /// cross-shard continuation would deliver to.
+    fn remote_members(&self, group: Ipv6Addr, root: Node) -> impl Iterator<Item = Node> + '_ {
         self.group_index
             .get(&group)
             .into_iter()
             .flatten()
             .copied()
-            .filter(|m| !self.replicated.contains(m) && *m != root)
-            .collect()
+            .filter(move |m| !self.replicated.contains(m) && *m != root)
     }
 
     /// Accounts a multicast whose uplink failed in another shard: every
@@ -1072,7 +860,7 @@ impl Network {
             return;
         };
         let root = dodag.root;
-        self.stats.drops += self.remote_members(dgram.dst, root).len() as u64;
+        self.stats.drops += self.remote_members(dgram.dst, root).count() as u64;
     }
 
     /// Continues a multicast dissemination that reached the DODAG root in
@@ -1086,15 +874,13 @@ impl Network {
             return;
         };
         let root = dodag.root;
-        let members = self.remote_members(dgram.dst, root);
+        let members: Vec<Node> = self.remote_members(dgram.dst, root).collect();
         if members.is_empty() {
             return;
         }
-        let Some(plan) = smrf::plan_from_path(dodag, &[root], &members, &mut self.smrf_scratch)
-        else {
+        let Some(plan) = smrf::plan(dodag, root, members, &mut self.smrf_scratch) else {
             return;
         };
-        let h = self.plans.intern(plan);
 
         let total = self.datagram_wire_size(&dgram);
         let frames = sixlowpan::fragment(total, &self.radio);
@@ -1104,8 +890,7 @@ impl Network {
             self.arrival.resize(self.nodes.len(), (0, SimTime::ZERO));
         }
         self.arrival[root] = (generation, at_root);
-        self.run_downlink(h, generation, &frames, &dgram, None);
-        self.plans.release(h);
+        self.run_downlink(&plan, generation, &frames, &dgram, None);
     }
 
     fn charge_radio(&mut self, tx: NodeId, rx: NodeId, frame: usize, attempts: u32) {
@@ -1185,51 +970,6 @@ impl Network {
     /// True if deliveries are still in flight.
     pub fn pending(&self) -> bool {
         !self.sched.is_empty()
-    }
-
-    /// (diagnostics) True if every memoised route, uplink chain and SMRF
-    /// plan equals a freshly recomputed one.
-    ///
-    /// Exists for the cache-coherence property tests: arbitrary
-    /// plug/unplug/topology churn must leave the caches indistinguishable
-    /// from a cold network. Not a hot-path API.
-    pub fn caches_coherent(&self) -> bool {
-        let Some(dodag) = self.dodag.as_ref() else {
-            return self.route_cache.is_empty() && self.plan_cache.is_empty();
-        };
-        for (&(from, to), &h) in &self.route_cache {
-            let fresh = dodag.route(from.0 as usize, to.0 as usize);
-            if fresh.as_deref() != Some(self.routes.slice(h)) {
-                return false;
-            }
-        }
-        for (&from, &h) in &self.uplink_cache {
-            if dodag.path_to_root(from.0 as usize) != self.routes.slice(h) {
-                return false;
-            }
-        }
-        for (&(from, dst), &resolved) in &self.anycast_cache {
-            if self.resolve_anycast_fresh(from, dst) != Some(resolved) {
-                return false;
-            }
-        }
-        for (group, per_source) in &self.plan_cache {
-            for (&from, &h) in per_source {
-                let members = self.group_index.get(group).cloned().unwrap_or_default();
-                let fresh = match members.contains(&(from.0 as usize)) {
-                    true => {
-                        let mut others = members.clone();
-                        others.remove(&(from.0 as usize));
-                        smrf::plan(dodag, from.0 as usize, &others)
-                    }
-                    false => smrf::plan(dodag, from.0 as usize, &members),
-                };
-                if fresh.as_ref() != Some(self.plans.get(h)) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -1420,7 +1160,6 @@ mod tests {
             vec![root, a1],
             "each sender reaches its nearest instance"
         );
-        assert!(net.caches_coherent());
     }
 
     #[test]
@@ -1446,7 +1185,6 @@ mod tests {
             root,
             "resolution must fall back to the remaining instance"
         );
-        assert!(net.caches_coherent());
     }
 
     #[test]
@@ -1491,15 +1229,13 @@ mod tests {
             "with the backbone dark the request must drop at resolution"
         );
         assert!(net.stats().drops > drops, "the drop is counted");
-        assert!(net.caches_coherent());
     }
 
     #[test]
     fn dead_instance_invalidates_anycast_memo() {
-        // leaf memoises mgr → mid; mid then dies WITHOUT a graceful
-        // unset_anycast. The memo must not keep steering traffic into
-        // the corpse: the next send re-resolves to the next-nearest live
-        // instance, and the caches stay coherent with a fresh oracle.
+        // leaf resolves mgr → mid; mid then dies WITHOUT a graceful
+        // unset_anycast. Traffic must not keep landing on the corpse:
+        // the next send resolves to the next-nearest live instance.
         let mut net = Network::new(PREFIX, 23);
         let root = net.add_node();
         let mid = net.add_node();
@@ -1511,7 +1247,7 @@ mod tests {
         net.set_anycast(root, mgr);
         net.set_anycast(mid, mgr);
         net.send(SimTime::ZERO, leaf, dgram(&net, leaf, mgr, 10));
-        assert_eq!(net.poll(SimTime::MAX)[0].node, mid, "memo primed on mid");
+        assert_eq!(net.poll(SimTime::MAX)[0].node, mid, "mid serves first");
         assert!(net.fail_node(mid), "mid was an instance");
         assert!(!net.fail_node(mid), "a corpse fails only once");
         let d = dgram(&net, leaf, mgr, 10);
@@ -1519,9 +1255,8 @@ mod tests {
         assert_eq!(
             net.poll(SimTime::MAX)[0].node,
             root,
-            "the dead instance's memo must be invalidated, not served"
+            "the dead instance must not be served"
         );
-        assert!(net.caches_coherent());
     }
 
     #[test]
@@ -1551,7 +1286,6 @@ mod tests {
             dgram(&net, leaf, net.addr_of(root), 10),
         );
         assert_eq!(net.poll(SimTime::MAX).pop().unwrap().node, root);
-        assert!(net.caches_coherent());
     }
 
     #[test]
@@ -1623,7 +1357,7 @@ mod tests {
     }
 
     #[test]
-    fn caches_stay_coherent_under_churn() {
+    fn multicast_reaches_current_members_under_churn() {
         let mut net = Network::new(PREFIX, 13);
         let root = net.add_node();
         let nodes: Vec<NodeId> = (0..6).map(|_| net.add_node()).collect();
@@ -1633,21 +1367,57 @@ mod tests {
         }
         net.build_tree(root);
         let group = peripheral_group(PREFIX, 0x44);
+        let mut t = SimTime::ZERO;
+        // A send from the root and one from a leaf each reach exactly the
+        // current members, minus the sender.
+        let mut reaches = |net: &mut Network, members: &[NodeId]| {
+            for from in [root, nodes[5]] {
+                t += SimDuration::from_secs(1);
+                net.send(t, from, dgram(net, from, group, 12));
+                let mut who: Vec<NodeId> = net.poll(SimTime::MAX).iter().map(|d| d.node).collect();
+                who.sort();
+                let want: Vec<NodeId> = members.iter().copied().filter(|&m| m != from).collect();
+                assert_eq!(who, want, "multicast from {from:?}");
+            }
+        };
         net.join_group(nodes[1], group);
         net.join_group(nodes[4], group);
-        net.send(SimTime::ZERO, root, dgram(&net, root, group, 12));
-        net.send(SimTime::ZERO, nodes[5], dgram(&net, nodes[5], group, 12));
-        assert!(net.caches_coherent());
-        // Membership churn must invalidate that group's plans.
+        reaches(&mut net, &[nodes[1], nodes[4]]);
+        // Membership churn.
         net.leave_group(nodes[1], group);
         net.join_group(nodes[2], group);
-        net.send(SimTime::ZERO, root, dgram(&net, root, group, 12));
-        assert!(net.caches_coherent());
-        // Topology churn must invalidate routes and plans alike.
+        reaches(&mut net, &[nodes[2], nodes[4]]);
+        // Topology churn: a shortcut and a reroot move the leaf's uplink.
         net.link(nodes[5], root, LinkQuality::PERFECT);
         net.build_tree(root);
-        net.send(SimTime::ZERO, nodes[5], dgram(&net, nodes[5], group, 12));
-        assert!(net.caches_coherent());
-        net.poll(SimTime::MAX);
+        net.join_group(nodes[5], group);
+        reaches(&mut net, &[nodes[2], nodes[4], nodes[5]]);
+    }
+
+    #[test]
+    fn rescoped_instance_stops_serving_other_subtrees() {
+        // root(0) with children a and b. a serves b while registered
+        // unscoped; re-registered scoped, it serves only senders whose
+        // root path passes through it, which b's does not.
+        let mut net = Network::new(PREFIX, 27);
+        let root = net.add_node();
+        let a = net.add_node();
+        let b = net.add_node();
+        net.link(root, a, LinkQuality::PERFECT);
+        net.link(root, b, LinkQuality::PERFECT);
+        net.build_tree(root);
+        let x: Ipv6Addr = "2001:db8:aaaa::1".parse().unwrap();
+        net.set_anycast(a, x);
+        net.send(SimTime::ZERO, b, dgram(&net, b, x, 10));
+        assert_eq!(
+            net.poll(SimTime::MAX)[0].node,
+            a,
+            "the only instance serves b"
+        );
+        net.set_anycast_scoped(a, x);
+        let d = dgram(&net, b, x, 10);
+        let report = net.send(SimTime::ZERO + SimDuration::from_secs(1), b, d);
+        assert!(net.poll(SimTime::MAX).is_empty(), "b's root path misses a");
+        assert_eq!(report.lost, 1);
     }
 }

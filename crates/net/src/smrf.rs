@@ -8,7 +8,7 @@
 //! the member branches. This module computes the forwarding sets and
 //! per-member hop counts the simulator charges time and energy for.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 use crate::rpl::{Dodag, Node};
 
@@ -18,8 +18,8 @@ pub struct MulticastPlan {
     /// Hops from the source up to the root (empty if the source is the
     /// root).
     pub uplink: Vec<(Node, Node)>,
-    /// Down-tree forwarding transmissions `(forwarder, receiver)` in
-    /// breadth-first order.
+    /// Down-tree forwarding transmissions `(forwarder, receiver)`, each
+    /// after the transmission that reached its forwarder.
     pub downlink: Vec<(Node, Node)>,
     /// Total hops to reach each member: `(member, hop count)`.
     pub member_hops: Vec<(Node, usize)>,
@@ -34,27 +34,7 @@ impl MulticastPlan {
     }
 }
 
-/// Computes which nodes must forward a group packet so that every member
-/// receives it, and how many hops each member is from the source.
-///
-/// Members come in as a [`BTreeSet`] so iteration order (and therefore
-/// the produced plan) is deterministic, and so the network layer can hand
-/// its group index over without rebuilding a set per transmission.
-///
-/// Returns `None` if the source is detached from the DODAG.
-pub fn plan(dodag: &Dodag, source: Node, members: &BTreeSet<Node>) -> Option<MulticastPlan> {
-    if !dodag.reachable(source) {
-        return None;
-    }
-    plan_from_path(
-        dodag,
-        &dodag.path_to_root(source),
-        members,
-        &mut MarkScratch::new(),
-    )
-}
-
-/// Reusable marking scratch for [`plan_from_path`].
+/// Reusable marking scratch for [`plan`].
 ///
 /// The marking pass needs an `on_path` flag per node. Allocating (and
 /// zeroing) an O(nodes) bitmap per plan made fleet-scale discovery waves
@@ -65,6 +45,9 @@ pub fn plan(dodag: &Dodag, source: Node, members: &BTreeSet<Node>) -> Option<Mul
 pub struct MarkScratch {
     stamp: Vec<u64>,
     generation: u64,
+    /// The `(parent, child)` tree edges the current pass marked — the
+    /// only edges the down-tree walk visits.
+    edges: Vec<(Node, Node)>,
 }
 
 impl MarkScratch {
@@ -78,70 +61,79 @@ impl MarkScratch {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
         }
+        self.edges.clear();
         self.generation += 1;
         self.generation
     }
 }
 
-/// Like [`plan`], but with the source→root chain supplied by the caller
-/// and the marking buffer reused via `scratch`.
+/// Computes which nodes must forward a group packet from `source` so
+/// that every member receives it, and how many hops each member is from
+/// the source. Unreachable members are skipped.
 ///
-/// The network layer memoises `path_to_root` per source, so planning for
-/// a deep tree does not re-walk the same uplink for every (group, source)
-/// pair. `up_path` must start at the source and end at the root (the
-/// shape [`Dodag::path_to_root`] returns).
-pub fn plan_from_path(
+/// `members` must be ascending and free of repeats (a [`BTreeSet`]'s
+/// iteration order), which makes the plan deterministic without sorting
+/// it. `scratch` is reused across plans.
+///
+/// A plan costs the union of the members' root paths, not the fan-out
+/// of the nodes on them: the marking climb records each `(parent,
+/// child)` edge it marks, and the down-tree walk visits only those
+/// edges. Sorted, they list each forwarder's marked children in node
+/// order — the order of [`Dodag::children`] — so the walk emits the
+/// same transmissions, in the same order, as one that filtered every
+/// child of every marked node.
+///
+/// Returns `None` if the source is detached from the DODAG.
+///
+/// [`BTreeSet`]: std::collections::BTreeSet
+pub fn plan(
     dodag: &Dodag,
-    up_path: &[Node],
-    members: &BTreeSet<Node>,
+    source: Node,
+    members: impl IntoIterator<Item = Node>,
     scratch: &mut MarkScratch,
 ) -> Option<MulticastPlan> {
-    if up_path.is_empty() || *up_path.last().expect("non-empty") != dodag.root {
+    if !dodag.reachable(source) {
         return None;
     }
-    let uplink: Vec<(Node, Node)> = up_path.windows(2).map(|w| (w[0], w[1])).collect();
+    let mut uplink = Vec::new();
+    let mut cur = source;
+    while let Some(p) = dodag.parent[cur] {
+        uplink.push((cur, p));
+        cur = p;
+    }
+    let up_hops = uplink.len();
 
-    // Mark every node that lies on a root→member path.
+    // Mark every node on a root→member path, recording the marked edges.
+    // The climb stops at the first already-marked ancestor, so the total
+    // marking work is O(union of member paths).
     let generation = scratch.begin(dodag.len());
-    for &m in members {
+    let mut member_hops = Vec::new();
+    for m in members {
         if !dodag.reachable(m) {
             continue;
         }
+        member_hops.push((m, up_hops + dodag.depth[m] as usize));
         let mut cur = m;
-        // Stop climbing as soon as an already-marked ancestor is hit, so
-        // the total marking work is O(union of member paths).
         while scratch.stamp[cur] != generation {
             scratch.stamp[cur] = generation;
-            match dodag.parent[cur] {
-                Some(p) => cur = p,
-                None => break,
-            }
+            let Some(p) = dodag.parent[cur] else { break };
+            scratch.edges.push((p, cur));
+            cur = p;
         }
     }
 
-    // Walk down from the root, forwarding into branches containing
-    // members; record hop counts (uplink hops + down-tree depth).
-    let up_hops = uplink.len();
-    let mut downlink = Vec::new();
-    let mut member_hops = Vec::new();
-    if members.contains(&dodag.root) {
-        member_hops.push((dodag.root, up_hops));
-    }
-    let mut frontier = vec![(dodag.root, up_hops)];
-    while let Some((node, hops)) = frontier.pop() {
-        for &child in dodag.children(node) {
-            if scratch.stamp[child] != generation {
-                continue;
-            }
+    // Walk down from the root over the marked edges only, depth first.
+    let edges = &mut scratch.edges;
+    edges.sort_unstable();
+    let mut downlink = Vec::with_capacity(edges.len());
+    let mut frontier = vec![dodag.root];
+    while let Some(node) = frontier.pop() {
+        let first = edges.partition_point(|&(p, _)| p < node);
+        for &(_, child) in edges[first..].iter().take_while(|&&(p, _)| p == node) {
             downlink.push((node, child));
-            let child_hops = hops + 1;
-            if members.contains(&child) {
-                member_hops.push((child, child_hops));
-            }
-            frontier.push((child, child_hops));
+            frontier.push(child);
         }
     }
-    member_hops.sort_unstable();
     Some(MulticastPlan {
         uplink,
         downlink,
@@ -154,6 +146,8 @@ mod tests {
     use super::*;
     use crate::link::LinkQuality;
     use crate::rpl::Topology;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// Root 0 with two branches: 0-1-3 and 0-2-4-5.
     fn tree() -> Dodag {
@@ -166,14 +160,69 @@ mod tests {
         Dodag::build(&t, 0)
     }
 
-    fn set(nodes: &[Node]) -> BTreeSet<Node> {
-        nodes.iter().copied().collect()
+    /// Plans with a fresh scratch; `members` ascending.
+    fn plan_of(d: &Dodag, source: Node, members: &[Node]) -> Option<MulticastPlan> {
+        plan(d, source, members.iter().copied(), &mut MarkScratch::new())
+    }
+
+    /// The reference planner: marks the root→member paths, then walks
+    /// down from the root over *every* child of each marked node.
+    /// [`plan`] must agree with it element for element.
+    fn plan_all_children(
+        dodag: &Dodag,
+        source: Node,
+        members: &BTreeSet<Node>,
+    ) -> Option<MulticastPlan> {
+        if !dodag.reachable(source) {
+            return None;
+        }
+        let up_path = dodag.path_to_root(source);
+        let uplink: Vec<(Node, Node)> = up_path.windows(2).map(|w| (w[0], w[1])).collect();
+        let mut marked = vec![false; dodag.len()];
+        for &m in members {
+            if !dodag.reachable(m) {
+                continue;
+            }
+            let mut cur = m;
+            while !marked[cur] {
+                marked[cur] = true;
+                match dodag.parent[cur] {
+                    Some(p) => cur = p,
+                    None => break,
+                }
+            }
+        }
+        let up_hops = uplink.len();
+        let mut downlink = Vec::new();
+        let mut member_hops = Vec::new();
+        if members.contains(&dodag.root) {
+            member_hops.push((dodag.root, up_hops));
+        }
+        let mut frontier = vec![(dodag.root, up_hops)];
+        while let Some((node, hops)) = frontier.pop() {
+            for &child in dodag.children(node) {
+                if !marked[child] {
+                    continue;
+                }
+                downlink.push((node, child));
+                if members.contains(&child) {
+                    member_hops.push((child, hops + 1));
+                }
+                frontier.push((child, hops + 1));
+            }
+        }
+        member_hops.sort_unstable();
+        Some(MulticastPlan {
+            uplink,
+            downlink,
+            member_hops,
+        })
     }
 
     #[test]
     fn root_source_floods_only_member_branches() {
         let d = tree();
-        let p = plan(&d, 0, &set(&[3])).unwrap();
+        let p = plan_of(&d, 0, &[3]).unwrap();
         assert!(p.uplink.is_empty());
         assert_eq!(p.downlink, vec![(0, 1), (1, 3)]);
         assert_eq!(p.member_hops, vec![(3, 2)]);
@@ -184,7 +233,7 @@ mod tests {
     #[test]
     fn below_root_source_goes_up_first() {
         let d = tree();
-        let p = plan(&d, 3, &set(&[5])).unwrap();
+        let p = plan_of(&d, 3, &[5]).unwrap();
         assert_eq!(p.uplink, vec![(3, 1), (1, 0)]);
         assert_eq!(p.downlink, vec![(0, 2), (2, 4), (4, 5)]);
         // 2 hops up + 3 down.
@@ -194,7 +243,7 @@ mod tests {
     #[test]
     fn multiple_members_share_forwarders() {
         let d = tree();
-        let p = plan(&d, 0, &set(&[4, 5])).unwrap();
+        let p = plan_of(&d, 0, &[4, 5]).unwrap();
         // One TX by 0, one by 2, one by 4 reaches both members.
         assert_eq!(p.transmissions(), 3);
         assert_eq!(p.member_hops, vec![(4, 2), (5, 3)]);
@@ -203,7 +252,7 @@ mod tests {
     #[test]
     fn member_at_source_counts_zero_hops() {
         let d = tree();
-        let p = plan(&d, 0, &set(&[0, 3])).unwrap();
+        let p = plan_of(&d, 0, &[0, 3]).unwrap();
         assert!(p.member_hops.contains(&(0, 0)));
         assert!(p.member_hops.contains(&(3, 2)));
     }
@@ -211,7 +260,7 @@ mod tests {
     #[test]
     fn empty_membership_needs_no_downlink() {
         let d = tree();
-        let p = plan(&d, 3, &set(&[])).unwrap();
+        let p = plan_of(&d, 3, &[]).unwrap();
         assert!(p.downlink.is_empty());
         assert_eq!(
             p.uplink.len(),
@@ -225,7 +274,7 @@ mod tests {
         let mut t = Topology::new(3);
         t.link(0, 1, LinkQuality::PERFECT);
         let d = Dodag::build(&t, 0);
-        assert!(plan(&d, 2, &set(&[1])).is_none());
+        assert!(plan_of(&d, 2, &[1]).is_none());
     }
 
     #[test]
@@ -233,7 +282,55 @@ mod tests {
         let mut t = Topology::new(3);
         t.link(0, 1, LinkQuality::PERFECT);
         let d = Dodag::build(&t, 0);
-        let p = plan(&d, 0, &set(&[1, 2])).unwrap();
+        let p = plan_of(&d, 0, &[1, 2]).unwrap();
         assert_eq!(p.member_hops, vec![(1, 1)]);
+    }
+
+    /// The walk visits the member paths, not the root's fan-out: on a
+    /// 50 000-child star, four members mark four edges.
+    #[test]
+    fn star_plan_walks_only_member_edges() {
+        const LEAVES: usize = 50_000;
+        let mut t = Topology::new(LEAVES + 1);
+        for leaf in 1..=LEAVES {
+            t.link(0, leaf, LinkQuality::PERFECT);
+        }
+        let d = Dodag::build(&t, 0);
+        let members = [7, 1_000, 25_000, LEAVES];
+        let mut scratch = MarkScratch::new();
+        let p = plan(&d, 0, members, &mut scratch).unwrap();
+        assert_eq!(scratch.edges.len(), 4);
+        assert_eq!(p.downlink, members.map(|m| (0, m)));
+        assert_eq!(p.member_hops, members.map(|m| (m, 1)));
+    }
+
+    proptest! {
+        /// The marked-edge walk equals the all-children walk on chains,
+        /// stars and fan-out 1–8 trees with detached nodes, for member
+        /// sets that may hold the root, the source and detached nodes,
+        /// and from every source — one scratch reused throughout.
+        #[test]
+        fn marked_edge_walk_matches_all_children_walk(
+            linked in 1usize..40,
+            detached in 0usize..4,
+            fanout in 1usize..10,
+            root in 0usize..40,
+            member_bits: u64,
+        ) {
+            // Fan-out 9 stands for the star; fan-out 1 is the chain.
+            let n = linked + detached;
+            let mut t = Topology::new(n);
+            for i in 1..linked {
+                let parent = if fanout > 8 { 0 } else { (i - 1) / fanout };
+                t.link(parent, i, LinkQuality::PERFECT);
+            }
+            let d = Dodag::build(&t, root % linked);
+            let members: BTreeSet<Node> = (0..n).filter(|i| member_bits & (1 << i) != 0).collect();
+            let mut scratch = MarkScratch::new();
+            for source in 0..n {
+                let walked = plan(&d, source, members.iter().copied(), &mut scratch);
+                prop_assert_eq!(walked, plan_all_children(&d, source, &members), "source {}", source);
+            }
+        }
     }
 }
