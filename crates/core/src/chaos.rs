@@ -672,13 +672,11 @@ impl<W: SimWorld> Fleet<W> {
         self.world
             .apply(soak_start, WorldOp::LinkDegrade(cfg.link_degrade));
         let crawling = if cfg.cache_crawl_factor > 0 && !self.caches.is_empty() {
-            let pick = self.caches[rng.index(self.caches.len())];
-            let crawl = WorldOp::CacheCrawl {
-                cache: pick,
-                factor: cfg.cache_crawl_factor,
-            };
-            self.world.apply(soak_start, crawl);
-            Some(pick)
+            let node = self.cache_node(self.caches[rng.index(self.caches.len())]);
+            let factor = cfg.cache_crawl_factor;
+            self.world
+                .apply(soak_start, WorldOp::CacheCrawl { node, factor });
+            Some(node)
         } else {
             None
         };
@@ -732,14 +730,14 @@ impl<W: SimWorld> Fleet<W> {
             let drained_before = report.followers_drained;
             if !self.caches.is_empty() {
                 for _ in 0..cfg.cache_crashes_per_epoch {
-                    let pick = self.caches[rng.index(self.caches.len())];
-                    let revive = (FaultFamily::CacheCrash, WorldOp::ReviveCache(pick));
+                    let node = self.cache_node(self.caches[rng.index(self.caches.len())]);
+                    let revive = (FaultFamily::CacheCrash, WorldOp::Revive(node));
                     if faults.contains(&revive) {
                         continue;
                     }
                     report.followers_drained += self
                         .world
-                        .apply(mid, WorldOp::CrashCache(pick))
+                        .apply(mid, WorldOp::Crash(node))
                         .followers_drained;
                     faults.push(revive);
                 }
@@ -779,18 +777,18 @@ impl<W: SimWorld> Fleet<W> {
             // refetch end-to-end.
             if !churn.is_empty() {
                 for _ in 0..cfg.thing_crashes_per_epoch {
-                    let thing = self.things[churn[rng.index(churn.len().min(12))]];
-                    let revive = (FaultFamily::McuCrash, WorldOp::ReviveThing(thing));
+                    let node = self.thing_node(self.things[churn[rng.index(churn.len().min(12))]]);
+                    let revive = (FaultFamily::McuCrash, WorldOp::Revive(node));
                     if faults.contains(&revive) {
                         continue;
                     }
-                    self.world.apply(mid, WorldOp::CrashThing(thing));
+                    self.world.apply(mid, WorldOp::Crash(node));
                     faults.push(revive);
                 }
             }
             if cfg.failover_every > 0 && (e + 1) % cfg.failover_every == 0 {
-                self.world.apply(mid, WorldOp::FailPrimary);
-                faults.push((FaultFamily::Failover, WorldOp::RestorePrimary));
+                self.world.apply(mid, WorldOp::Crash(root));
+                faults.push((FaultFamily::Failover, WorldOp::Revive(root)));
                 // Standby blackout: on every `blackout_every`-th failover
                 // the hot standby dies too, leaving zero live instances
                 // behind the manager anycast. Cache hits still serve;
@@ -799,8 +797,9 @@ impl<W: SimWorld> Fleet<W> {
                 // returns.
                 let nth_failover = (e + 1) / cfg.failover_every;
                 if cfg.blackout_every > 0 && nth_failover.is_multiple_of(cfg.blackout_every) {
-                    self.world.apply(mid, WorldOp::FailStandby);
-                    faults.push((FaultFamily::Blackout, WorldOp::RestoreStandby));
+                    let standby = self.plan.replicas[1];
+                    self.world.apply(mid, WorldOp::Crash(standby));
+                    faults.push((FaultFamily::Blackout, WorldOp::Revive(standby)));
                 }
             }
             let logged = |family| faults.iter().filter(|&&(f, _)| f == family).count() as u64;
@@ -1003,9 +1002,9 @@ impl<W: SimWorld> Fleet<W> {
         let end = self.world.now();
         self.world.apply(end, WorldOp::LinkChaos(None));
         self.world.apply(end, WorldOp::LinkDegrade(None));
-        if let Some(cache) = crawling {
+        if let Some(node) = crawling {
             self.world
-                .apply(end, WorldOp::CacheCrawl { cache, factor: 1 });
+                .apply(end, WorldOp::CacheCrawl { node, factor: 1 });
         }
         let frames_after = self.world.net_stats();
         report.frames_delayed = frames_after.frames_delayed - frames_before.frames_delayed;
@@ -1041,7 +1040,8 @@ impl<W: SimWorld> Fleet<W> {
     /// in flight at the switch. `None` in a fault-free epoch.
     fn attribute(&self, i: usize, faults: &[(FaultFamily, WorldOp)]) -> Option<FaultFamily> {
         use FaultFamily::{Blackout, CacheCrash, Failover, InteriorCut, McuCrash, Partition};
-        if faults.contains(&(McuCrash, WorldOp::ReviveThing(self.things[i]))) {
+        let node = self.thing_node(self.things[i]);
+        if faults.contains(&(McuCrash, WorldOp::Revive(node))) {
             return Some(McuCrash);
         }
         let cut_above = |node: NodeId| {
@@ -1052,9 +1052,7 @@ impl<W: SimWorld> Fleet<W> {
         };
         // Bounded walk: a (stale) DODAG parent chain is acyclic, but
         // cap it anyway so a broken oracle can't hang the soak.
-        let chain = std::iter::successors(Some(self.thing_node(self.things[i])), |&node| {
-            self.world.dodag_parent(node)
-        });
+        let chain = std::iter::successors(Some(node), |&node| self.world.dodag_parent(node));
         if chain.take(self.things.len() + 1).any(cut_above) {
             return Some(InteriorCut);
         }

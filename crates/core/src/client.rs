@@ -178,7 +178,11 @@ impl Client {
                 Vec::new()
             }
             MessageBody::Established { peripheral, group } => {
+                // The group is wire input: a unicast one cannot be joined.
                 let group = Ipv6Addr::from(group);
+                if !group.is_multicast() {
+                    return Vec::new();
+                }
                 self.stream_groups.insert(group, peripheral);
                 vec![group]
             }

@@ -443,7 +443,7 @@ impl<W: SimWorld> Fleet<W> {
     /// Plugging `device` into channel 0 of Thing `i`.
     pub(crate) fn plug(&self, i: usize, device: DeviceTypeId) -> WorldOp {
         WorldOp::Plug {
-            thing: self.things[i],
+            node: self.thing_node(self.things[i]),
             channel: 0,
             device,
         }
@@ -452,7 +452,7 @@ impl<W: SimWorld> Fleet<W> {
     /// Unplugging channel 0 of Thing `i`.
     pub(crate) fn unplug(&self, i: usize) -> WorldOp {
         WorldOp::Unplug {
-            thing: self.things[i],
+            node: self.thing_node(self.things[i]),
             channel: 0,
         }
     }

@@ -42,7 +42,7 @@ use crate::catalog::Catalog;
 use crate::client::Client;
 use crate::thing::Thing;
 use crate::world::{
-    BuildPlan, ClientId, DistroStats, Effect, Route, SimWorld, ThingId, World, WorldConfig, WorldOp,
+    BuildPlan, ClientId, DistroStats, Effect, SimWorld, ThingId, World, WorldConfig, WorldOp,
 };
 
 /// Per-(shard, client) drain cursors into the replica's observation
@@ -69,14 +69,10 @@ pub struct ShardedWorld {
     shards: Vec<World>,
     /// Global thing index → (owning shard, local index in that shard).
     thing_home: Vec<(usize, usize)>,
-    /// Global cache index → (owning shard, local index in that shard).
-    cache_home: Vec<(usize, usize)>,
     /// Owning shard of every node simulated in one shard only: Things
     /// and edge caches. Replicated nodes (manager, standby, clients) are
     /// absent.
     node_shard: HashMap<NodeId, usize>,
-    /// Unicast address → owning shard (for routing injected datagrams).
-    addr_shard: HashMap<Ipv6Addr, usize>,
     /// Master clients: the merged observation streams, and the sequence
     /// counters request builders draw from (so wire seq numbers follow
     /// the global issue order exactly as in the sequential world).
@@ -94,14 +90,7 @@ impl ShardedWorld {
     /// Panics if `shards` is zero.
     pub fn new(config: WorldConfig, plan: &BuildPlan, shards: usize) -> Self {
         assert!(shards > 0, "a sharded world needs at least one shard");
-        let (thing_shard, cache_shard) = Self::partition(plan, shards);
-        let node_shard: HashMap<NodeId, usize> = plan
-            .things
-            .iter()
-            .zip(&thing_shard)
-            .chain(plan.caches.iter().zip(&cache_shard))
-            .map(|(&n, &s)| (n, s))
-            .collect();
+        let node_shard = Self::partition(plan, shards);
 
         // The per-shard builds are independent, and at fleet scale each
         // one replays the full plan and allocates a full node table —
@@ -131,21 +120,16 @@ impl ShardedWorld {
             });
         }
 
-        // A shard numbers the Things (and caches) it owns in plan order.
-        let home = |owners: &[usize]| -> Vec<(usize, usize)> {
-            let mut next = vec![0usize; shards];
-            owners
-                .iter()
-                .map(|&s| {
-                    next[s] += 1;
-                    (s, next[s] - 1)
-                })
-                .collect()
-        };
-        let thing_home = home(&thing_shard);
-        let addr_shard = thing_home
+        // A shard numbers the Things it owns in plan order.
+        let mut next = vec![0usize; shards];
+        let thing_home = plan
+            .things
             .iter()
-            .map(|&(s, local)| (worlds[s].thing(ThingId(local)).address, s))
+            .map(|node| {
+                let s = node_shard[node];
+                next[s] += 1;
+                (s, next[s] - 1)
+            })
             .collect();
         let clients: Vec<Client> = (0..plan.clients.len())
             .map(|c| {
@@ -155,10 +139,8 @@ impl ShardedWorld {
             .collect();
         ShardedWorld {
             cursors: vec![vec![ClientCursor::default(); clients.len()]; shards],
-            cache_home: home(&cache_shard),
             thing_home,
             node_shard,
-            addr_shard,
             clients,
             shards: worlds,
             now: SimTime::ZERO,
@@ -176,8 +158,8 @@ impl ShardedWorld {
     /// balance, ties to the lowest shard). A cache always lands in the
     /// shard owning its subtree, so every Thing that anycast-resolves to
     /// it is simulated on the same thread. Returns the owning shard of
-    /// every Thing and of every cache, in plan order.
-    fn partition(plan: &BuildPlan, shards: usize) -> (Vec<usize>, Vec<usize>) {
+    /// every Thing and cache node.
+    fn partition(plan: &BuildPlan, shards: usize) -> HashMap<NodeId, usize> {
         let root = plan.manager().0 as usize;
         let mut topo = Topology::new(plan.node_count());
         for (a, b, q) in plan.links() {
@@ -200,22 +182,21 @@ impl ShardedWorld {
         // Things per subtree head, heads visited in ascending node order
         // for determinism. Cache-only subtrees participate with zero
         // weight so an empty cache still gets a deterministic owner.
-        let mut head_things: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, n) in plan.things.iter().enumerate() {
-            head_things.entry(head_of(n)).or_default().push(i);
+        let mut head_things: HashMap<usize, Vec<NodeId>> = HashMap::new();
+        for n in &plan.things {
+            head_things.entry(head_of(n)).or_default().push(*n);
         }
-        let cache_heads: Vec<usize> = plan.caches.iter().map(head_of).collect();
         let mut heads: Vec<usize> = head_things
             .keys()
             .copied()
-            .chain(cache_heads.iter().copied())
+            .chain(plan.caches.iter().map(head_of))
             .collect();
         heads.sort_unstable();
         heads.dedup();
 
         let mut load = vec![0usize; shards];
-        let mut assignment = vec![0usize; plan.things.len()];
         let mut head_shard: HashMap<usize, usize> = HashMap::new();
+        let mut node_shard = HashMap::with_capacity(plan.things.len() + plan.caches.len());
         for head in heads {
             let target = (0..shards)
                 .min_by_key(|&s| (load[s], s))
@@ -223,13 +204,11 @@ impl ShardedWorld {
             head_shard.insert(head, target);
             if let Some(members) = head_things.get(&head) {
                 load[target] += members.len();
-                for &i in members {
-                    assignment[i] = target;
-                }
+                node_shard.extend(members.iter().map(|&n| (n, target)));
             }
         }
-        let cache_assignment = cache_heads.into_iter().map(|h| head_shard[&h]).collect();
-        (assignment, cache_assignment)
+        node_shard.extend(plan.caches.iter().map(|n| (*n, head_shard[&head_of(n)])));
+        node_shard
     }
 
     /// Folds each shard replica's *new* client observations into the
@@ -372,18 +351,14 @@ impl ShardedWorld {
 
 impl SimWorld for ShardedWorld {
     fn apply(&mut self, at: SimTime, op: WorldOp) -> Effect {
-        let (shard, local) = match op.route() {
-            Route::All => {
-                return self
-                    .shards
-                    .iter_mut()
-                    .map(|w| w.apply(at, op))
-                    .fold(Effect::default(), Effect::merge)
-            }
-            Route::Thing(id) => self.thing_home[id.0],
-            Route::Cache(id) => self.cache_home[id.0],
-        };
-        self.shards[shard].apply(at, op.with_target(local))
+        match op.target().and_then(|node| self.node_shard.get(&node)) {
+            Some(&s) => self.shards[s].apply(at, op),
+            None => self
+                .shards
+                .iter_mut()
+                .map(|w| w.apply(at, op))
+                .fold(Effect::default(), Effect::merge),
+        }
     }
 
     fn run_until_idle(&mut self) {
@@ -412,17 +387,18 @@ impl SimWorld for ShardedWorld {
     }
 
     fn inject(&mut self, at: SimTime, from: NodeId, dgram: Datagram) {
-        // Unicasts go to the shard that simulates the destination Thing.
-        // Otherwise (anycast/multicast dst), a datagram sourced at a
-        // Thing node runs in that Thing's shard — anycast must resolve
-        // against *its* subtree's cache, as it would sequentially.
-        // Everything else (client-sourced traffic) homes on shard 0,
-        // whose replicas account the shared uplink.
-        let shard = self
-            .addr_shard
-            .get(&dgram.dst)
-            .or_else(|| self.node_shard.get(&from))
-            .copied()
+        // Unicasts go to the shard that simulates the destination Thing
+        // or cache. Otherwise (anycast/multicast dst), a datagram sourced
+        // at a Thing node runs in that Thing's shard — anycast must
+        // resolve against *its* subtree's cache, as it would
+        // sequentially. Everything else (client-sourced traffic) homes on
+        // shard 0, whose replicas account the shared uplink.
+        let owner = |node: NodeId| self.node_shard.get(&node).copied();
+        let shard = self.shards[0]
+            .net
+            .node_by_addr(dgram.dst)
+            .and_then(owner)
+            .or_else(|| owner(from))
             .unwrap_or(0);
         self.shards[shard].inject(at, from, dgram);
     }

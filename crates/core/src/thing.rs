@@ -468,8 +468,9 @@ impl Thing {
                     return Vec::new();
                 };
                 // Defence in depth: the Thing re-verifies what the
-                // repository claims to have verified.
-                if upnp_dsl::verify(&parsed).is_err() {
+                // repository claims to have verified, and takes an image
+                // only as the driver of the peripheral it names.
+                if parsed.device_id != peripheral || upnp_dsl::verify(&parsed).is_err() {
                     return Vec::new();
                 }
                 self.driver_cache.insert(peripheral, parsed.clone());
@@ -606,15 +607,11 @@ impl Thing {
             MessageBody::DriverRemoval { peripheral } => {
                 let removed = match self.runtime.manager.slot_for_device(peripheral) {
                     Some(slot) => {
-                        let channel = self.runtime.manager.get(slot).map(|d| d.channel);
                         self.runtime.remove_driver(slot);
-                        if let Some(ch) = channel {
-                            self.catalog.detach(
-                                &mut self.runtime,
-                                ch,
-                                DeviceTypeId::new(peripheral),
-                            );
-                        }
+                        // Peripheral models are keyed by the driver slot
+                        // that owns them, as `activate_driver` attached it.
+                        self.catalog
+                            .detach(&mut self.runtime, slot, DeviceTypeId::new(peripheral));
                         self.driver_cache.remove(&peripheral);
                         true
                     }

@@ -99,8 +99,7 @@ impl Default for WorldConfig {
 /// shard can tell the ones it owns.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    Manager,
-    Standby,
+    Replica,
     Thing(NodeId),
     Client,
     Cache(NodeId),
@@ -120,9 +119,9 @@ enum Step {
 pub struct BuildPlan {
     steps: Vec<Step>,
     nodes: u32,
-    manager: Option<NodeId>,
-    standby: Option<NodeId>,
-    /// Node of every Thing, client and edge cache, in creation order.
+    /// Node of every Manager replica (the primary, then the standby),
+    /// Thing, client and edge cache, in creation order.
+    pub(crate) replicas: Vec<NodeId>,
     pub(crate) things: Vec<NodeId>,
     pub(crate) clients: Vec<NodeId>,
     pub(crate) caches: Vec<NodeId>,
@@ -138,15 +137,17 @@ impl BuildPlan {
 
     /// Adds the manager node (once: it roots the routing tree).
     pub fn add_manager(&mut self) -> NodeId {
-        let node = self.push(|_| Step::Manager);
-        self.manager = Some(node);
-        node
+        self.add_replica()
     }
 
     /// Adds a standby Manager replica (see [`World::add_standby`]).
     pub fn add_standby(&mut self) -> NodeId {
-        let node = self.push(|_| Step::Standby);
-        self.standby = Some(node);
+        self.add_replica()
+    }
+
+    fn add_replica(&mut self) -> NodeId {
+        let node = self.push(|_| Step::Replica);
+        self.replicas.push(node);
         node
     }
 
@@ -182,7 +183,7 @@ impl BuildPlan {
     ///
     /// Panics if no manager was added.
     pub fn manager(&self) -> NodeId {
-        self.manager.expect("plan has a manager")
+        *self.replicas.first().expect("plan has a manager")
     }
 
     /// The network node of a Thing.
@@ -207,10 +208,7 @@ impl BuildPlan {
 
     /// The nodes every shard simulates: manager, standby and clients.
     pub(crate) fn replicated(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.manager
-            .into_iter()
-            .chain(self.standby)
-            .chain(self.clients.iter().copied())
+        self.replicas.iter().chain(&self.clients).copied()
     }
 
     /// Every link, in creation order.
@@ -222,11 +220,14 @@ impl BuildPlan {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+/// What occupies one node of a [`World`], with the index of its actor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeKind {
-    Manager,
-    /// The standby Manager replica (anycast takeover target).
-    Standby,
+    /// A Thing or cache another shard simulates: it keeps its id and
+    /// address here, but is never linked or registered.
+    Ghost,
+    /// A Manager replica: 0 is the primary, 1 the hot standby.
+    Replica(usize),
     Thing(usize),
     Client(usize),
     Cache(usize),
@@ -279,40 +280,28 @@ struct PipeTrace {
 /// The event loop is engineered so one step costs `O(work due now)`, not
 /// `O(nodes)`: board interrupts are tracked in a queue instead of being
 /// rediscovered by scanning every Thing, network deliveries drain into a
-/// reused buffer, and Thing/manager lookup goes through hash indices.
+/// reused buffer, and a delivery finds its actor by indexing the node
+/// table.
 pub struct World {
     /// The network simulator.
     pub net: Network,
-    manager: Option<Manager>,
-    /// A standby Manager replica: a second instance of both anycast
-    /// addresses with an identical repository, so killing the primary is
-    /// a deterministic anycast takeover instead of an outage.
-    standby: Option<Manager>,
-    /// True while the primary Manager is crashed (deliveries to it are
-    /// dropped — the datagrams already in flight when it died).
-    manager_down: bool,
-    /// True while the standby replica is crashed too: with the primary
-    /// also down, the manager anycast has zero live instances and
-    /// requests drop — the unserved-Things window the soak detects.
-    standby_down: bool,
+    /// Every node by id: what occupies it, and whether it is crashed
+    /// (see [`WorldOp::Crash`]).
+    nodes: Vec<(NodeKind, bool)>,
+    /// The Manager replicas: the primary, then an optional hot standby —
+    /// a second instance of both anycast addresses with an identical
+    /// repository, so killing the primary is a deterministic anycast
+    /// takeover instead of an outage.
+    replicas: Vec<Manager>,
     things: Vec<Thing>,
     clients: Vec<Client>,
     caches: Vec<EdgeCache>,
-    /// Parallel to `caches`: true while that cache is crashed (its
-    /// in-flight deliveries and timers are dropped).
-    dead_caches: Vec<bool>,
     /// Parallel to `caches`: the gray-failure crawl factor (1 = full
     /// speed). A crawling cache still answers everything — both its
     /// processing legs are just stretched by the factor, the
     /// slow-but-alive failure mode a fail-stop crash can never model.
     cache_crawl: Vec<u32>,
-    /// Parallel to `things`: true while that Thing's MCU is crashed. The
-    /// node keeps forwarding frames (the radio outlives the MCU
-    /// process); driver uploads in flight to it are torn mid-flash.
-    dead_things: Vec<bool>,
     catalog: Catalog,
-    node_kinds: HashMap<NodeId, NodeKind>,
-    thing_by_addr: HashMap<Ipv6Addr, usize>,
     /// Things whose board interrupt may be pending, in raise order.
     interrupts: VecDeque<usize>,
     /// Scratch buffer reused across delivery polls.
@@ -360,19 +349,13 @@ impl World {
     pub fn new(config: WorldConfig) -> Self {
         World {
             net: Network::with_capacity(config.prefix, config.seed ^ 0x9e37, config.expected_nodes),
-            manager: None,
-            standby: None,
-            manager_down: false,
-            standby_down: false,
+            nodes: Vec::with_capacity(config.expected_nodes),
+            replicas: Vec::new(),
             things: Vec::with_capacity(config.expected_nodes),
             clients: Vec::new(),
             caches: Vec::new(),
-            dead_caches: Vec::new(),
             cache_crawl: Vec::new(),
-            dead_things: Vec::with_capacity(config.expected_nodes),
             catalog: Catalog::with_prototypes(),
-            node_kinds: HashMap::with_capacity(config.expected_nodes),
-            thing_by_addr: HashMap::with_capacity(config.expected_nodes),
             interrupts: VecDeque::new(),
             delivery_buf: Vec::new(),
             sched: Scheduler::new(),
@@ -411,11 +394,8 @@ impl World {
         });
         for &step in &plan.steps {
             match step {
-                Step::Manager => {
-                    w.add_manager();
-                }
-                Step::Standby => {
-                    w.add_standby();
+                Step::Replica => {
+                    w.add_replica();
                 }
                 Step::Client => {
                     w.add_client();
@@ -427,7 +407,7 @@ impl World {
                     w.add_cache();
                 }
                 Step::Thing(_) | Step::Cache(_) => {
-                    w.net.add_node();
+                    w.add_node(NodeKind::Ghost);
                 }
                 Step::Link(a, b, q) => {
                     if local(a) && local(b) {
@@ -459,33 +439,37 @@ impl World {
         ))
     }
 
+    /// Adds a network node occupied by `kind`. Every node goes through
+    /// here, so the node table and the network number nodes alike.
+    fn add_node(&mut self, kind: NodeKind) -> NodeId {
+        self.nodes.push((kind, false));
+        self.net.add_node()
+    }
+
+    fn kind(&self, node: NodeId) -> NodeKind {
+        self.nodes[node.0 as usize].0
+    }
+
+    fn is_down(&self, node: NodeId) -> bool {
+        self.nodes[node.0 as usize].1
+    }
+
     /// Adds the manager node (call once, before things).
     ///
     /// # Panics
     ///
     /// Panics if a manager already exists.
     pub fn add_manager(&mut self) -> NodeId {
-        assert!(self.manager.is_none(), "world already has a manager");
-        let node = self.net.add_node();
-        let address = self.net.addr_of(node);
-        self.net.set_anycast(node, self.manager_anycast);
-        self.net.set_anycast(node, self.origin_anycast);
-        self.manager = Some(Manager::new(
-            node,
-            address,
-            self.manager_anycast,
-            &self.catalog,
-        ));
-        self.node_kinds.insert(node, NodeKind::Manager);
-        node
+        assert!(self.replicas.is_empty(), "world already has a manager");
+        self.add_replica()
     }
 
     /// Adds a standby Manager replica: a second instance of both the
     /// manager and origin anycast addresses with an identical repository.
     /// While the primary lives it serves nothing (the primary is nearer
-    /// or ties at a lower node id); when [`WorldOp::FailPrimary`] removes
-    /// the primary from the anycast sets, every request — Thing driver
-    /// requests and cache chunk fetches alike — deterministically
+    /// or ties at a lower node id); when a [`WorldOp::Crash`] of the
+    /// primary removes it from the anycast sets, every request — Thing
+    /// driver requests and cache chunk fetches alike — deterministically
     /// re-resolves here.
     ///
     /// # Panics
@@ -493,27 +477,45 @@ impl World {
     /// Panics without a primary, or if a standby already exists. Add it
     /// right after the manager so its node id ties below every cache.
     pub fn add_standby(&mut self) -> NodeId {
-        assert!(self.manager.is_some(), "standby needs a primary");
-        assert!(self.standby.is_none(), "world already has a standby");
-        let node = self.net.add_node();
+        assert!(!self.replicas.is_empty(), "standby needs a primary");
+        assert!(self.replicas.len() < 2, "world already has a standby");
+        self.add_replica()
+    }
+
+    fn add_replica(&mut self) -> NodeId {
+        let node = self.add_node(NodeKind::Replica(self.replicas.len()));
         let address = self.net.addr_of(node);
-        self.net.set_anycast(node, self.manager_anycast);
-        self.net.set_anycast(node, self.origin_anycast);
-        self.standby = Some(Manager::new(
+        self.serve_anycast(node);
+        self.replicas.push(Manager::new(
             node,
             address,
             self.manager_anycast,
             &self.catalog,
         ));
-        self.node_kinds.insert(node, NodeKind::Standby);
         node
+    }
+
+    /// Registers `node` as the anycast instance its role makes it: a
+    /// Manager replica serves both the manager and the origin address; a
+    /// cache serves the manager address, scoped to its own subtree — the
+    /// scoping keeps resolution identical at every shard count (a
+    /// sibling's cache may be another shard's ghost).
+    fn serve_anycast(&mut self, node: NodeId) {
+        match self.kind(node) {
+            NodeKind::Replica(_) => {
+                self.net.set_anycast(node, self.manager_anycast);
+                self.net.set_anycast(node, self.origin_anycast);
+            }
+            NodeKind::Cache(_) => self.net.set_anycast_scoped(node, self.manager_anycast),
+            _ => {}
+        }
     }
 
     /// Adds a µPnP Thing with a realistically sampled control board
     /// (stamped from the world's board/runtime templates; only per-Thing
     /// jitter is drawn from the RNG).
     pub fn add_thing(&mut self) -> ThingId {
-        let node = self.net.add_node();
+        let node = self.add_node(NodeKind::Thing(self.things.len()));
         let address = self.net.addr_of(node);
         let mut rng = Self::thing_stream(self.config.seed, node);
         let board = self.board_template.instantiate(&mut rng);
@@ -530,24 +532,18 @@ impl World {
         thing.stream_samples = self.config.stream_samples;
         self.things.push(thing);
         self.thing_rngs.push(rng);
-        self.dead_things.push(false);
-        let id = ThingId(self.things.len() - 1);
-        self.node_kinds.insert(node, NodeKind::Thing(id.0));
-        self.thing_by_addr.insert(address, id.0);
-        id
+        ThingId(self.things.len() - 1)
     }
 
     /// Adds a client; it joins the all-clients group immediately.
     pub fn add_client(&mut self) -> ClientId {
-        let node = self.net.add_node();
+        let node = self.add_node(NodeKind::Client(self.clients.len()));
         let address = self.net.addr_of(node);
         let client = Client::new(node, address, self.config.prefix);
         self.net
             .join_group(node, upnp_net::addr::all_clients_group(self.config.prefix));
         self.clients.push(client);
-        let id = ClientId(self.clients.len() - 1);
-        self.node_kinds.insert(node, NodeKind::Client(id.0));
-        id
+        ClientId(self.clients.len() - 1)
     }
 
     /// Adds an edge cache of the driver-distribution tier with the
@@ -566,31 +562,23 @@ impl World {
 
     /// [`World::add_cache`] with explicit tuning knobs.
     pub fn add_cache_with(&mut self, config: CacheConfig) -> CacheId {
-        assert!(self.manager.is_some(), "a cache needs its origin");
+        assert!(!self.replicas.is_empty(), "a cache needs its origin");
+        let node = self.add_node(NodeKind::Cache(self.caches.len()));
+        let address = self.net.addr_of(node);
+        // Subtree-scoped: the cache serves the requesters it routes for,
+        // never a sibling subtree across the root.
+        self.serve_anycast(node);
+        for replica in &mut self.replicas {
+            replica.register_cache(address);
+        }
         // The cache pulls from the origin *anycast*, not the primary's
         // unicast address: a mid-transfer primary crash then resolves the
         // next chunk request to the standby, and the EdgeCache's
         // same-version/new-server check resumes from its cursor.
-        let origin = self.origin_anycast;
-        let anycast = self.manager_anycast;
-        let node = self.net.add_node();
-        let address = self.net.addr_of(node);
-        // Subtree-scoped: the cache serves the requesters it routes for,
-        // never a sibling subtree across the root — the scoping is what
-        // keeps resolution identical at every shard count (a sibling's
-        // cache may be another shard's ghost).
-        self.net.set_anycast_scoped(node, anycast);
-        self.manager_mut().register_cache(address);
-        if let Some(standby) = &mut self.standby {
-            standby.register_cache(address);
-        }
         self.caches
-            .push(EdgeCache::new(node, address, origin, config));
-        self.dead_caches.push(false);
+            .push(EdgeCache::new(node, address, self.origin_anycast, config));
         self.cache_crawl.push(1);
-        let id = CacheId(self.caches.len() - 1);
-        self.node_kinds.insert(node, NodeKind::Cache(id.0));
-        id
+        CacheId(self.caches.len() - 1)
     }
 
     /// Access an edge cache (inspect its LRU and counters).
@@ -614,12 +602,12 @@ impl World {
     ///
     /// Panics if no manager was added.
     pub fn manager(&self) -> &Manager {
-        self.manager.as_ref().expect("world has a manager")
+        self.replicas.first().expect("world has a manager")
     }
 
     /// Mutable manager access.
     pub fn manager_mut(&mut self) -> &mut Manager {
-        self.manager.as_mut().expect("world has a manager")
+        self.replicas.first_mut().expect("world has a manager")
     }
 
     /// The network node of a Thing.
@@ -660,59 +648,78 @@ impl World {
         self.net.build_tree(root);
     }
 
-    // ---- Chaos: the fault ops that need more than a line ---------------
+    // ---- Chaos: crashing and reviving a node ---------------------------
 
-    /// [`WorldOp::CrashCache`]: each follower parked on an in-flight
-    /// fetch re-issues its original (4) driver request from its own
-    /// Thing at `at`. Returns the follower count failed over.
-    fn crash_cache(&mut self, at: SimTime, cache: usize) -> u64 {
-        assert!(!self.dead_caches[cache], "cache {cache} is already down");
-        self.dead_caches[cache] = true;
-        self.net.fail_node(self.caches[cache].node);
-        let stranded = self.caches[cache].crash();
-        let n = stranded.len() as u64;
-        let anycast = self.manager_anycast;
-        for (peripheral, requester, seq, ctx) in stranded {
-            let thing = self.thing_by_addr[&requester];
-            let node = self.things[thing].node;
-            let mut payload = upnp_net::msg::Payload::from(
-                upnp_net::msg::Message {
-                    seq,
-                    body: upnp_net::msg::MessageBody::DriverRequest { peripheral },
-                }
-                .encode(),
-            )
-            .with_trace(ctx);
-            // The reissue re-enters the network from the follower's own
-            // Thing node — that is where the failover span lives.
-            if self.trace.enabled && !ctx.is_none() {
-                let span = Span::new(
-                    ctx,
-                    SpanKind::Failover,
-                    node.0 as u64,
-                    at.as_nanos(),
-                    at.as_nanos(),
-                );
-                self.trace.record(span);
-                payload = payload.with_trace(span.ctx());
+    /// [`WorldOp::Crash`]: marks `node` down and fails whatever runs on
+    /// it. A Manager replica or a cache leaves every anycast set without
+    /// a goodbye, and what is in flight to it dies with it; each follower
+    /// a cache had parked on an in-flight fetch re-issues its original
+    /// (4) driver request from its own node at `at`. A Thing's MCU fences
+    /// its flash install generation.
+    fn crash(&mut self, at: SimTime, node: NodeId) -> Effect {
+        let (kind, down) = &mut self.nodes[node.0 as usize];
+        assert!(!*down, "{kind:?} on {node:?} is already down");
+        *down = true;
+        let kind = *kind;
+        let mut effect = Effect::default();
+        match kind {
+            NodeKind::Thing(i) => self.things[i].crash_mcu(),
+            NodeKind::Replica(_) => {
+                self.net.fail_node(node);
             }
-            let dgram = Datagram {
-                src: requester,
-                dst: anycast,
-                src_port: upnp_net::addr::MCAST_PORT,
-                dst_port: upnp_net::addr::MCAST_PORT,
-                payload,
-            };
-            self.net.send(at, node, dgram);
+            NodeKind::Cache(i) => {
+                self.net.fail_node(node);
+                let stranded = self.caches[i].crash();
+                effect.followers_drained = stranded.len() as u64;
+                for (peripheral, requester, seq, ctx) in stranded {
+                    let Some(from) = self.net.node_by_addr(requester) else {
+                        continue;
+                    };
+                    let mut payload = upnp_net::msg::Payload::from(
+                        upnp_net::msg::Message {
+                            seq,
+                            body: upnp_net::msg::MessageBody::DriverRequest { peripheral },
+                        }
+                        .encode(),
+                    )
+                    .with_trace(ctx);
+                    // The reissue re-enters the network from the
+                    // follower's own node — that is where the failover
+                    // span lives.
+                    if self.trace.enabled && !ctx.is_none() {
+                        let (ns, key) = (at.as_nanos(), from.0 as u64);
+                        let span = Span::new(ctx, SpanKind::Failover, key, ns, ns);
+                        self.trace.record(span);
+                        payload = payload.with_trace(span.ctx());
+                    }
+                    let dgram = Datagram {
+                        src: requester,
+                        dst: self.manager_anycast,
+                        src_port: upnp_net::addr::MCAST_PORT,
+                        dst_port: upnp_net::addr::MCAST_PORT,
+                        payload,
+                    };
+                    self.net.send(at, from, dgram);
+                }
+            }
+            NodeKind::Ghost | NodeKind::Client(_) => panic!("{kind:?} on {node:?} cannot crash"),
         }
-        n
+        effect
     }
 
-    /// [`WorldOp::ReviveThing`]: audits the torn flash and reissues the
-    /// interrupted driver requests at `at`.
-    fn revive_thing(&mut self, at: SimTime, thing: usize) -> Effect {
-        assert!(self.dead_things[thing], "thing {thing} is not down");
-        self.dead_things[thing] = false;
+    /// [`WorldOp::Revive`]: brings `node` back. A replica or cache
+    /// re-registers its anycast instances (a cache restarts cold, from an
+    /// empty LRU; a replica's repository is durable). A Thing's MCU
+    /// audits the torn flash, reissues the interrupted driver requests at
+    /// `at` and services any board interrupt raised while it was down.
+    fn revive(&mut self, at: SimTime, node: NodeId) -> Effect {
+        let (kind, down) = &mut self.nodes[node.0 as usize];
+        assert!(*down, "{kind:?} on {node:?} is not down");
+        *down = false;
+        let NodeKind::Thing(thing) = *kind else {
+            self.serve_anycast(node);
+            return Effect::default();
+        };
         let anycast = self.manager_anycast;
         let (recovery, out) = self.things[thing].revive_mcu(at.max(self.now), anycast);
         self.apply_outbound(thing, out);
@@ -725,6 +732,18 @@ impl World {
             images_rejected: recovery.rejected,
             refetches: recovery.refetches,
             ..Effect::default()
+        }
+    }
+
+    /// The Thing on `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` holds no Thing here.
+    fn thing_on(&self, node: NodeId) -> usize {
+        match self.kind(node) {
+            NodeKind::Thing(i) => i,
+            kind => panic!("{node:?} holds {kind:?}, not a Thing"),
         }
     }
 
@@ -892,7 +911,7 @@ impl World {
                     // generation counter survives the crash, so they
                     // would be stale no-ops anyway — this just skips the
                     // lookup).
-                    if !self.dead_caches[cache] {
+                    if !self.is_down(self.caches[cache].node) {
                         let reply = self.caches[cache].on_timer(peripheral, gen);
                         self.apply_cache_reply(cache, self.now, reply, true);
                     }
@@ -905,14 +924,9 @@ impl World {
         deliveries.clear();
         self.net.poll_into(self.now, &mut deliveries);
         for d in &deliveries {
-            match self.node_kinds.get(&d.node).copied() {
-                // Datagrams already in flight when the primary crashed
-                // die with it.
-                Some(NodeKind::Manager) if !self.manager_down => {
-                    self.manager_reply(false, d);
-                }
-                Some(NodeKind::Standby) if !self.standby_down => self.manager_reply(true, d),
-                Some(NodeKind::Thing(i)) if !self.dead_things[i] => {
+            match self.nodes[d.node.0 as usize] {
+                (NodeKind::Replica(r), false) => self.manager_reply(r, d),
+                (NodeKind::Thing(i), false) => {
                     let out = self.things[i].on_datagram(d.at, &d.dgram);
                     if self.trace.enabled
                         && d.dgram.payload.first()
@@ -926,18 +940,15 @@ impl World {
                 // now is a flash write cut mid-stream — stage the torn
                 // remnant for the revive audit. Everything else in
                 // flight to it simply dies.
-                Some(NodeKind::Thing(i)) => self.stage_torn_upload(i, &d.dgram),
-                Some(NodeKind::Client(i)) => {
+                (NodeKind::Thing(i), true) => self.stage_torn_upload(i, &d.dgram),
+                (NodeKind::Client(i), _) => {
                     let joins = self.clients[i].on_datagram(d.at, &d.dgram);
                     let node = self.clients[i].node;
                     for g in joins {
                         self.net.join_group(node, g);
                     }
                 }
-                // A crashed cache drops what was in flight to it (chunk
-                // replies chiefly — the retry/abandon path of the
-                // *origin-side* transfer owns recovery).
-                Some(NodeKind::Cache(i)) if !self.dead_caches[i] => {
+                (NodeKind::Cache(i), false) => {
                     let before = if self.trace.enabled {
                         let s = &self.caches[i].stats;
                         Some((s.hits, s.misses, s.coalesced))
@@ -950,25 +961,24 @@ impl World {
                     }
                     self.apply_cache_reply(i, d.at, reply, false);
                 }
-                Some(NodeKind::Manager | NodeKind::Standby | NodeKind::Cache(_)) | None => {}
+                // A crashed replica or cache drops what was in flight to
+                // it (for a cache, chunk replies chiefly — the
+                // retry/abandon path of the *origin-side* transfer owns
+                // recovery).
+                (NodeKind::Replica(_) | NodeKind::Cache(_), true) | (NodeKind::Ghost, _) => {}
             }
         }
         self.delivery_buf = deliveries;
         true
     }
 
-    /// Feeds one delivery to a Manager replica (`standby` selects which)
-    /// and applies its replies — the upload is "ready" after processing
-    /// (end of the request-driver leg); its send path belongs to the
-    /// install-driver leg. One body for both replicas, so their
-    /// accounting can never drift apart.
-    fn manager_reply(&mut self, standby: bool, d: &Delivery) {
-        let m = if standby {
-            self.standby.as_mut()
-        } else {
-            self.manager.as_mut()
-        }
-        .expect("delivery to existing manager replica");
+    /// Feeds one delivery to Manager replica `r` and applies its replies
+    /// — the upload is "ready" after processing (end of the
+    /// request-driver leg); its send path belongs to the install-driver
+    /// leg. One body for both replicas, so their accounting can never
+    /// drift apart.
+    fn manager_reply(&mut self, r: usize, d: &Delivery) {
+        let m = &mut self.replicas[r];
         let node = m.node;
         let (replies, process, send_path) = m.on_datagram(&d.dgram);
         let ready_at = d.at + process;
@@ -1011,7 +1021,8 @@ impl World {
             ..
         }) = upnp_net::msg::Message::decode(&dgram.payload)
         {
-            if let Some(&i) = self.thing_by_addr.get(&dgram.dst) {
+            let node = self.net.node_by_addr(dgram.dst);
+            if let Some(NodeKind::Thing(i)) = node.map(|n| self.kind(n)) {
                 if let Some(tl) = self.things[i].timelines.get_mut(&peripheral) {
                     tl.upload_sent = Some(ready_at);
                 }
@@ -1093,7 +1104,7 @@ impl World {
         while let Some(i) = self.interrupts.pop_front() {
             // A dead MCU cannot service its board interrupt; it stays
             // pending on the board and the revive re-enqueues it.
-            if self.dead_things[i] {
+            if self.is_down(self.things[i].node) {
                 continue;
             }
             // A queue entry may be stale: one service call handles every
@@ -1529,8 +1540,9 @@ impl std::fmt::Debug for World {
 
 /// One mutation of a running world, as data: a physical event at a
 /// Thing (plug, unplug) or an injected fault and its repair. Every one
-/// goes through [`SimWorld::apply`], and one ownership table names the
-/// part of a partitioned world that must see it.
+/// goes through [`SimWorld::apply`]. An op names the nodes it acts on by
+/// [`NodeId`], the one name every backend shares, and a partitioned
+/// world sends it to the part simulating the node it targets.
 ///
 /// Plugs and unplugs are scheduled at the op's instant. Every other op
 /// takes effect at once; traffic it issues (a crashed cache's failed-over
@@ -1539,61 +1551,43 @@ impl std::fmt::Debug for World {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorldOp {
     /// Manufactures a peripheral board for `device` and plugs it into
-    /// `channel` of the Thing (see [`World::plug`]).
+    /// `channel` of the Thing on `node` (see [`World::plug`]).
     Plug {
-        thing: ThingId,
+        node: NodeId,
         channel: u8,
         device: DeviceTypeId,
     },
-    /// Unplugs whatever occupies `channel` of the Thing.
-    Unplug { thing: ThingId, channel: u8 },
-    /// Crashes an edge cache ungracefully: its RAM (LRU + in-flight
-    /// fetches) is gone, it leaves every anycast set *without* a graceful
-    /// `unset_anycast` (the network purges the now-dead memoised
-    /// resolutions), and each follower parked on an in-flight fetch
-    /// re-issues its original (4) driver request from its own Thing —
-    /// which re-resolves to the next-nearest live anycast instance
-    /// ([`Effect::followers_drained`]). The node keeps forwarding frames
-    /// (the router outlives the cache process); pair with
-    /// [`WorldOp::CutLink`] to model full node death. Panics if the
-    /// cache is already down.
-    CrashCache(CacheId),
-    /// Restarts a crashed cache cold: it re-registers as a manager
-    /// anycast instance (invalidating the memoised resolutions that
-    /// bypassed it) and serves again from an empty LRU. Panics if the
-    /// cache is not down.
-    ReviveCache(CacheId),
-    /// Crashes a Thing's MCU mid-operation: its flash install generation
-    /// is fenced, and any (5) driver upload delivered while it is dead is
-    /// torn mid-flash write ([`Thing::stage_torn_upload`]). The node keeps
-    /// forwarding frames — the radio outlives the MCU process. Panics if
-    /// the Thing is already down.
-    CrashThing(ThingId),
-    /// Revives a crashed Thing: the torn flash staging area is audited
-    /// (half-written images rejected by `verify()`,
+    /// Unplugs whatever occupies `channel` of the Thing on `node`.
+    Unplug { node: NodeId, channel: u8 },
+    /// Crashes what runs on a node; the node keeps forwarding frames (the
+    /// router outlives the process), so pair with [`WorldOp::CutLink`]
+    /// to model full node death. Panics if it is already down, or on a
+    /// client.
+    ///
+    /// * An edge cache loses its RAM (LRU and in-flight fetches) and
+    ///   leaves every anycast set without a graceful `unset_anycast`;
+    ///   each follower parked on an in-flight fetch re-issues its
+    ///   original (4) driver request from its own node, re-resolving to
+    ///   the next-nearest live instance ([`Effect::followers_drained`]).
+    /// * A Manager replica leaves both anycast sets, and deliveries
+    ///   already in flight to it are dropped. Crashing the primary hands
+    ///   every later request to the standby — same repository,
+    ///   next-lowest node id; crashing both leaves the manager anycast
+    ///   with *zero* live instances, so requests drop at resolution until
+    ///   a replica returns.
+    /// * A Thing's MCU dies mid-operation: its flash install generation
+    ///   is fenced, and any (5) driver upload delivered while it is down
+    ///   is torn mid-flash write ([`Thing::stage_torn_upload`]).
+    Crash(NodeId),
+    /// Revives a crashed node. A cache restarts cold: it re-registers as
+    /// a manager anycast instance and serves again from an empty LRU. A
+    /// replica re-registers both anycast instances; its repository was
+    /// never lost — the paper's Manager is a durable server. A Thing's
+    /// torn flash is audited (half-written images rejected by `verify()`,
     /// [`Effect::images_rejected`]) and a driver request is reissued
     /// end-to-end for every peripheral still waiting
-    /// ([`Effect::refetches`]). Panics if the Thing is not down.
-    ReviveThing(ThingId),
-    /// Crashes the primary Manager: it leaves both anycast sets (memos
-    /// purged) and deliveries already in flight to it are dropped. The
-    /// standby — same repository, next-lowest node id — takes over every
-    /// later driver request and chunked origin fetch. Panics without a
-    /// standby (the fleet would deadlock) or if the primary is down.
-    FailPrimary,
-    /// Restores the crashed primary: it re-registers both anycast
-    /// instances (invalidating the takeover memos) and serves again. Its
-    /// repository was never lost — the paper's Manager is a durable
-    /// server; only the in-flight datagrams died.
-    RestorePrimary,
-    /// Crashes the hot standby. With the primary also down the manager
-    /// anycast has *zero* live instances: driver requests and origin
-    /// fetches drop at resolution, and the affected Things stay unserved
-    /// until a replica returns and the repair wave refetches.
-    FailStandby,
-    /// Restores the crashed standby (durable repository, like the
-    /// primary).
-    RestoreStandby,
+    /// ([`Effect::refetches`]). Panics if the node is not down.
+    Revive(NodeId),
     /// Severs the link between two nodes; [`Effect::cut`] carries the
     /// quality it had (`None` if no such link is simulated here) for the
     /// later [`WorldOp::HealLink`]. Routes keep using the severed link
@@ -1613,74 +1607,36 @@ pub enum WorldOp {
     /// hops slowed, made lossier, or cut in windows of virtual time (see
     /// [`LinkDegrade`]).
     LinkDegrade(Option<LinkDegrade>),
-    /// Sets an edge cache's gray-failure crawl factor: both processing
-    /// legs of every reply are stretched by `factor` until it is reset
-    /// to one. The cache stays correct — just slow. Panics on a zero
-    /// factor (a zero-speed cache is a crash).
-    CacheCrawl { cache: CacheId, factor: u32 },
-}
-
-/// The part of a partitioned world an op must reach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Route {
-    /// Every shard.
-    All,
-    /// Only the shard owning the Thing.
-    Thing(ThingId),
-    /// Only the shard owning the edge cache.
-    Cache(CacheId),
+    /// Sets the gray-failure crawl factor of the edge cache on `node`:
+    /// both processing legs of every reply are stretched by `factor`
+    /// until it is reset to one. The cache stays correct — just slow.
+    /// Panics on a zero factor (a zero-speed cache is a crash).
+    CacheCrawl { node: NodeId, factor: u32 },
 }
 
 impl WorldOp {
-    /// Which part of a partitioned world must see this op. A Thing or a
-    /// cache — its state, and everything in flight to it — lives in the
-    /// one shard owning its subtree. Everything else reaches every
-    /// shard: the Manager pair is replicated in all of them; a subtree
-    /// link exists in exactly one shard and a link between replicated
-    /// nodes in all of them, so cutting or healing it everywhere covers
-    /// both; and the link schedules are pure functions of (seed, edge,
-    /// instant), so installing them in every shard perturbs exactly the
-    /// hops the sequential world perturbs.
-    pub(crate) fn route(&self) -> Route {
+    /// The node this op acts on, if it names one. A Thing or a cache —
+    /// its state, and everything in flight to it — lives in the one
+    /// shard owning its subtree, so a partitioned world sends the op
+    /// there. An op on a replicated node (a Manager replica) or on none
+    /// reaches every shard: a subtree link exists in exactly one shard
+    /// and a link between replicated nodes in all of them, so cutting or
+    /// healing it everywhere covers both; and the link schedules are
+    /// pure functions of (seed, edge, instant), so installing them in
+    /// every shard perturbs exactly the hops the sequential world
+    /// perturbs.
+    pub(crate) fn target(&self) -> Option<NodeId> {
         match *self {
-            WorldOp::Plug { thing, .. }
-            | WorldOp::Unplug { thing, .. }
-            | WorldOp::CrashThing(thing)
-            | WorldOp::ReviveThing(thing) => Route::Thing(thing),
-            WorldOp::CrashCache(cache)
-            | WorldOp::ReviveCache(cache)
-            | WorldOp::CacheCrawl { cache, .. } => Route::Cache(cache),
-            WorldOp::FailPrimary
-            | WorldOp::RestorePrimary
-            | WorldOp::FailStandby
-            | WorldOp::RestoreStandby
-            | WorldOp::CutLink(..)
+            WorldOp::Plug { node, .. }
+            | WorldOp::Unplug { node, .. }
+            | WorldOp::Crash(node)
+            | WorldOp::Revive(node)
+            | WorldOp::CacheCrawl { node, .. } => Some(node),
+            WorldOp::CutLink(..)
             | WorldOp::HealLink(..)
             | WorldOp::Reroot
             | WorldOp::LinkChaos(_)
-            | WorldOp::LinkDegrade(_) => Route::All,
-        }
-    }
-
-    /// The same op aimed at `local`: the index the owning shard knows
-    /// its Thing or cache by. Ops routed to every shard are unchanged.
-    pub(crate) fn with_target(self, local: usize) -> WorldOp {
-        let (thing, cache) = (ThingId(local), CacheId(local));
-        match self {
-            WorldOp::Plug {
-                channel, device, ..
-            } => WorldOp::Plug {
-                thing,
-                channel,
-                device,
-            },
-            WorldOp::Unplug { channel, .. } => WorldOp::Unplug { thing, channel },
-            WorldOp::CrashThing(_) => WorldOp::CrashThing(thing),
-            WorldOp::ReviveThing(_) => WorldOp::ReviveThing(thing),
-            WorldOp::CrashCache(_) => WorldOp::CrashCache(cache),
-            WorldOp::ReviveCache(_) => WorldOp::ReviveCache(cache),
-            WorldOp::CacheCrawl { factor, .. } => WorldOp::CacheCrawl { cache, factor },
-            op => op,
+            | WorldOp::LinkDegrade(_) => None,
         }
     }
 }
@@ -1791,63 +1747,27 @@ impl SimWorld for World {
         let mut effect = Effect::default();
         match op {
             WorldOp::Plug {
-                thing,
+                node,
                 channel,
                 device,
-            } => self.sched.schedule_at(
-                at,
-                WorldEvent::Plug {
-                    thing: thing.0,
-                    channel,
-                    device,
-                },
-            ),
-            WorldOp::Unplug { thing, channel } => self.sched.schedule_at(
-                at,
-                WorldEvent::Unplug {
-                    thing: thing.0,
-                    channel,
-                },
-            ),
-            WorldOp::CrashCache(id) => effect.followers_drained = self.crash_cache(at, id.0),
-            WorldOp::ReviveCache(id) => {
-                assert!(self.dead_caches[id.0], "cache {id:?} is not down");
-                self.dead_caches[id.0] = false;
-                self.net
-                    .set_anycast_scoped(self.caches[id.0].node, self.manager_anycast);
+            } => {
+                let thing = self.thing_on(node);
+                self.sched.schedule_at(
+                    at,
+                    WorldEvent::Plug {
+                        thing,
+                        channel,
+                        device,
+                    },
+                );
             }
-            WorldOp::CrashThing(id) => {
-                assert!(!self.dead_things[id.0], "thing {id:?} is already down");
-                self.dead_things[id.0] = true;
-                self.things[id.0].crash_mcu();
+            WorldOp::Unplug { node, channel } => {
+                let thing = self.thing_on(node);
+                self.sched
+                    .schedule_at(at, WorldEvent::Unplug { thing, channel });
             }
-            WorldOp::ReviveThing(id) => effect = self.revive_thing(at, id.0),
-            WorldOp::FailPrimary => {
-                assert!(self.standby.is_some(), "failover needs a standby");
-                assert!(!self.manager_down, "primary is already down");
-                self.manager_down = true;
-                self.net.fail_node(self.manager().node);
-            }
-            WorldOp::RestorePrimary => {
-                assert!(self.manager_down, "primary is not down");
-                self.manager_down = false;
-                let node = self.manager().node;
-                self.net.set_anycast(node, self.manager_anycast);
-                self.net.set_anycast(node, self.origin_anycast);
-            }
-            WorldOp::FailStandby => {
-                assert!(!self.standby_down, "standby is already down");
-                self.standby_down = true;
-                let node = self.standby.as_ref().expect("world has a standby").node;
-                self.net.fail_node(node);
-            }
-            WorldOp::RestoreStandby => {
-                assert!(self.standby_down, "standby is not down");
-                self.standby_down = false;
-                let node = self.standby.as_ref().expect("world has a standby").node;
-                self.net.set_anycast(node, self.manager_anycast);
-                self.net.set_anycast(node, self.origin_anycast);
-            }
+            WorldOp::Crash(node) => effect = self.crash(at, node),
+            WorldOp::Revive(node) => effect = self.revive(at, node),
             WorldOp::CutLink(a, b) => {
                 effect.cut = self.net.link_quality(a, b);
                 if effect.cut.is_some() {
@@ -1855,7 +1775,7 @@ impl SimWorld for World {
                 }
             }
             WorldOp::HealLink(a, b, quality) => {
-                if self.node_kinds.contains_key(&a) && self.node_kinds.contains_key(&b) {
+                if self.kind(a) != NodeKind::Ghost && self.kind(b) != NodeKind::Ghost {
                     self.net.link(a, b, quality);
                 }
             }
@@ -1865,9 +1785,12 @@ impl SimWorld for World {
             }
             WorldOp::LinkChaos(chaos) => self.net.set_link_chaos(chaos),
             WorldOp::LinkDegrade(degrade) => self.net.set_link_degrade(degrade),
-            WorldOp::CacheCrawl { cache, factor } => {
+            WorldOp::CacheCrawl { node, factor } => {
                 assert!(factor > 0, "crawl factor must be >= 1");
-                self.cache_crawl[cache.0] = factor;
+                let NodeKind::Cache(i) = self.kind(node) else {
+                    panic!("{node:?} holds no cache");
+                };
+                self.cache_crawl[i] = factor;
             }
         }
         effect
@@ -1932,7 +1855,7 @@ impl SimWorld for World {
     }
 
     fn manager_replicas(&self) -> u64 {
-        self.manager.iter().chain(&self.standby).count() as u64
+        self.replicas.len() as u64
     }
 
     fn distro_stats(&self) -> DistroStats {
@@ -1943,7 +1866,7 @@ impl SimWorld for World {
             s.cache_coalesced += c.stats.coalesced;
             s.cache_uploads += c.stats.uploads_served;
         }
-        for m in self.manager.iter().chain(&self.standby) {
+        for m in &self.replicas {
             s.origin_uploads += m.uploads_served;
             s.mgr_inventory += m.inventory().len() as u64;
             s.mgr_removal_acks += m.removal_acks_total;

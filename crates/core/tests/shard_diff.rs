@@ -259,12 +259,12 @@ fn sharded_unplug_racing_driver_upload_leaves_no_driver() {
     let device = fleet.assigned_device(0);
     let base = fleet.world.now();
     let plug = WorldOp::Plug {
-        thing: t,
+        node: fleet.thing_node(t),
         channel: 0,
         device,
     };
     let unplug = WorldOp::Unplug {
-        thing: t,
+        node: fleet.thing_node(t),
         channel: 0,
     };
     fleet.world.apply(base + SimDuration::from_millis(1), plug);

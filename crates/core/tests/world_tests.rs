@@ -3,7 +3,8 @@
 
 use upnp_core::world::{SimWorld, World, WorldConfig, WorldOp};
 use upnp_hw::id::prototypes;
-use upnp_net::msg::Value;
+use upnp_net::msg::{Message, MessageBody, Value};
+use upnp_net::{Datagram, MCAST_PORT};
 use upnp_sim::SimDuration;
 
 /// A world with a manager, one thing and one client in a star.
@@ -249,6 +250,89 @@ fn manager_queries_and_removes_drivers() {
 }
 
 #[test]
+fn driver_removal_detaches_its_own_peripheral_model() {
+    // The TMP36 on channel 1 gets driver slot 0 and the HIH-4030 on
+    // channel 0 slot 1, so channel and slot numbers cross. Removing the
+    // TMP36 driver must detach the TMP36 model (slot 0), and the
+    // HIH-4030 must keep answering reads.
+    let (mut w, thing, client) = small_world();
+    w.plug_and_wait(thing, 1, prototypes::TMP36);
+    w.plug_and_wait(thing, 0, prototypes::HIH4030);
+    let thing_addr = w.thing_addr(thing);
+    let removal = w.manager_mut().remove_driver(thing_addr, prototypes::TMP36);
+    let (mgr_node, now) = (w.manager().node, w.now());
+    w.net.send(now, mgr_node, removal);
+    w.run_until_idle();
+    assert_eq!(
+        w.thing(thing).served_peripherals(),
+        vec![prototypes::HIH4030.raw()]
+    );
+    let hw = &w.thing(thing).runtime.hw;
+    assert!(!hw.analog_sources.contains_key(&0), "TMP36 model detached");
+    assert!(hw.analog_sources.contains_key(&1), "HIH-4030 model kept");
+    assert!(
+        w.client_read(client, thing, prototypes::HIH4030).is_some(),
+        "the HIH-4030 must still answer a read"
+    );
+}
+
+#[test]
+fn established_with_a_unicast_group_is_ignored() {
+    // The (13) stream group is wire input: a client told to join a
+    // unicast address must ignore it, not hand it to the network.
+    let (mut w, thing, client) = small_world();
+    let established = Message {
+        seq: 1,
+        body: MessageBody::Established {
+            peripheral: prototypes::TMP36.raw(),
+            group: w.thing_addr(thing).octets(),
+        },
+    };
+    let dgram = Datagram {
+        src: w.thing_addr(thing),
+        dst: w.client(client).address,
+        src_port: MCAST_PORT,
+        dst_port: MCAST_PORT,
+        payload: established.encode().into(),
+    };
+    let now = w.now();
+    w.inject(now, w.thing_node(thing), dgram);
+    w.run_until_idle();
+    assert!(w.client(client).stream_groups.is_empty());
+}
+
+#[test]
+fn upload_of_another_peripherals_driver_is_refused() {
+    // A (5) upload names the peripheral it is for. An image built for
+    // another device type must not replace the running driver, or the
+    // Thing would serve a peripheral it does not have plugged.
+    let (mut w, thing, _) = small_world();
+    w.plug_and_wait(thing, 0, prototypes::TMP36);
+    let image = w.manager().driver_for(prototypes::HIH4030).unwrap();
+    let upload = Message {
+        seq: 1,
+        body: MessageBody::DriverUpload {
+            peripheral: prototypes::TMP36.raw(),
+            image: image.to_bytes(),
+        },
+    };
+    let (mgr, now) = (w.manager().node, w.now());
+    let dgram = Datagram {
+        src: w.net.addr_of(mgr),
+        dst: w.thing_addr(thing),
+        src_port: MCAST_PORT,
+        dst_port: MCAST_PORT,
+        payload: upload.encode().into(),
+    };
+    w.inject(now, mgr, dgram);
+    w.run_until_idle();
+    assert_eq!(
+        w.thing(thing).served_peripherals(),
+        vec![prototypes::TMP36.raw()]
+    );
+}
+
+#[test]
 fn multiple_peripherals_on_one_thing() {
     let (mut w, thing, client) = small_world();
     w.thing_mut(thing).runtime.hw.env.temperature_c = 21.0;
@@ -354,7 +438,7 @@ fn unplug_cancels_only_its_own_channels_driver_request() {
     w.apply(
         base + SimDuration::from_millis(1),
         WorldOp::Plug {
-            thing,
+            node: w.thing_node(thing),
             channel: 0,
             device: prototypes::TMP36,
         },
@@ -362,14 +446,17 @@ fn unplug_cancels_only_its_own_channels_driver_request() {
     w.apply(
         base + SimDuration::from_millis(2),
         WorldOp::Plug {
-            thing,
+            node: w.thing_node(thing),
             channel: 1,
             device: prototypes::TMP36,
         },
     );
     w.apply(
         base + SimDuration::from_millis(5),
-        WorldOp::Unplug { thing, channel: 0 },
+        WorldOp::Unplug {
+            node: w.thing_node(thing),
+            channel: 0,
+        },
     );
     w.run_until_idle();
     assert!(
@@ -390,7 +477,7 @@ fn unplug_of_newer_channel_keeps_older_channels_request() {
     w.apply(
         base + SimDuration::from_millis(1),
         WorldOp::Plug {
-            thing,
+            node: w.thing_node(thing),
             channel: 0,
             device: prototypes::TMP36,
         },
@@ -398,14 +485,17 @@ fn unplug_of_newer_channel_keeps_older_channels_request() {
     w.apply(
         base + SimDuration::from_millis(2),
         WorldOp::Plug {
-            thing,
+            node: w.thing_node(thing),
             channel: 1,
             device: prototypes::TMP36,
         },
     );
     w.apply(
         base + SimDuration::from_millis(5),
-        WorldOp::Unplug { thing, channel: 1 },
+        WorldOp::Unplug {
+            node: w.thing_node(thing),
+            channel: 1,
+        },
     );
     w.run_until_idle();
     assert!(

@@ -3,9 +3,10 @@
 
 use proptest::prelude::*;
 use upnp_dsl::ast::Type;
+use upnp_dsl::delta::{fnv1a, CHUNK};
 use upnp_dsl::image::{BusKind, DriverImage, GlobalSlot, HandlerEntry, ImageError};
 use upnp_dsl::isa::disassemble;
-use upnp_dsl::{compile_source, lexer, Op};
+use upnp_dsl::{compile_source, lexer, ImageDelta, Op};
 
 /// Strategy for a structurally valid driver image (terminated handlers).
 fn arb_image() -> impl Strategy<Value = DriverImage> {
@@ -62,7 +63,58 @@ fn arb_code() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
+/// Delta wire bytes: arbitrary, or shaped like the format — a header
+/// and a few chunk records with arbitrary fields, full-sized or short —
+/// so decoding gets past the header and often succeeds.
+fn arb_delta_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let record = (
+        0u16..12,
+        any::<bool>(),
+        prop::collection::vec(any::<u8>(), 0..CHUNK),
+    );
+    let shaped = (
+        0u16..800,
+        any::<u32>(),
+        any::<u32>(),
+        prop::collection::vec(record, 0..5),
+    )
+        .prop_map(|(new_len, base_check, new_check, records)| {
+            let mut out = new_len.to_be_bytes().to_vec();
+            out.extend_from_slice(&base_check.to_be_bytes());
+            out.extend_from_slice(&new_check.to_be_bytes());
+            out.extend_from_slice(&(records.len() as u16).to_be_bytes());
+            for (idx, full, mut bytes) in records {
+                if full {
+                    bytes.resize(CHUNK, 0xa5);
+                }
+                out.extend_from_slice(&idx.to_be_bytes());
+                out.push(bytes.len() as u8);
+                out.extend_from_slice(&bytes);
+            }
+            out
+        });
+    prop_oneof![prop::collection::vec(any::<u8>(), 0..320), shaped]
+}
+
 proptest! {
+    /// Decoding and then applying a delta never panics, whatever the
+    /// bytes and the base: both end in a result or an error. Half the
+    /// cases stamp the base's real checksum into the header, so `apply`
+    /// gets past its base check and patches.
+    #[test]
+    fn delta_decode_and_apply_are_total(
+        mut bytes in arb_delta_bytes(),
+        base in prop::collection::vec(any::<u8>(), 0..700),
+        stamp: bool,
+    ) {
+        if stamp && bytes.len() >= 6 {
+            bytes[2..6].copy_from_slice(&fnv1a(&base).to_be_bytes());
+        }
+        if let Ok(delta) = ImageDelta::from_bytes(&bytes) {
+            let _ = delta.apply(&base);
+        }
+    }
+
     /// Image serialization round-trips exactly.
     #[test]
     fn image_roundtrip(img in arb_image()) {

@@ -641,27 +641,13 @@ impl Network {
             // A partitioned source has no uplink, but the group may still
             // have members in other shards: mirror the failure so they
             // charge their drops too, as the sequential simulator does.
-            if self.captures_cross_shard(dgram.dst) {
-                self.cross_outbox.push(RootedFrame {
-                    at_root: now,
-                    dgram: dgram.coordination_clone(),
-                    lost: true,
-                });
-            }
+            self.mirror_cross_shard(now, &dgram, true);
             return;
         };
         report.receivers = receivers;
         let total = self.datagram_wire_size(&dgram);
         let frames = sixlowpan::fragment(total, &self.radio);
-
-        // Per-node arrival time in the generation-stamped scratch; lost
-        // nodes simply never get this generation's stamp.
-        self.arrival_gen += 1;
-        let generation = self.arrival_gen;
-        if self.arrival.len() < self.nodes.len() {
-            self.arrival.resize(self.nodes.len(), (0, SimTime::ZERO));
-        }
-        self.arrival[from.0 as usize] = (generation, now);
+        let generation = self.start_arrivals(from.0 as usize, now);
 
         // Uplink to the root: link-local unicast hops (reliable).
         for &(a, b) in &plan.uplink {
@@ -681,13 +667,7 @@ impl Network {
             let Some((quality, slow)) = quality else {
                 self.stats.drops += receivers as u64;
                 report.lost = report.receivers;
-                if self.captures_cross_shard(dgram.dst) {
-                    self.cross_outbox.push(RootedFrame {
-                        at_root: t,
-                        dgram: dgram.coordination_clone(),
-                        lost: true,
-                    });
-                }
+                self.mirror_cross_shard(t, &dgram, true);
                 return;
             };
             let mut rng = self.hop_rng(a, b, t);
@@ -709,13 +689,7 @@ impl Network {
                 // see, so mirror the failure for the coordinator.
                 self.stats.drops += receivers as u64;
                 report.lost = report.receivers;
-                if self.captures_cross_shard(dgram.dst) {
-                    self.cross_outbox.push(RootedFrame {
-                        at_root: t,
-                        dgram: dgram.coordination_clone(),
-                        lost: true,
-                    });
-                }
+                self.mirror_cross_shard(t, &dgram, true);
                 return;
             }
             self.arrival[b] = (generation, t);
@@ -727,19 +701,38 @@ impl Network {
         // downlink there. Groups that only ever hold replicated nodes
         // (the all-clients group, per-stream groups) are exempt — the
         // local replicas already cover every logical member.
-        if self.captures_cross_shard(dgram.dst) {
-            if let Some(dodag) = self.dodag.as_ref() {
-                let (g, at_root) = self.arrival[dodag.root];
-                debug_assert_eq!(g, generation, "uplink always ends at the root");
-                self.cross_outbox.push(RootedFrame {
-                    at_root,
-                    dgram: dgram.coordination_clone(),
-                    lost: false,
-                });
-            }
+        if let Some(dodag) = self.dodag.as_ref() {
+            let (g, at_root) = self.arrival[dodag.root];
+            debug_assert_eq!(g, generation, "uplink always ends at the root");
+            self.mirror_cross_shard(at_root, &dgram, false);
         }
 
         self.run_downlink(&plan, generation, &frames, &dgram, Some(report));
+    }
+
+    /// Starts a dissemination's per-node arrival times in the
+    /// generation-stamped scratch: `head` hears it at `at`, and nodes the
+    /// flood loses simply never get the returned generation's stamp.
+    fn start_arrivals(&mut self, head: Node, at: SimTime) -> u64 {
+        self.arrival_gen += 1;
+        if self.arrival.len() < self.nodes.len() {
+            self.arrival.resize(self.nodes.len(), (0, SimTime::ZERO));
+        }
+        self.arrival[head] = (self.arrival_gen, at);
+        self.arrival_gen
+    }
+
+    /// Mirrors a multicast that reached the root at `at_root` — or whose
+    /// uplink died there (`lost`) — for the coordinator of a partitioned
+    /// world, when its group may have members in other shards.
+    fn mirror_cross_shard(&mut self, at_root: SimTime, dgram: &Datagram, lost: bool) {
+        if self.captures_cross_shard(dgram.dst) {
+            self.cross_outbox.push(RootedFrame {
+                at_root,
+                dgram: dgram.coordination_clone(),
+                lost,
+            });
+        }
     }
 
     /// Runs the downlink (root-to-members) half of an SMRF dissemination:
@@ -884,12 +877,7 @@ impl Network {
 
         let total = self.datagram_wire_size(&dgram);
         let frames = sixlowpan::fragment(total, &self.radio);
-        self.arrival_gen += 1;
-        let generation = self.arrival_gen;
-        if self.arrival.len() < self.nodes.len() {
-            self.arrival.resize(self.nodes.len(), (0, SimTime::ZERO));
-        }
-        self.arrival[root] = (generation, at_root);
+        let generation = self.start_arrivals(root, at_root);
         self.run_downlink(&plan, generation, &frames, &dgram, None);
     }
 
