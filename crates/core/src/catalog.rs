@@ -6,6 +6,8 @@
 //! always present; the MAX6675 extension demonstrates adding a fifth
 //! family (SPI).
 
+use std::sync::Arc;
+
 use upnp_bus::peripherals::{Bmp180, Hih4030, Id20La, Max6675, Tmp36, BMP180_I2C_ADDR};
 use upnp_hw::id::{prototypes, DeviceTypeId};
 use upnp_hw::peripheral::Interconnect;
@@ -26,10 +28,11 @@ pub struct CatalogEntry {
     pub unit: &'static str,
 }
 
-/// The catalog of known peripheral types.
+/// The catalog of known peripheral types. Clones share one table, so
+/// every Thing of a world holds a pointer, not a copy.
 #[derive(Clone)]
 pub struct Catalog {
-    entries: Vec<CatalogEntry>,
+    entries: Arc<[CatalogEntry]>,
 }
 
 impl Default for Catalog {
@@ -81,7 +84,8 @@ impl Catalog {
                     driver_source: upnp_dsl::drivers::MAX6675,
                     unit: "degC",
                 },
-            ],
+            ]
+            .into(),
         }
     }
 

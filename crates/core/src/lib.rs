@@ -32,6 +32,7 @@ pub mod manager;
 pub mod registry;
 pub mod shard;
 pub mod thing;
+pub mod vec_map;
 pub mod world;
 
 pub use catalog::{Catalog, CatalogEntry};
@@ -42,4 +43,5 @@ pub use manager::Manager;
 pub use registry::{AddressSpace, AllocationError, RegistryEntry};
 pub use shard::ShardedWorld;
 pub use thing::{PlugTimeline, Thing};
+pub use vec_map::VecMap;
 pub use world::{CacheId, DistroStats, SimWorld, World, WorldConfig};

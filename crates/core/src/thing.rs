@@ -12,8 +12,8 @@
 //! 4. (2) discovery, (10) read, (12) stream, (16) write and the driver
 //!    management messages are answered per §5.2–5.3.
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 
 use upnp_dsl::image::DriverImage;
 use upnp_hw::board::ControlBoard;
@@ -30,6 +30,7 @@ use upnp_vm::runtime::{OpToken, PendingKind, Runtime};
 use upnp_vm::vm::ReturnValue;
 
 use crate::catalog::Catalog;
+use crate::vec_map::VecMap;
 
 /// Whether a driver's scalar return is float- or integer-valued (carried
 /// here rather than in the image format; a production registry would ship
@@ -140,19 +141,20 @@ pub struct Thing {
     catalog: Catalog,
     prefix: u64,
     seq: SeqNo,
-    /// Locally cached driver images by device id.
-    driver_cache: HashMap<u32, DriverImage>,
+    /// Locally cached driver images by device id, shared with the
+    /// runtime's instance of each installed driver.
+    driver_cache: VecMap<u32, Arc<DriverImage>>,
     /// Peripherals waiting for a driver upload: device id → channels
     /// awaiting it, in plug order (one device type may be plugged on
     /// several channels at once).
-    awaiting_driver: HashMap<u32, Vec<ChannelId>>,
+    awaiting_driver: VecMap<u32, Vec<ChannelId>>,
     /// In-flight remote operations: token → (reply seq, requester,
     /// peripheral, stream?).
-    pending_ops: HashMap<OpToken, (SeqNo, Ipv6Addr, u32, bool)>,
+    pending_ops: VecMap<OpToken, (SeqNo, Ipv6Addr, u32, bool)>,
     /// Active streams by peripheral id.
-    streams: HashMap<u32, StreamState>,
+    streams: VecMap<u32, StreamState>,
     /// Plug pipeline instrumentation by device id.
-    pub timelines: HashMap<u32, PlugTimeline>,
+    pub timelines: VecMap<u32, PlugTimeline>,
     /// Ambient temperature used for identification scans.
     pub scan_temp_c: f64,
     /// Samples per stream before `Closed` (configurable).
@@ -190,11 +192,11 @@ impl Thing {
             catalog,
             prefix,
             seq: 0,
-            driver_cache: HashMap::new(),
-            awaiting_driver: HashMap::new(),
-            pending_ops: HashMap::new(),
-            streams: HashMap::new(),
-            timelines: HashMap::new(),
+            driver_cache: VecMap::new(),
+            awaiting_driver: VecMap::new(),
+            pending_ops: VecMap::new(),
+            streams: VecMap::new(),
+            timelines: VecMap::new(),
             scan_temp_c: 25.0,
             stream_samples: 5,
             location: None,
@@ -248,7 +250,7 @@ impl Thing {
         for change in changes {
             match change {
                 PeripheralChange::Connected { channel, device_id } => {
-                    let tl = self.timelines.entry(device_id.raw()).or_default();
+                    let tl = self.timelines.get_or_insert_default(device_id.raw());
                     tl.scan_started = Some(scan_start);
                     tl.scan = Some(outcome.duration());
                     if let Some(image) = self.driver_cache.get(&device_id.raw()).cloned() {
@@ -256,8 +258,7 @@ impl Thing {
                     } else {
                         out.extend(self.request_driver(device_id, mgr_anycast));
                         self.awaiting_driver
-                            .entry(device_id.raw())
-                            .or_default()
+                            .get_or_insert_default(device_id.raw())
                             .push(channel);
                     }
                 }
@@ -298,7 +299,7 @@ impl Thing {
         &mut self,
         channel: ChannelId,
         device_id: DeviceTypeId,
-        image: DriverImage,
+        image: Arc<DriverImage>,
     ) -> Vec<Outbound> {
         let mut out = Vec::new();
         // Install cost scales with the image size (flash write).
@@ -473,7 +474,8 @@ impl Thing {
                 if parsed.device_id != peripheral || upnp_dsl::verify(&parsed).is_err() {
                     return Vec::new();
                 }
-                self.driver_cache.insert(peripheral, parsed.clone());
+                let parsed = Arc::new(parsed);
+                self.driver_cache.insert(peripheral, Arc::clone(&parsed));
                 match self.awaiting_driver.remove(&peripheral) {
                     Some(channels) => {
                         // One upload serves every channel still waiting
@@ -483,7 +485,7 @@ impl Thing {
                             out.extend(self.activate_driver(
                                 channel,
                                 DeviceTypeId::new(peripheral),
-                                parsed.clone(),
+                                Arc::clone(&parsed),
                             ));
                         }
                         out

@@ -790,8 +790,7 @@ impl World {
         );
         self.things[thing.0]
             .timelines
-            .entry(device_id.raw())
-            .or_default()
+            .get_or_insert_default(device_id.raw())
             .trace_id = trace.0;
         if self.trace.enabled {
             let now_ns = self.now.as_nanos();

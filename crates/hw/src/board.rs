@@ -115,7 +115,7 @@ pub struct ControlBoard {
     calibration: BoardCalibration,
     codec: PulseCodec,
     policy: ScanPolicy,
-    channels: Vec<Option<PeripheralBoard>>,
+    channels: [Option<Box<PeripheralBoard>>; calib::CHANNEL_COUNT],
     interrupt: bool,
     meter: EnergyMeter,
     trace: Trace,
@@ -190,7 +190,7 @@ impl ControlBoard {
             calibration,
             codec: PulseCodec::paper(),
             policy: ScanPolicy::Adaptive,
-            channels: (0..calib::CHANNEL_COUNT).map(|_| None).collect(),
+            channels: Default::default(),
             interrupt: false,
             meter: EnergyMeter::new("upnp-board"),
             trace: Trace::new(4096),
@@ -210,7 +210,7 @@ impl ControlBoard {
 
     /// Returns the peripheral connected to `channel`, if any.
     pub fn peripheral(&self, channel: ChannelId) -> Option<&PeripheralBoard> {
-        self.channels.get(channel.0 as usize)?.as_ref()
+        self.channels.get(channel.0 as usize)?.as_deref()
     }
 
     /// Connects a peripheral, raising the interrupt line (§3.2).
@@ -230,18 +230,16 @@ impl ControlBoard {
         if slot.is_some() {
             return Err(PlugError::ChannelOccupied);
         }
-        *slot = Some(peripheral);
+        *slot = Some(Box::new(peripheral));
         self.interrupt = true;
         Ok(())
     }
 
     /// Disconnects the peripheral on `channel`, raising the interrupt line.
     pub fn unplug(&mut self, channel: ChannelId) -> Option<PeripheralBoard> {
-        let p = self.channels.get_mut(channel.0 as usize)?.take();
-        if p.is_some() {
-            self.interrupt = true;
-        }
-        p
+        let p = self.channels.get_mut(channel.0 as usize)?.take()?;
+        self.interrupt = true;
+        Some(*p)
     }
 
     /// Whether the connect/disconnect interrupt is pending.
@@ -255,7 +253,7 @@ impl ControlBoard {
         &self.meter
     }
 
-    /// The waveform trace of the most recent scans (Figures 2/3/5).
+    /// The waveform trace of the most recent scan (Figures 2/3/5).
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
@@ -269,12 +267,13 @@ impl ControlBoard {
     /// temperature `temp_c`, clearing the interrupt.
     ///
     /// Walks every channel slot, generates the pulse train (recorded into
-    /// the trace), measures and decodes each pulse, and accounts energy:
-    /// base scan power for the whole window plus pulse power while the
-    /// output line is high.
+    /// the trace, which keeps this scan only), measures and decodes each
+    /// pulse, and accounts energy: base scan power for the whole window
+    /// plus pulse power while the output line is high.
     pub fn scan(&mut self, now: SimTime, temp_c: f64) -> ScanOutcome {
         self.interrupt = false;
         self.scans += 1;
+        self.trace.clear();
         let started = now;
         let mut t = now;
 
@@ -507,6 +506,21 @@ mod tests {
             .map(|(s, e)| codec.decode(e.since(*s)).unwrap())
             .collect();
         assert_eq!(t1, prototypes::TMP36.bytes().to_vec());
+    }
+
+    #[test]
+    fn trace_keeps_the_latest_scan_only() {
+        let mut board = ControlBoard::ideal();
+        plug_ideal(&mut board, 0, prototypes::TMP36);
+        board.scan(SimTime::ZERO, 25.0);
+        let first = board.trace().pulses("output");
+        board.scan(SimTime::ZERO + SimDuration::from_secs(1), 25.0);
+        let second = board.trace().pulses("output");
+        assert_eq!(second.len(), 4, "one peripheral × four pulses");
+        let shift = SimDuration::from_secs(1);
+        for ((s0, e0), (s1, e1)) in first.iter().zip(&second) {
+            assert_eq!((*s0 + shift, *e0 + shift), (*s1, *e1));
+        }
     }
 
     #[test]

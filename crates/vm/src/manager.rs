@@ -3,7 +3,10 @@
 //! "The driver manager interfaces with the peripheral controller and keeps
 //! track of the peripherals and drivers that are available" and "provides
 //! operations that enable remote deployment and removal of device
-//! drivers". Slots are fixed-capacity, as on the embedded target.
+//! drivers". Slots are fixed-capacity, as on the embedded target: at
+//! most [`MAX_SLOTS`], each built when a driver first needs it.
+
+use std::sync::Arc;
 
 use upnp_dsl::image::DriverImage;
 
@@ -56,30 +59,36 @@ pub struct DriverManager {
 }
 
 impl DriverManager {
-    /// Creates a manager with [`MAX_SLOTS`] empty slots.
+    /// Creates a manager with no drivers installed.
     pub fn new() -> Self {
-        DriverManager {
-            slots: (0..MAX_SLOTS).map(|_| None).collect(),
-            installs: 0,
-            removals: 0,
-        }
+        Self::default()
     }
 
-    /// Installs a driver image for the peripheral on `channel`.
+    /// Installs a driver image for the peripheral on `channel`, in the
+    /// lowest free slot.
     ///
     /// # Errors
     ///
     /// [`InstallError::ChannelBusy`] if the channel already has a driver;
-    /// [`InstallError::NoFreeSlot`] if all slots are taken.
-    pub fn install(&mut self, image: DriverImage, channel: u8) -> Result<SlotId, InstallError> {
+    /// [`InstallError::NoFreeSlot`] if all [`MAX_SLOTS`] slots are taken.
+    pub fn install(
+        &mut self,
+        image: impl Into<Arc<DriverImage>>,
+        channel: u8,
+    ) -> Result<SlotId, InstallError> {
         if self.slot_for_channel(channel).is_some() {
             return Err(InstallError::ChannelBusy);
         }
-        let free = self
-            .slots
-            .iter()
-            .position(|s| s.is_none())
-            .ok_or(InstallError::NoFreeSlot)?;
+        let free = match self.slots.iter().position(Option::is_none) {
+            Some(free) => free,
+            None if self.slots.len() < MAX_SLOTS => {
+                self.slots.reserve_exact(1);
+                self.slots.push(None);
+                self.slots.len() - 1
+            }
+            None => return Err(InstallError::NoFreeSlot),
+        };
+        let image = image.into();
         let device_id = image.device_id;
         self.slots[free] = Some(DriverSlot {
             instance: DriverInstance::new(image),
@@ -201,7 +210,20 @@ mod tests {
         assert!(m.remove(s).is_none());
         assert_eq!(m.stats(), (1, 1));
         // Slot is reusable.
-        m.install(image(8), 3).unwrap();
+        assert_eq!(m.install(image(8), 3), Ok(s));
+
+        // The lowest free slot is handed out first: slot ids order
+        // `iter`, and through it advertisements and fingerprints.
+        let mut m = DriverManager::new();
+        for ch in 0..3 {
+            assert_eq!(m.install(image(ch as u32 + 1), ch), Ok(ch));
+        }
+        m.remove(1);
+        assert_eq!(m.install(image(9), 9), Ok(1));
+        for ch in 3..MAX_SLOTS as u8 {
+            assert_eq!(m.install(image(ch as u32 + 1), ch), Ok(ch));
+        }
+        assert_eq!(m.install(image(99), 99), Err(InstallError::NoFreeSlot));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! the runtime converts into prioritized error events, exactly the error
 //! model §4.1 describes.
 
+use std::sync::Arc;
+
 use upnp_dsl::ast::Type;
 use upnp_dsl::image::DriverImage;
 use upnp_dsl::isa::Op;
@@ -103,7 +105,7 @@ pub struct HandlerOutcome {
 /// One installed driver's execution state.
 #[derive(Debug, Clone)]
 pub struct DriverInstance {
-    image: DriverImage,
+    image: Arc<DriverImage>,
     scalars: Vec<Cell>,
     scalar_types: Vec<Type>,
     arrays: Vec<Vec<Cell>>,
@@ -112,8 +114,10 @@ pub struct DriverInstance {
 }
 
 impl DriverInstance {
-    /// Instantiates a driver from its image; globals are zeroed.
-    pub fn new(image: DriverImage) -> Self {
+    /// Instantiates a driver from its image; globals are zeroed. The
+    /// image is shared with whoever else holds it, not copied.
+    pub fn new(image: impl Into<Arc<DriverImage>>) -> Self {
+        let image = image.into();
         let mut scalars = Vec::new();
         let mut scalar_types = Vec::new();
         let mut arrays = Vec::new();
