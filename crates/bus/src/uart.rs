@@ -201,6 +201,11 @@ impl Uart {
         self.owner.is_some()
     }
 
+    /// The owner that claimed the port, if any.
+    pub fn owner(&self) -> Option<u32> {
+        self.owner
+    }
+
     /// Moves pending device bytes onto the RX FIFO, returning the wire
     /// time/energy consumed and how many bytes arrived.
     ///

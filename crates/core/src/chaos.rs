@@ -88,7 +88,7 @@ pub struct ChaosConfig {
     pub replug_delay: SimDuration,
     /// Interior-router partitions injected mid-wave each epoch: the
     /// routing edge above an arbitrary Thing is severed, orphaning its
-    /// whole subtree until the reroot storm repairs routing.
+    /// whole subtree until the heal restores the edge.
     pub interior_partitions_per_epoch: usize,
     /// Mid-install MCU crashes injected mid-wave each epoch: a Thing
     /// from the churn wave's early lanes — whose driver chunks are in
@@ -755,10 +755,9 @@ impl<W: SimWorld> Fleet<W> {
             // Interior-router partitions: sever the routing edge above
             // an arbitrary Thing (its stale pre-cut DODAG parent),
             // orphaning the whole subtree below that edge until the
-            // heal restores the sampled quality and the reroot storm
-            // repairs routing. The edge may already be cut this epoch —
-            // the cut then reports no quality and the draw is a
-            // deterministic no-op on both backends.
+            // heal restores the sampled quality. The edge may already be
+            // cut this epoch — the cut then reports no quality and the
+            // draw is a deterministic no-op on both backends.
             for _ in 0..cfg.interior_partitions_per_epoch {
                 let node = self.thing_node(self.things[rng.index(n)]);
                 let Some(parent) = self.world.dodag_parent(node) else {
@@ -825,7 +824,7 @@ impl<W: SimWorld> Fleet<W> {
                     continue;
                 };
                 let thing = self.world.thing(self.things[i]);
-                if thing.served_peripherals().contains(&device.raw()) {
+                if thing.served_peripherals().any(|p| p == device.raw()) {
                     continue;
                 }
                 // The trace id of the plug the fault knocked out — the
@@ -861,12 +860,12 @@ impl<W: SimWorld> Fleet<W> {
             // links back (every healed edge gets back the exact quality
             // sampled when it was cut, so the post-heal radio is
             // bit-identical to the pre-fault radio), caches revived
-            // cold, replicas restored, then a reroot storm rebuilds the
-            // DODAG. Crashed MCUs revive after the storm so their
-            // refetch rides the fresh DODAG: each revive audits the torn
-            // flash (half-written images must fail verification — never
-            // be stitched) and reissues every interrupted driver request
-            // end-to-end.
+            // cold, replicas restored, then a reroot storm, which keeps
+            // the DODAG because every cut edge is back. Crashed MCUs
+            // revive after the storm so their refetch rides the restored
+            // links: each revive audits the torn flash (half-written
+            // images must fail verification — never be stitched) and
+            // reissues every interrupted driver request end-to-end.
             let now = self.world.now();
             self.world.apply(now, WorldOp::LinkDegrade(None));
             faults.sort_by_key(|&(family, _)| family);
@@ -905,7 +904,7 @@ impl<W: SimWorld> Fleet<W> {
                         continue;
                     };
                     let thing = self.world.thing(self.things[i]);
-                    if thing.served_peripherals().contains(&device.raw()) {
+                    if thing.served_peripherals().any(|p| p == device.raw()) {
                         continue;
                     }
                     let at = heal_at + self.config.stagger.saturating_mul(lane);
@@ -926,10 +925,10 @@ impl<W: SimWorld> Fleet<W> {
 
             // Check the whole-soak invariants, every epoch.
             for i in 0..n {
-                let served = self.world.thing(self.things[i]).served_peripherals();
+                let mut served = self.world.thing(self.things[i]).served_peripherals();
                 let ok = match self.occupancy[i] {
-                    Some(device) => served.iter().filter(|&&p| p == device.raw()).count() == 1,
-                    None => served.is_empty(),
+                    Some(device) => served.filter(|&p| p == device.raw()).count() == 1,
+                    None => served.next().is_none(),
                 };
                 if !ok {
                     report.discovery_violations += 1;

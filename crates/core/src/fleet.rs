@@ -513,7 +513,7 @@ impl<W: SimWorld> Fleet<W> {
         for (i, &t) in self.things.iter().enumerate() {
             let device = self.assigned_device(i);
             let thing = self.world.thing(t);
-            if thing.served_peripherals().contains(&device.raw()) {
+            if thing.served_peripherals().any(|p| p == device.raw()) {
                 completed += 1;
             }
             if let Some(total) = thing.timelines.get(&device.raw()).and_then(|tl| tl.total()) {
@@ -569,7 +569,7 @@ impl<W: SimWorld> Fleet<W> {
                     .world
                     .thing(self.things[i])
                     .served_peripherals()
-                    .contains(&self.assigned_device(i).raw());
+                    .any(|p| p == self.assigned_device(i).raw());
                 served != self.occupancy[i].is_some()
             })
             .count();
@@ -686,7 +686,7 @@ impl<W: SimWorld> Fleet<W> {
         h.write_u64(stats.drops);
         for &t in &self.things {
             let thing = self.world.thing(t);
-            let mut served = thing.served_peripherals();
+            let mut served: Vec<u32> = thing.served_peripherals().collect();
             served.sort_unstable();
             for p in served {
                 h.write_u64(p as u64);
@@ -962,7 +962,7 @@ mod tests {
             .apply(base + SimDuration::from_millis(5), fleet.unplug(0));
         fleet.world.run_until_idle();
         assert!(
-            fleet.world.thing(t).served_peripherals().is_empty(),
+            fleet.world.thing(t).served_peripherals().next().is_none(),
             "a cancelled plug must not leave a driver serving an absent peripheral"
         );
     }

@@ -225,13 +225,11 @@ impl Thing {
         self.controller.interrupt_pending()
     }
 
-    /// Device ids of currently driver-served peripherals.
-    pub fn served_peripherals(&self) -> Vec<u32> {
-        self.runtime
-            .manager
-            .iter()
-            .map(|(_, d)| d.device_id)
-            .collect()
+    /// Device ids of currently driver-served peripherals, in slot order.
+    /// Iterating allocates nothing, so fleet-wide scans can ask `any` or
+    /// `count` of every Thing.
+    pub fn served_peripherals(&self) -> impl Iterator<Item = u32> + '_ {
+        self.runtime.manager.iter().map(|(_, d)| d.device_id)
     }
 
     /// Services the board interrupt at world time `now`: runs the scan and
@@ -835,7 +833,7 @@ impl std::fmt::Debug for Thing {
         f.debug_struct("Thing")
             .field("node", &self.node)
             .field("address", &self.address)
-            .field("drivers", &self.served_peripherals())
+            .field("drivers", &self.served_peripherals().collect::<Vec<_>>())
             .finish_non_exhaustive()
     }
 }

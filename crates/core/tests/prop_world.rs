@@ -231,7 +231,8 @@ impl Fixture {
     /// two served peripherals.
     fn restore(&mut self) {
         for (thing, device) in self.things {
-            if self.world.thing(thing).served_peripherals() != [device.raw()] {
+            let served: Vec<u32> = self.world.thing(thing).served_peripherals().collect();
+            if served != [device.raw()] {
                 self.world.unplug(thing, 0);
                 self.world.run_until_idle();
                 self.world.plug(thing, 0, device);

@@ -156,6 +156,11 @@ pub struct Network {
     nodes: Vec<NodeState>,
     topo: Topology,
     dodag: Option<Dodag>,
+    /// The quality each edge had when the DODAG was built (`None`: no
+    /// edge), for every edge [`Network::link`] or [`Network::unlink`]
+    /// touched since, keyed by `(lower node, higher node)`. Empty while
+    /// no DODAG exists.
+    touched: HashMap<(Node, Node), Option<LinkQuality>>,
     sched: Scheduler<Delivery>,
     /// Base seed for the per-hop radio generators.
     hop_seed: u64,
@@ -207,6 +212,7 @@ impl Network {
             nodes: Vec::with_capacity(nodes),
             topo: Topology::new(0),
             dodag: None,
+            touched: HashMap::new(),
             sched: Scheduler::with_capacity(nodes.max(64)),
             hop_seed: seed,
             radio: RadioModel::ieee802154(),
@@ -287,6 +293,7 @@ impl Network {
 
     /// Connects two nodes with the given link quality.
     pub fn link(&mut self, a: NodeId, b: NodeId, quality: LinkQuality) {
+        self.touch(a, b);
         self.topo.link(a.0 as usize, b.0 as usize, quality);
     }
 
@@ -295,7 +302,18 @@ impl Network {
     /// call [`Network::build_tree`] when the routing layer notices, as a
     /// real RPL network would repair after a trickle interval.
     pub fn unlink(&mut self, a: NodeId, b: NodeId) -> bool {
+        self.touch(a, b);
         self.topo.unlink(a.0 as usize, b.0 as usize)
+    }
+
+    /// Records the edge's build-time quality on its first change since
+    /// the DODAG was built.
+    fn touch(&mut self, a: NodeId, b: NodeId) {
+        if self.dodag.is_some() {
+            let edge = (a.0.min(b.0) as usize, a.0.max(b.0) as usize);
+            let quality = self.topo.quality(edge.0, edge.1);
+            self.touched.entry(edge).or_insert(quality);
+        }
     }
 
     /// The quality of the direct link `a → b`, if one exists (used by
@@ -305,8 +323,27 @@ impl Network {
     }
 
     /// (Re)builds the RPL DODAG rooted at `root`.
+    ///
+    /// The DODAG is a pure function of the root and the edge set with its
+    /// qualities: [`Dodag::build`] settles nodes by `(rank, node)` and
+    /// moves a parent only on a strict improvement, so neighbour order
+    /// never matters. The current DODAG is therefore kept when it has the
+    /// same root and node count and every edge touched since it was built
+    /// is back at its build-time quality, as after a healed partition.
     pub fn build_tree(&mut self, root: NodeId) {
-        self.dodag = Some(Dodag::build(&self.topo, root.0 as usize));
+        let root = root.0 as usize;
+        let unchanged = self
+            .dodag
+            .as_ref()
+            .is_some_and(|d| d.root == root && d.len() == self.topo.len())
+            && self
+                .touched
+                .iter()
+                .all(|(&(a, b), &quality)| self.topo.quality(a, b) == quality);
+        self.touched.clear();
+        if !unchanged {
+            self.dodag = Some(Dodag::build(&self.topo, root));
+        }
     }
 
     /// Joins `node` to a multicast group.

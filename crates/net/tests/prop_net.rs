@@ -236,80 +236,120 @@ proptest! {
     }
 
     /// Multi-instance anycast (the distribution tier's addressing mode):
-    /// under arbitrary instance join/leave churn, topology growth and
-    /// reroots, every send resolves to the *nearest live instance* by
-    /// DODAG hop distance (ties to the lowest node id, recomputed fresh
-    /// from a mirror topology as the oracle).
+    /// under arbitrary instance join/leave churn, topology growth, cuts,
+    /// relinks at drawn qualities and reroots, every send resolves to the
+    /// *nearest live instance* by DODAG hop distance (ties to the lowest
+    /// node id), and after every `build_tree`, reused or rebuilt, each
+    /// node's DODAG parent is the one a fresh build over the current edge
+    /// set gives.
     #[test]
     fn anycast_resolves_nearest_live_instance_under_churn(
         n in 2usize..14,
-        ops in prop::collection::vec((0u8..6, 0usize..14, 0usize..14), 1..40),
+        ops in prop::collection::vec((0u8..8, 0usize..14, 0usize..14, 0usize..3), 1..40),
     ) {
         const PREFIX: u64 = 0x2001_0db8_0000;
         let mgr: std::net::Ipv6Addr = "2001:db8:aaaa::1".parse().unwrap();
         let mut net = Network::new(PREFIX, 0x6030);
         let nodes: Vec<NodeId> = (0..n).map(|_| net.add_node()).collect();
-        // Mirror topology: the oracle recomputes distances from scratch.
-        let mut mirror = Topology::new(n);
+        // The edge set the oracle rebuilds from scratch.
+        let mut edges = std::collections::BTreeMap::new();
         for i in 1..n {
             net.link(nodes[i], nodes[i - 1], LinkQuality::PERFECT);
-            mirror.link(i, i - 1, LinkQuality::PERFECT);
+            edges.insert((i - 1, i), LinkQuality::PERFECT);
         }
         net.build_tree(nodes[0]);
         // Node 0 is the always-present origin instance.
         net.set_anycast(nodes[0], mgr);
         let mut instances: std::collections::BTreeSet<usize> = [0].into();
         let mut t = SimTime::ZERO;
-        for (op, a, b) in ops {
+        for (op, a, b, q) in ops {
             let (a, b) = (a % n, b % n);
-            match op {
+            let edge = (a.min(b), a.max(b));
+            let rebuild = match op {
                 0 => {
                     // An edge cache joins the tier.
                     net.set_anycast(nodes[a], mgr);
                     instances.insert(a);
+                    None
                 }
                 1 if a != 0 => {
                     // An edge cache leaves (the origin never does).
                     net.unset_anycast(nodes[a], mgr);
                     instances.remove(&a);
+                    None
                 }
                 2 if a != b => {
                     net.link(nodes[a], nodes[b], LinkQuality::PERFECT);
-                    mirror.link(a, b, LinkQuality::PERFECT);
-                    net.build_tree(nodes[0]);
+                    edges.insert(edge, LinkQuality::PERFECT);
+                    Some((0, false))
                 }
-                3 => {
-                    net.build_tree(nodes[a]);
+                3 => Some((a, false)),
+                4 if a != b => {
+                    // A cut; the DODAG notices at the next reroot.
+                    net.unlink(nodes[a], nodes[b]);
+                    edges.remove(&edge);
+                    None
                 }
-                _ => {
-                    // Send to the anycast address and check the delivery
-                    // lands on the oracle's nearest live instance. Ops 3
-                    // may have rerooted elsewhere; mirror that root.
-                    let root = 0; // re-pin the root so the oracle is simple
-                    net.build_tree(nodes[root]);
-                    let dodag = Dodag::build(&mirror, root);
-                    let expected = instances
-                        .iter()
-                        .filter_map(|&i| dodag.distance(a, i).map(|d| (d, i)))
-                        .min();
-                    t += SimDuration::from_millis(50);
-                    let d = Datagram {
-                        src: net.addr_of(nodes[a]),
-                        dst: mgr,
-                        src_port: addr::MCAST_PORT,
-                        dst_port: addr::MCAST_PORT,
-                        payload: vec![0xaa; 8].into(),
-                    };
-                    net.send(t, nodes[a], d);
-                    let deliveries = net.poll(SimTime::MAX);
-                    let (_, want) = expected.expect("origin is always live");
-                    prop_assert_eq!(deliveries.len(), 1, "perfect links always deliver");
-                    prop_assert_eq!(
-                        deliveries[0].node,
-                        nodes[want],
-                        "must land on the nearest live instance"
-                    );
+                5 if a != b => {
+                    // A relink at a drawn quality: a heal when it matches
+                    // the quality the edge had.
+                    let quality = LinkQuality::new([0.25, 0.5, 1.0][q]);
+                    net.link(nodes[a], nodes[b], quality);
+                    edges.insert(edge, quality);
+                    None
                 }
+                _ => Some((0, true)), // a send, after re-pinning the root
+            };
+            let Some((root, send)) = rebuild else { continue };
+            net.build_tree(nodes[root]);
+            // The oracle links the edges in descending order, so its
+            // neighbour lists differ from the network's.
+            let mut fresh = Topology::new(n);
+            for (&(u, v), &quality) in edges.iter().rev() {
+                fresh.link(u, v, quality);
+            }
+            let dodag = Dodag::build(&fresh, root);
+            for (i, &node) in nodes.iter().enumerate() {
+                prop_assert_eq!(net.dodag_parent(node), dodag.parent[i].map(|p| nodes[p]));
+            }
+            if !send {
+                continue;
+            }
+            // Send to the anycast address and check the delivery lands
+            // on the oracle's nearest live instance.
+            let expected = instances
+                .iter()
+                .filter_map(|&i| dodag.distance(a, i).map(|d| (d, i)))
+                .min();
+            t += SimDuration::from_millis(50);
+            let d = Datagram {
+                src: net.addr_of(nodes[a]),
+                dst: mgr,
+                src_port: addr::MCAST_PORT,
+                dst_port: addr::MCAST_PORT,
+                payload: vec![0xaa; 8].into(),
+            };
+            net.send(t, nodes[a], d);
+            let deliveries = net.poll(SimTime::MAX);
+            let Some((_, want)) = expected else {
+                // Cut off from every instance, the origin included.
+                prop_assert!(deliveries.is_empty(), "an unreachable sender delivers nothing");
+                continue;
+            };
+            let route = dodag.route(a, want).expect("the oracle reached it");
+            if route
+                .windows(2)
+                .all(|hop| edges[&(hop[0].min(hop[1]), hop[0].max(hop[1]))] == LinkQuality::PERFECT)
+            {
+                prop_assert_eq!(deliveries.len(), 1, "perfect links always deliver");
+            }
+            prop_assert!(deliveries.len() <= 1, "one send, at most one delivery");
+            for delivery in &deliveries {
+                prop_assert_eq!(
+                    delivery.node,
+                    nodes[want],
+                    "must land on the nearest live instance"
+                );
             }
         }
     }

@@ -146,6 +146,20 @@ impl NativeLibs {
         Self::default()
     }
 
+    /// Releases what driver `slot` held: its I²C address, its UART
+    /// subscription and the UART port if it claimed it. The manager hands
+    /// a removed driver's slot to the next install, which must start
+    /// without its predecessor's device or data.
+    pub(crate) fn release(&mut self, slot: u8, hw: &mut HwContext) {
+        self.i2c_addr.remove(&slot);
+        if self.uart_reader == Some(slot) {
+            self.uart_reader = None;
+        }
+        if hw.uart.owner() == Some(u32::from(slot)) {
+            hw.uart.reset();
+        }
+    }
+
     /// Handles `signal <lib>.<op>(args)` from driver `slot`.
     pub fn handle(
         &mut self,

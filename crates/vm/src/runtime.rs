@@ -186,7 +186,8 @@ impl Runtime {
         Ok(slot)
     }
 
-    /// Fires `destroy` and removes the driver in `slot`.
+    /// Fires `destroy` and removes the driver in `slot`, releasing the
+    /// native state it held whether or not `destroy` did.
     pub fn remove_driver(&mut self, slot: SlotId) {
         if self.manager.get(slot).is_some() {
             self.router.post(RoutedEvent {
@@ -198,6 +199,7 @@ impl Runtime {
             self.manager.remove(slot);
             // Drop any pending operations against the removed driver.
             self.pending.retain(|p| p.slot != slot);
+            self.natives.release(slot, &mut self.hw);
         }
     }
 
@@ -590,6 +592,41 @@ event destroy():
         rt.remove_driver(slot);
         assert!(!rt.hw.uart.in_use(), "destroy must reset the uart");
         assert_eq!(rt.manager.installed(), 0);
+    }
+
+    #[test]
+    fn remove_driver_releases_native_state_destroy_left() {
+        let mut rt = Runtime::new(46);
+        rt.hw
+            .i2c
+            .attach(BMP180_I2C_ADDR, Box::new(Bmp180::noiseless(9)));
+        let src = "\
+import uart;
+import i2c;
+event init():
+    signal uart.init(9600, 0, 1, 8);
+    signal i2c.init(119);
+    signal uart.read();
+event destroy():
+    return;
+";
+        let image = compile_source(src, 7).unwrap();
+        let slot = rt.install_driver(image, 0).unwrap();
+        rt.run_until_idle();
+        assert!(rt.hw.uart.in_use());
+        assert_eq!(rt.natives.uart_reader, Some(slot));
+        assert_eq!(rt.natives.i2c_addr.get(&slot), Some(&BMP180_I2C_ADDR));
+        rt.remove_driver(slot);
+        assert!(!rt.hw.uart.in_use(), "the removed driver's port is free");
+        assert_eq!(rt.natives.uart_reader, None);
+        assert!(rt.natives.i2c_addr.is_empty());
+        // The successor gets the same slot and none of that state.
+        let successor = compile_source(
+            "event init():\n    return;\nevent destroy():\n    return;\n",
+            8,
+        )
+        .unwrap();
+        assert_eq!(rt.install_driver(successor, 0).unwrap(), slot);
     }
 
     #[test]

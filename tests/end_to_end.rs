@@ -65,7 +65,7 @@ fn plug_pipeline_survives_lossy_links() {
     assert!(w
         .thing(thing)
         .served_peripherals()
-        .contains(&prototypes::TMP36.raw()));
+        .any(|p| p == prototypes::TMP36.raw()));
 
     // Reads may need a few attempts end-to-end; the protocol itself is
     // fire-and-forget, so retry at the application level as a real client
@@ -101,7 +101,7 @@ fn hot_swap_switches_drivers() {
     w.plug_and_wait(thing, 0, prototypes::HIH4030);
 
     assert_eq!(
-        w.thing(thing).served_peripherals(),
+        w.thing(thing).served_peripherals().collect::<Vec<_>>(),
         vec![prototypes::HIH4030.raw()]
     );
     let v = w.client_read(client, thing, prototypes::HIH4030).unwrap();
@@ -225,13 +225,13 @@ fn two_hundred_plugs_remain_stable() {
         w.plug(thing, 0, dev);
         w.run_until_idle();
         assert_eq!(
-            w.thing(thing).served_peripherals(),
+            w.thing(thing).served_peripherals().collect::<Vec<_>>(),
             vec![dev.raw()],
             "round {round}"
         );
         w.unplug(thing, 0);
         w.run_until_idle();
-        assert!(w.thing(thing).served_peripherals().is_empty());
+        assert!(w.thing(thing).served_peripherals().next().is_none());
     }
     // Drivers were fetched over the air exactly once per type.
     assert_eq!(w.manager().uploads_served, 2);
