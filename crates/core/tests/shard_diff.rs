@@ -629,6 +629,75 @@ fn smoke_soak_sweep_matches_the_pinned_digest() {
     );
 }
 
+// ---- Pinned scenario outcome: the relative checks above pass when both
+// backends move alike, so the sequential outcome of every scenario shape
+// is pinned as well ---------------------------------------------------------
+
+/// FNV-1a over the fingerprint, deterministic summaries and span digest
+/// of every run in [`sequential_scenarios_match_the_pinned_digest`],
+/// untraced and traced. A refactor of the world loop must reproduce
+/// every one bit for bit; only a deliberate change of behaviour
+/// re-records it.
+const SCENARIO_DIGEST: u64 = 0xc4bd_a58c_1410_ff9d;
+
+fn fnv1a(digest: &mut u64, text: &str) {
+    for b in text.bytes() {
+        *digest = (*digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Runs `scenario` on a fresh sequential fleet twice, untraced and
+/// traced, and folds what each run leaves into `digest`.
+fn fold_scenario(digest: &mut u64, config: &FleetConfig, scenario: impl Fn(&mut Fleet) -> String) {
+    for traced in [false, true] {
+        let mut fleet = Fleet::build(config.clone());
+        fleet.world.set_tracing(traced);
+        let summary = scenario(&mut fleet);
+        let spans = fleet.world.take_spans();
+        assert_eq!(spans.is_empty(), !traced, "spans exactly when traced");
+        fnv1a(
+            digest,
+            &format!(
+                "{summary}\n{:#x} {:#x}\n",
+                fleet.fingerprint(),
+                span_digest(&spans)
+            ),
+        );
+    }
+}
+
+#[test]
+fn sequential_scenarios_match_the_pinned_digest() {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    // Discovery wave on a star, then a churn storm and a steady phase
+    // of reads plus one stream per client.
+    fold_scenario(&mut digest, &config(40, FleetTopology::Star), |f| {
+        let d = f.discovery_wave();
+        let c = f.churn_storm(20);
+        let s = f.steady_state(60);
+        [d, c, s]
+            .iter()
+            .map(virtual_summary)
+            .collect::<Vec<_>>()
+            .join("\n")
+    });
+    // A flash crowd behind caches on a tree, over lossy links so chunk
+    // retries fire.
+    let mut flash = config(60, FleetTopology::Tree { fanout: 3 }).with_caches(3);
+    flash.link_prr = 0.7;
+    fold_scenario(&mut digest, &flash, |f| virtual_summary(&f.flash_crowd()));
+    // A gray soak: crashes, partitions, degraded links, a crawling cache.
+    fold_scenario(&mut digest, &chaos_config(24, FleetTopology::Star), |f| {
+        let report = f.chaos_soak(&ChaosConfig::gray_smoke(3));
+        assert!(report.invariants_held(), "soak invariants: {report:?}");
+        report.deterministic_summary()
+    });
+    assert_eq!(
+        digest, SCENARIO_DIGEST,
+        "scenario outcomes drifted: {digest:#x}"
+    );
+}
+
 // ---- Distributed tracing (ISSUE 10: the span sets — ids, parentage,
 // virtual timestamps — must be bit-identical sequential vs sharded at
 // every shard count, soaks included) -------------------------------------
