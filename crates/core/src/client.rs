@@ -9,7 +9,7 @@ use std::net::Ipv6Addr;
 
 use upnp_net::addr::{self, MCAST_PORT};
 use upnp_net::msg::{AdvertisedPeripheral, Message, MessageBody, SeqNo, Value};
-use upnp_net::{Datagram, NodeId};
+use upnp_net::{Action, Datagram, NodeId, Reply};
 use upnp_sim::SimTime;
 
 /// A discovered peripheral: where it lives and what it advertised.
@@ -146,59 +146,43 @@ impl Client {
         )
     }
 
-    /// Handles a delivery. Returns groups the client should join (e.g. a
-    /// stream group from an (13) established message).
-    pub fn on_datagram(&mut self, at: SimTime, dgram: &Datagram) -> Vec<Ipv6Addr> {
+    /// Handles a delivery. The reply joins the stream group an (13)
+    /// established message names.
+    pub fn on_datagram(&mut self, at: SimTime, dgram: &Datagram) -> Reply {
         let Some(msg) = Message::decode(&dgram.payload) else {
-            return Vec::new();
+            return Reply::default();
         };
         match msg.body {
-            MessageBody::UnsolicitedAdvertisement(ads) => {
-                for advert in ads {
-                    self.discovered.push(DiscoveredPeripheral {
-                        thing: dgram.src,
-                        advert,
-                        solicited: false,
-                    });
-                }
-                Vec::new()
-            }
-            MessageBody::SolicitedAdvertisement(ads) => {
-                for advert in ads {
-                    self.discovered.push(DiscoveredPeripheral {
-                        thing: dgram.src,
-                        advert,
-                        solicited: true,
-                    });
-                }
-                Vec::new()
-            }
+            MessageBody::UnsolicitedAdvertisement(ads) => self.record(dgram.src, ads, false),
+            MessageBody::SolicitedAdvertisement(ads) => self.record(dgram.src, ads, true),
             MessageBody::Data { peripheral, value } => {
                 self.readings.push((peripheral, value, at));
-                Vec::new()
             }
             MessageBody::Established { peripheral, group } => {
                 // The group is wire input: a unicast one cannot be joined.
                 let group = Ipv6Addr::from(group);
-                if !group.is_multicast() {
-                    return Vec::new();
+                if group.is_multicast() {
+                    self.stream_groups.insert(group, peripheral);
+                    return Reply::from(vec![Action::Join(group)]);
                 }
-                self.stream_groups.insert(group, peripheral);
-                vec![group]
             }
             MessageBody::StreamData { peripheral, value } => {
                 self.stream_data.push((peripheral, value, at));
-                Vec::new()
             }
-            MessageBody::Closed { peripheral } => {
-                self.closed_streams.push(peripheral);
-                Vec::new()
-            }
-            MessageBody::WriteAck { peripheral, ok } => {
-                self.write_acks.push((peripheral, ok));
-                Vec::new()
-            }
-            _ => Vec::new(),
+            MessageBody::Closed { peripheral } => self.closed_streams.push(peripheral),
+            MessageBody::WriteAck { peripheral, ok } => self.write_acks.push((peripheral, ok)),
+            _ => {}
+        }
+        Reply::default()
+    }
+
+    fn record(&mut self, thing: Ipv6Addr, ads: Vec<AdvertisedPeripheral>, solicited: bool) {
+        for advert in ads {
+            self.discovered.push(DiscoveredPeripheral {
+                thing,
+                advert,
+                solicited,
+            });
         }
     }
 

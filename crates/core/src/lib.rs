@@ -31,6 +31,7 @@ pub mod fleet;
 pub mod manager;
 pub mod registry;
 pub mod shard;
+mod spans;
 pub mod thing;
 pub mod vec_map;
 pub mod world;

@@ -23,8 +23,8 @@ use upnp_hw::id::DeviceTypeId;
 use upnp_net::addr::MCAST_PORT;
 use upnp_net::calib;
 use upnp_net::msg::{Message, MessageBody, SeqNo, DRIVER_CHUNK_PAYLOAD};
-use upnp_net::{Datagram, NodeId};
-use upnp_sim::{CpuCost, SimDuration};
+use upnp_net::{Action, Datagram, NodeId, Reply};
+use upnp_sim::CpuCost;
 
 use crate::catalog::Catalog;
 use crate::registry::AddressSpace;
@@ -276,35 +276,29 @@ impl Manager {
             .collect()
     }
 
-    /// Handles a datagram. Returns replies plus two manager-side delays:
-    /// `process` (receive + repository lookup + upload setup — the tail of
-    /// Table 4's *request driver* row) and `send_path` (the UDP/6LoWPAN
-    /// send path — the head of the *install driver* row).
-    pub fn on_datagram(&mut self, dgram: &Datagram) -> (Vec<Datagram>, SimDuration, SimDuration) {
+    /// Handles a datagram. The reply's two legs are `process` (receive +
+    /// repository lookup + upload setup — the tail of Table 4's *request
+    /// driver* row) and `send_path` (the UDP/6LoWPAN send path — the head
+    /// of the *install driver* row).
+    pub fn on_datagram(&mut self, dgram: &Datagram) -> Reply {
         let Some(msg) = Message::decode(&dgram.payload) else {
-            return (Vec::new(), SimDuration::ZERO, SimDuration::ZERO);
+            return Reply::default();
         };
         match msg.body {
             MessageBody::DriverRequest { peripheral } => {
                 let mut cost = CpuCost::ZERO;
                 cost += calib::UDP_RECV_PATH;
                 cost += calib::REPO_LOOKUP;
-                match self.encoded(peripheral).cloned() {
-                    Some(image) => {
-                        cost += calib::UPLOAD_SETUP;
-                        self.uploads_served += 1;
-                        let reply = Message {
-                            seq: msg.seq,
-                            body: MessageBody::DriverUpload { peripheral, image },
-                        };
-                        (
-                            vec![self.datagram(dgram.src, reply)],
-                            calib::duration(cost),
-                            calib::duration(calib::UDP_SEND_PATH),
-                        )
-                    }
-                    None => (Vec::new(), calib::duration(cost), SimDuration::ZERO),
-                }
+                let Some(image) = self.encoded(peripheral).cloned() else {
+                    return Reply::with_cost(cost);
+                };
+                cost += calib::UPLOAD_SETUP;
+                self.uploads_served += 1;
+                let reply = Message {
+                    seq: msg.seq,
+                    body: MessageBody::DriverUpload { peripheral, image },
+                };
+                self.replying(cost, dgram.src, reply)
             }
             MessageBody::DriverChunkRequest {
                 peripheral,
@@ -320,11 +314,11 @@ impl Manager {
                 cost += calib::UDP_RECV_PATH;
                 cost += calib::REPO_LOOKUP;
                 let Some(bytes) = self.encoded(peripheral) else {
-                    return (Vec::new(), calib::duration(cost), SimDuration::ZERO);
+                    return Reply::with_cost(cost);
                 };
                 let total = bytes.len().div_ceil(DRIVER_CHUNK_PAYLOAD).max(1) as u16;
                 if chunk >= total {
-                    return (Vec::new(), calib::duration(cost), SimDuration::ZERO);
+                    return Reply::with_cost(cost);
                 }
                 let start = chunk as usize * DRIVER_CHUNK_PAYLOAD;
                 let end = (start + DRIVER_CHUNK_PAYLOAD).min(bytes.len());
@@ -351,19 +345,11 @@ impl Manager {
                         data,
                     },
                 };
-                (
-                    vec![self.datagram(dgram.src, reply)],
-                    calib::duration(cost),
-                    calib::duration(calib::UDP_SEND_PATH),
-                )
+                self.replying(cost, dgram.src, reply)
             }
             MessageBody::DriverAdvertisement { drivers } => {
                 self.record_inventory(dgram.src, drivers);
-                (
-                    Vec::new(),
-                    calib::duration(calib::UDP_RECV_PATH),
-                    SimDuration::ZERO,
-                )
+                Reply::with_cost(calib::UDP_RECV_PATH)
             }
             MessageBody::DriverRemovalAck {
                 peripheral,
@@ -375,14 +361,17 @@ impl Manager {
                     self.removal_acks.pop_front();
                 }
                 self.removal_acks_total += 1;
-                (
-                    Vec::new(),
-                    calib::duration(calib::UDP_RECV_PATH),
-                    SimDuration::ZERO,
-                )
+                Reply::with_cost(calib::UDP_RECV_PATH)
             }
-            _ => (Vec::new(), SimDuration::ZERO, SimDuration::ZERO),
+            _ => Reply::default(),
         }
+    }
+
+    /// The reply that sends `msg` to `dst` after processing `cost`.
+    fn replying(&self, cost: CpuCost, dst: Ipv6Addr, msg: Message) -> Reply {
+        let mut reply = Reply::with_cost(cost).sending();
+        reply.actions.push(Action::Send(self.datagram(dst, msg)));
+        reply
     }
 
     /// Builds (5) driver-upload pushes for every inventoried Thing that

@@ -11,6 +11,9 @@
 //!    unsolicited advertisement to all clients;
 //! 4. (2) discovery, (10) read, (12) stream, (16) write and the driver
 //!    management messages are answered per §5.2–5.3.
+//!
+//! Every handler answers its stimulus with one [`Reply`] whose actions
+//! the world applies at the Thing's runtime clock.
 
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -23,7 +26,7 @@ use upnp_net::addr;
 use upnp_net::calib;
 use upnp_net::msg::{AdvertisedPeripheral, Message, MessageBody, SeqNo, Value};
 use upnp_net::tlv::{Tlv, TlvType};
-use upnp_net::{Datagram, NodeId};
+use upnp_net::{Action, Datagram, NodeId, Reply};
 use upnp_sim::{SimDuration, SimTime};
 use upnp_vm::controller::{PeripheralChange, PeripheralController};
 use upnp_vm::runtime::{OpToken, PendingKind, Runtime};
@@ -90,27 +93,6 @@ impl PlugTimeline {
     }
 }
 
-/// Side effects a Thing asks the world to perform.
-#[derive(Debug)]
-pub enum Outbound {
-    /// Transmit a datagram (at the thing's current clock).
-    Send(Datagram),
-    /// Join a multicast group at the network layer.
-    JoinGroup(Ipv6Addr),
-    /// Leave a multicast group.
-    LeaveGroup(Ipv6Addr),
-    /// Schedule periodic stream ticks for a peripheral.
-    StartStream {
-        /// The streaming peripheral.
-        peripheral: u32,
-    },
-    /// Stop the stream ticks for a peripheral.
-    StopStream {
-        /// The peripheral whose stream ended.
-        peripheral: u32,
-    },
-}
-
 #[derive(Debug)]
 struct StreamState {
     group: Ipv6Addr,
@@ -118,7 +100,7 @@ struct StreamState {
 }
 
 /// What a revive found in the torn flash staging area (see
-/// [`Thing::revive_mcu`]).
+/// [`Thing::audit_flash`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlashRecovery {
     /// Half-written images rejected on revive — stale install
@@ -139,7 +121,6 @@ pub struct Thing {
     pub runtime: Runtime,
     controller: PeripheralController,
     catalog: Catalog,
-    prefix: u64,
     seq: SeqNo,
     /// Locally cached driver images by device id, shared with the
     /// runtime's instance of each installed driver.
@@ -159,13 +140,16 @@ pub struct Thing {
     pub scan_temp_c: f64,
     /// Samples per stream before `Closed` (configurable).
     pub stream_samples: u32,
+    /// Stream sampling period ([`crate::world::WorldConfig`]'s).
+    pub(crate) stream_period: SimDuration,
     /// Physical location tag; discoveries carrying a `Location` TLV are
     /// only answered when it matches (§9's location-aware discovery).
     pub location: Option<String>,
-    /// Flash install generation — bumped on every MCU crash, the same
+    /// Install generation — bumped on every MCU crash, the same
     /// generation-stamp discipline the edge cache uses to fence stale
     /// chunk sessions across its own crashes. An image staged under an
-    /// older generation can never be accepted after a crash.
+    /// older generation can never be accepted after a crash, and a
+    /// stream tick armed under one is stale.
     install_gen: u64,
     /// Driver bytes that were mid-flash when the MCU died: `(install
     /// generation at staging time, peripheral, the torn prefix)`.
@@ -179,7 +163,6 @@ impl Thing {
     pub fn new(
         node: NodeId,
         address: Ipv6Addr,
-        prefix: u64,
         board: ControlBoard,
         catalog: Catalog,
         runtime: Runtime,
@@ -190,7 +173,6 @@ impl Thing {
             runtime,
             controller: PeripheralController::new(board),
             catalog,
-            prefix,
             seq: 0,
             driver_cache: VecMap::new(),
             awaiting_driver: VecMap::new(),
@@ -199,6 +181,7 @@ impl Thing {
             timelines: VecMap::new(),
             scan_temp_c: 25.0,
             stream_samples: 5,
+            stream_period: SimDuration::from_millis(500),
             location: None,
             install_gen: 0,
             torn_flash: Vec::new(),
@@ -210,8 +193,15 @@ impl Thing {
         self.seq
     }
 
-    /// The control board (plug/unplug peripherals, inspect traces).
-    pub fn board_mut(&mut self) -> &mut ControlBoard {
+    /// The deployment's 48-bit prefix, the one the Thing's own unicast
+    /// address carries.
+    fn prefix(&self) -> u64 {
+        addr::unicast_prefix(self.address)
+    }
+
+    /// The control board, to plug and unplug peripherals. Only the world
+    /// does, so every board change raises an interrupt it has queued.
+    pub(crate) fn board_mut(&mut self) -> &mut ControlBoard {
         self.controller.board_mut()
     }
 
@@ -234,7 +224,7 @@ impl Thing {
 
     /// Services the board interrupt at world time `now`: runs the scan and
     /// reacts to every change.
-    pub fn service_interrupt(&mut self, now: SimTime, mgr_anycast: Ipv6Addr) -> Vec<Outbound> {
+    pub fn service_interrupt(&mut self, now: SimTime, mgr_anycast: Ipv6Addr) -> Reply {
         if self.runtime.now() < now {
             self.runtime.advance_to(now);
         }
@@ -252,16 +242,16 @@ impl Thing {
                     tl.scan_started = Some(scan_start);
                     tl.scan = Some(outcome.duration());
                     if let Some(image) = self.driver_cache.get(&device_id.raw()).cloned() {
-                        out.extend(self.activate_driver(channel, device_id, image));
+                        self.activate_driver(channel, device_id, image, &mut out);
                     } else {
-                        out.extend(self.request_driver(device_id, mgr_anycast));
+                        self.request_driver(device_id, mgr_anycast, &mut out);
                         self.awaiting_driver
                             .get_or_insert_default(device_id.raw())
                             .push(channel);
                     }
                 }
                 PeripheralChange::Disconnected { channel, device_id } => {
-                    out.extend(self.deactivate_driver(channel, device_id));
+                    self.deactivate_driver(channel, device_id, &mut out);
                 }
                 PeripheralChange::IdentificationFailed { .. } => {
                     // The MCU will retry on the next interrupt; nothing to
@@ -269,10 +259,10 @@ impl Thing {
                 }
             }
         }
-        out
+        Reply::from(out)
     }
 
-    fn request_driver(&mut self, device_id: DeviceTypeId, mgr: Ipv6Addr) -> Vec<Outbound> {
+    fn request_driver(&mut self, device_id: DeviceTypeId, mgr: Ipv6Addr, out: &mut Vec<Action>) {
         // The request-driver leg starts when the Thing decides to ask, so
         // its own send path counts into the measured row.
         if let Some(tl) = self.timelines.get_mut(&device_id.raw()) {
@@ -280,7 +270,7 @@ impl Thing {
         }
         self.runtime.charge(calib::UDP_SEND_PATH);
         let seq = self.next_seq();
-        vec![Outbound::Send(self.datagram(
+        out.push(Action::Send(self.datagram(
             mgr,
             Message {
                 seq,
@@ -288,7 +278,7 @@ impl Thing {
                     peripheral: device_id.raw(),
                 },
             },
-        ))]
+        )));
     }
 
     /// Installs `image` for the peripheral on `channel`, joins its group
@@ -298,14 +288,14 @@ impl Thing {
         channel: ChannelId,
         device_id: DeviceTypeId,
         image: Arc<DriverImage>,
-    ) -> Vec<Outbound> {
-        let mut out = Vec::new();
+        out: &mut Vec<Action>,
+    ) {
         // Install cost scales with the image size (flash write).
         let size = image.size_bytes();
         self.runtime
             .charge(calib::INSTALL_PER_BYTE.times(size as u64));
         let Ok(slot) = self.runtime.install_driver(image, channel.0) else {
-            return out;
+            return;
         };
         self.catalog.attach(&mut self.runtime, slot, device_id);
         self.runtime.run_until_idle(); // the driver's init handler
@@ -316,20 +306,20 @@ impl Thing {
         // Generate the peripheral's multicast address (§5.1).
         let t0 = self.runtime.now();
         self.runtime.charge(calib::GEN_MCAST_ADDR);
-        let group = addr::peripheral_group(self.prefix, device_id.raw());
+        let group = addr::peripheral_group(self.prefix(), device_id.raw());
         let t1 = self.runtime.now();
 
         // Join the group.
         self.runtime.charge(calib::JOIN_GROUP);
-        out.push(Outbound::JoinGroup(group));
+        out.push(Action::Join(group));
         let t2 = self.runtime.now();
 
         // Build and send the unsolicited advertisement.
         self.runtime.charge(calib::BUILD_ADVERTISEMENT);
         self.runtime.charge(calib::UDP_SEND_PATH);
         let seq = self.next_seq();
-        out.push(Outbound::Send(self.datagram(
-            addr::all_clients_group(self.prefix),
+        out.push(Action::Send(self.datagram(
+            addr::all_clients_group(self.prefix()),
             Message {
                 seq,
                 body: MessageBody::UnsolicitedAdvertisement(vec![
@@ -345,11 +335,14 @@ impl Thing {
             tl.advertise = Some(t3.since(t2));
             tl.finished = Some(t3);
         }
-        out
     }
 
-    fn deactivate_driver(&mut self, channel: ChannelId, device_id: DeviceTypeId) -> Vec<Outbound> {
-        let mut out = Vec::new();
+    fn deactivate_driver(
+        &mut self,
+        channel: ChannelId,
+        device_id: DeviceTypeId,
+        out: &mut Vec<Action>,
+    ) {
         // Cancel the in-flight driver request for *this* channel: an
         // upload racing this unplug must not activate a driver for a
         // peripheral that is no longer present (it is cached for the
@@ -365,11 +358,13 @@ impl Thing {
             self.runtime.remove_driver(slot);
             self.catalog.detach(&mut self.runtime, slot, device_id);
         }
-        let group = addr::peripheral_group(self.prefix, device_id.raw());
-        out.push(Outbound::LeaveGroup(group));
+        let group = addr::peripheral_group(self.prefix(), device_id.raw());
+        out.push(Action::Leave(group));
+        // A stream ends with its peripheral; its pending tick finds no
+        // stream and does not re-arm.
         if let Some(stream) = self.streams.remove(&device_id.raw()) {
             let seq = self.next_seq();
-            out.push(Outbound::Send(self.datagram(
+            out.push(Action::Send(self.datagram(
                 stream.group,
                 Message {
                     seq,
@@ -378,22 +373,18 @@ impl Thing {
                     },
                 },
             )));
-            out.push(Outbound::StopStream {
-                peripheral: device_id.raw(),
-            });
         }
         // Unplug also triggers an unsolicited advertisement (§5.2.1:
         // "whenever a new peripheral is connected or disconnected").
         self.runtime.charge(calib::UDP_SEND_PATH);
         let seq = self.next_seq();
-        out.push(Outbound::Send(self.datagram(
-            addr::all_clients_group(self.prefix),
+        out.push(Action::Send(self.datagram(
+            addr::all_clients_group(self.prefix()),
             Message {
                 seq,
                 body: MessageBody::UnsolicitedAdvertisement(self.current_advertisement()),
             },
         )));
-        out
     }
 
     fn advertised(&self, device_id: DeviceTypeId, channel: ChannelId) -> AdvertisedPeripheral {
@@ -442,7 +433,7 @@ impl Thing {
         // (Thing, type) pairs collide with probability ~2^-40 per pair
         // rather than the birthday-prone 2^-32.
         let h = upnp_sim::splitmix64(((peripheral as u64) << 32) | self.node.0 as u64);
-        let base = addr::peripheral_group(self.prefix, h as u32);
+        let base = addr::peripheral_group(self.prefix(), h as u32);
         let mut o = base.octets();
         o[10] = (h >> 32) as u8;
         o[11] = addr::STREAM_FLAG; // stream flag in the zero pad
@@ -450,27 +441,28 @@ impl Thing {
     }
 
     /// Handles a datagram delivered at `at` (world clock).
-    pub fn on_datagram(&mut self, at: SimTime, dgram: &Datagram) -> Vec<Outbound> {
+    pub fn on_datagram(&mut self, at: SimTime, dgram: &Datagram) -> Reply {
         if self.runtime.now() < at {
             self.runtime.advance_to(at);
         }
         let Some(msg) = Message::decode(&dgram.payload) else {
-            return Vec::new();
+            return Reply::default();
         };
         self.runtime.charge(calib::UDP_RECV_PATH);
+        let mut out = Vec::new();
         match msg.body {
             MessageBody::DriverUpload { peripheral, image } => {
                 if let Some(tl) = self.timelines.get_mut(&peripheral) {
                     tl.upload_received = Some(at);
                 }
                 let Ok(parsed) = DriverImage::from_bytes(&image) else {
-                    return Vec::new();
+                    return Reply::default();
                 };
                 // Defence in depth: the Thing re-verifies what the
                 // repository claims to have verified, and takes an image
                 // only as the driver of the peripheral it names.
                 if parsed.device_id != peripheral || upnp_dsl::verify(&parsed).is_err() {
-                    return Vec::new();
+                    return Reply::default();
                 }
                 let parsed = Arc::new(parsed);
                 self.driver_cache.insert(peripheral, Arc::clone(&parsed));
@@ -478,15 +470,14 @@ impl Thing {
                     Some(channels) => {
                         // One upload serves every channel still waiting
                         // for this device type (usually exactly one).
-                        let mut out = Vec::new();
                         for channel in channels {
-                            out.extend(self.activate_driver(
+                            self.activate_driver(
                                 channel,
                                 DeviceTypeId::new(peripheral),
                                 Arc::clone(&parsed),
-                            ));
+                                &mut out,
+                            );
                         }
-                        out
                     }
                     None => {
                         // An unsolicited upload for a peripheral we are
@@ -494,7 +485,7 @@ impl Thing {
                         // destroy the running driver and activate the new
                         // version in place (§3.3: "the device drivers
                         // associated with an address may be updated at any
-                        // time").
+                        // time"). Otherwise it is pre-staged for later.
                         if let Some(slot) = self.runtime.manager.slot_for_device(peripheral) {
                             let channel = self
                                 .runtime
@@ -503,9 +494,8 @@ impl Thing {
                                 .map(|d| ChannelId(d.channel))
                                 .expect("slot exists");
                             self.runtime.remove_driver(slot);
-                            self.activate_driver(channel, DeviceTypeId::new(peripheral), parsed)
-                        } else {
-                            Vec::new() // pre-staged driver for later
+                            let device_id = DeviceTypeId::new(peripheral);
+                            self.activate_driver(channel, device_id, parsed, &mut out);
                         }
                     }
                 }
@@ -521,27 +511,25 @@ impl Thing {
                     .and_then(|t| t.as_text());
                 if let Some(wanted) = wanted_location {
                     if self.location.as_deref() != Some(wanted) {
-                        return Vec::new();
+                        return Reply::default();
                     }
                 }
                 self.runtime.charge(calib::UDP_SEND_PATH);
-                let seq = msg.seq;
-                vec![Outbound::Send(self.datagram(
+                out.push(Action::Send(self.datagram(
                     dgram.src,
                     Message {
-                        seq,
+                        seq: msg.seq,
                         body: MessageBody::SolicitedAdvertisement(self.current_advertisement()),
                     },
-                ))]
+                )));
             }
-            MessageBody::Read { peripheral } => self.start_op(
-                msg.seq,
-                dgram.src,
-                peripheral,
-                PendingKind::Read,
-                Vec::new(),
-                false,
-            ),
+            MessageBody::Read { peripheral } => {
+                let kind = PendingKind::Read;
+                match self.start_op(msg.seq, dgram.src, peripheral, kind, Vec::new(), false) {
+                    Some(answer) => out.push(answer),
+                    None => self.flush_completions(&mut out),
+                }
+            }
             MessageBody::Write { peripheral, value } => {
                 let args = match value {
                     Value::I32(v) => vec![upnp_vm::value::Cell::from_i32(v)],
@@ -552,18 +540,15 @@ impl Thing {
                         .collect(),
                     Value::None => Vec::new(),
                 };
-                self.start_op(
-                    msg.seq,
-                    dgram.src,
-                    peripheral,
-                    PendingKind::Write,
-                    args,
-                    false,
-                )
+                let kind = PendingKind::Write;
+                match self.start_op(msg.seq, dgram.src, peripheral, kind, args, false) {
+                    Some(answer) => out.push(answer),
+                    None => self.flush_completions(&mut out),
+                }
             }
             MessageBody::Stream { peripheral } => {
                 let Some(_) = self.runtime.manager.slot_for_device(peripheral) else {
-                    return Vec::new();
+                    return Reply::default();
                 };
                 let group = self.stream_group(peripheral);
                 self.streams.insert(
@@ -574,19 +559,22 @@ impl Thing {
                     },
                 );
                 self.runtime.charge(calib::UDP_SEND_PATH);
-                vec![
-                    Outbound::Send(self.datagram(
-                        dgram.src,
-                        Message {
-                            seq: msg.seq,
-                            body: MessageBody::Established {
-                                peripheral,
-                                group: group.octets(),
-                            },
+                out.push(Action::Send(self.datagram(
+                    dgram.src,
+                    Message {
+                        seq: msg.seq,
+                        body: MessageBody::Established {
+                            peripheral,
+                            group: group.octets(),
                         },
-                    )),
-                    Outbound::StartStream { peripheral },
-                ]
+                    },
+                )));
+                // The first sample is due one period after the reply.
+                out.push(Action::Timer {
+                    key: peripheral,
+                    gen: self.install_gen,
+                    after: self.stream_period,
+                });
             }
             MessageBody::DriverDiscovery => {
                 self.runtime.charge(calib::UDP_SEND_PATH);
@@ -596,13 +584,13 @@ impl Thing {
                     .iter()
                     .map(|(_, d)| (d.device_id, 1u16))
                     .collect();
-                vec![Outbound::Send(self.datagram(
+                out.push(Action::Send(self.datagram(
                     dgram.src,
                     Message {
                         seq: msg.seq,
                         body: MessageBody::DriverAdvertisement { drivers },
                     },
-                ))]
+                )));
             }
             MessageBody::DriverRemoval { peripheral } => {
                 let removed = match self.runtime.manager.slot_for_device(peripheral) {
@@ -618,7 +606,7 @@ impl Thing {
                     None => false,
                 };
                 self.runtime.charge(calib::UDP_SEND_PATH);
-                let mut out = vec![Outbound::Send(self.datagram(
+                out.push(Action::Send(self.datagram(
                     dgram.src,
                     Message {
                         seq: msg.seq,
@@ -627,20 +615,23 @@ impl Thing {
                             removed,
                         },
                     },
-                ))];
+                )));
                 if removed {
-                    out.push(Outbound::LeaveGroup(addr::peripheral_group(
-                        self.prefix,
+                    out.push(Action::Leave(addr::peripheral_group(
+                        self.prefix(),
                         peripheral,
                     )));
                 }
-                out
             }
-            _ => Vec::new(),
+            _ => {}
         }
+        Reply::from(out)
     }
 
-    /// Starts a read/write against a driver and flushes completions.
+    /// Starts a read/write against the driver of `peripheral`. Without
+    /// a driver it returns the answer at once, an empty value or a failed
+    /// ack; otherwise the reply leaves with the next
+    /// [`Thing::flush_completions`].
     fn start_op(
         &mut self,
         seq: SeqNo,
@@ -649,9 +640,8 @@ impl Thing {
         kind: PendingKind,
         args: Vec<upnp_vm::value::Cell>,
         stream: bool,
-    ) -> Vec<Outbound> {
+    ) -> Option<Action> {
         let Some(slot) = self.runtime.manager.slot_for_device(peripheral) else {
-            // No driver: answer with an empty value / failed ack.
             self.runtime.charge(calib::UDP_SEND_PATH);
             let body = match kind {
                 PendingKind::Write => MessageBody::WriteAck {
@@ -663,22 +653,20 @@ impl Thing {
                     value: Value::None,
                 },
             };
-            return vec![Outbound::Send(
+            return Some(Action::Send(
                 self.datagram(requester, Message { seq, body }),
-            )];
+            ));
         };
         let token = self.runtime.request(slot, kind, args);
         self.pending_ops
             .insert(token, (seq, requester, peripheral, stream));
-        self.flush_completions()
+        None
     }
 
     /// Runs the runtime until idle and converts completed operations into
     /// protocol replies.
-    pub fn flush_completions(&mut self) -> Vec<Outbound> {
-        let completed = self.runtime.run_until_idle();
-        let mut out = Vec::new();
-        for op in completed {
+    fn flush_completions(&mut self, out: &mut Vec<Action>) {
+        for op in self.runtime.run_until_idle() {
             let Some((seq, requester, peripheral, stream)) = self.pending_ops.remove(&op.token)
             else {
                 continue;
@@ -701,54 +689,57 @@ impl Thing {
             } else {
                 requester
             };
-            out.push(Outbound::Send(self.datagram(dst, Message { seq, body })));
+            out.push(Action::Send(self.datagram(dst, Message { seq, body })));
         }
-        out
     }
 
-    /// One periodic stream tick: sample the driver and multicast the
-    /// value; close the stream after the configured sample count.
-    pub fn stream_tick(&mut self, now: SimTime, peripheral: u32) -> Vec<Outbound> {
-        if self.runtime.now() < now {
-            self.runtime.advance_to(now);
+    /// A stream timer for `peripheral` at `at` (world clock): sample the
+    /// driver and multicast the value, or close the stream after the
+    /// configured sample count. A live stream re-arms the timer for one
+    /// period after `at`; a tick armed before a crash is stale, because
+    /// the revive re-armed the stream.
+    pub fn on_timer(&mut self, at: SimTime, peripheral: u32, gen: u64) -> Reply {
+        if gen != self.install_gen {
+            return Reply::default();
         }
-        let Some(state) = self.streams.get_mut(&peripheral) else {
-            return vec![Outbound::StopStream { peripheral }];
-        };
-        if state.remaining == 0 {
+        if self.runtime.now() < at {
+            self.runtime.advance_to(at);
+        }
+        let mut out = Vec::new();
+        let mut live = false;
+        if let Some(state) = self.streams.get_mut(&peripheral) {
             let group = state.group;
-            self.streams.remove(&peripheral);
-            self.runtime.charge(calib::UDP_SEND_PATH);
-            let seq = self.next_seq();
-            return vec![
-                Outbound::Send(self.datagram(
-                    group,
-                    Message {
-                        seq,
-                        body: MessageBody::Closed { peripheral },
-                    },
-                )),
-                Outbound::StopStream { peripheral },
-            ];
+            if state.remaining == 0 {
+                self.streams.remove(&peripheral);
+                self.runtime.charge(calib::UDP_SEND_PATH);
+                let seq = self.next_seq();
+                let body = MessageBody::Closed { peripheral };
+                out.push(Action::Send(self.datagram(group, Message { seq, body })));
+            } else {
+                state.remaining -= 1;
+                live = true;
+                // Each tick is a one-shot read whose reply is formatted
+                // as (14) stream data and sent to the stream group.
+                let seq = self.next_seq();
+                let kind = PendingKind::Read;
+                out.extend(self.start_op(seq, group, peripheral, kind, Vec::new(), true));
+            }
         }
-        state.remaining -= 1;
-        let group = state.group;
-        let seq = self.next_seq();
-        self.start_op_to_group(seq, group, peripheral)
+        self.flush_completions(&mut out);
+        if live {
+            // The reply leaves at the runtime clock; the next tick is
+            // due one period after this one.
+            let after = (at + self.stream_period).saturating_since(self.runtime.now());
+            out.push(Action::Timer {
+                key: peripheral,
+                gen,
+                after,
+            });
+        }
+        Reply::from(out)
     }
 
-    /// Each stream tick is a one-shot read whose reply is formatted as
-    /// (14) stream data and sent to the stream group.
-    fn start_op_to_group(&mut self, seq: SeqNo, group: Ipv6Addr, peripheral: u32) -> Vec<Outbound> {
-        self.start_op(seq, group, peripheral, PendingKind::Read, Vec::new(), true)
-    }
-
-    /// True while a stream is active for `peripheral`.
-    pub fn is_streaming(&self, peripheral: u32) -> bool {
-        self.streams.contains_key(&peripheral)
-    }
-
-    /// The MCU dies mid-operation. Bumps the flash install generation so
+    /// The MCU dies mid-operation. Bumps the install generation so
     /// anything staged before (or during) the outage is fenced: a
     /// half-written image from the old life can never be accepted by the
     /// new one, only rejected and refetched end-to-end.
@@ -756,35 +747,36 @@ impl Thing {
         self.install_gen = self.install_gen.wrapping_add(1);
     }
 
-    /// Stages the torn remnant of a driver upload that arrived while the
-    /// MCU was dead: only the first half of `image` reaches flash — the
+    /// A frame delivered while the MCU is dead. Only a (5) driver upload
+    /// leaves a trace: the first half of its image reaches flash — the
     /// write was cut mid-stream — stamped with the current install
-    /// generation for [`Thing::revive_mcu`] to audit.
-    pub fn stage_torn_upload(&mut self, peripheral: u32, image: &[u8]) {
-        let torn = &image[..image.len() / 2];
-        self.torn_flash
-            .push((self.install_gen, peripheral, torn.to_vec()));
+    /// generation for [`Thing::audit_flash`]. Everything else evaporates
+    /// with the MCU.
+    pub fn stage_torn_upload(&mut self, payload: &[u8]) {
+        if payload.first() != Some(&MessageBody::DRIVER_UPLOAD_TYPE) {
+            return;
+        }
+        if let Some(Message {
+            body: MessageBody::DriverUpload { peripheral, image },
+            ..
+        }) = Message::decode(payload)
+        {
+            let torn = &image[..image.len() / 2];
+            self.torn_flash
+                .push((self.install_gen, peripheral, torn.to_vec()));
+        }
     }
 
-    /// Revives a crashed MCU at world time `now`: audits the torn flash
-    /// staging area — an image is accepted only if its install
-    /// generation is current *and* it still parses and passes
-    /// `verify()`, which a torn prefix never does — and reissues a
-    /// driver request for every peripheral still waiting, so the image
-    /// is refetched end-to-end rather than stitched across the crash.
-    ///
-    /// Protocol state (streams, pending operations) is assumed to be
-    /// restored from persistent storage; only the flash install path is
-    /// torn by the crash.
-    pub fn revive_mcu(
-        &mut self,
-        now: SimTime,
-        mgr_anycast: Ipv6Addr,
-    ) -> (FlashRecovery, Vec<Outbound>) {
-        if self.runtime.now() < now {
-            self.runtime.advance_to(now);
-        }
-        let mut recovery = FlashRecovery::default();
+    /// Audits the torn flash staging area as a crashed MCU revives: an
+    /// image is accepted only if its install generation is current *and*
+    /// it still parses and passes `verify()`, which a torn prefix never
+    /// does. Also counts the driver requests [`Thing::revive_mcu`] then
+    /// reissues.
+    pub fn audit_flash(&mut self) -> FlashRecovery {
+        let mut recovery = FlashRecovery {
+            rejected: 0,
+            refetches: self.awaiting_driver.keys().count() as u64,
+        };
         for (generation, _peripheral, bytes) in std::mem::take(&mut self.torn_flash) {
             let intact = generation == self.install_gen
                 && DriverImage::from_bytes(&bytes)
@@ -795,14 +787,36 @@ impl Thing {
                 recovery.rejected += 1;
             }
         }
+        recovery
+    }
+
+    /// Revives a crashed MCU at world time `now`, after
+    /// [`Thing::audit_flash`]: reissues a driver request for every
+    /// peripheral still waiting, so the image is refetched end-to-end
+    /// rather than stitched across the crash, and re-arms every live
+    /// stream one period from now.
+    ///
+    /// Protocol state (streams, pending operations) is assumed to be
+    /// restored from persistent storage; only the flash install path and
+    /// the stream timers are torn by the crash.
+    pub fn revive_mcu(&mut self, now: SimTime, mgr_anycast: Ipv6Addr) -> Reply {
+        if self.runtime.now() < now {
+            self.runtime.advance_to(now);
+        }
         let mut pending: Vec<u32> = self.awaiting_driver.keys().copied().collect();
         pending.sort_unstable();
         let mut out = Vec::new();
         for peripheral in pending {
-            recovery.refetches += 1;
-            out.extend(self.request_driver(DeviceTypeId::new(peripheral), mgr_anycast));
+            self.request_driver(DeviceTypeId::new(peripheral), mgr_anycast, &mut out);
         }
-        (recovery, out)
+        for (&peripheral, _) in self.streams.iter() {
+            out.push(Action::Timer {
+                key: peripheral,
+                gen: self.install_gen,
+                after: self.stream_period,
+            });
+        }
+        Reply::from(out)
     }
 
     fn value_kind(&self, peripheral: u32) -> ValueKind {

@@ -2,29 +2,33 @@
 //! 6LoWPAN network, driven on a single virtual clock.
 //!
 //! This is the API the examples, integration tests and benchmark harness
-//! use. It mediates every datagram, so it is also where the plug-pipeline
-//! timelines (Table 4, §8) are stitched together.
+//! use. Every actor — Thing, client, Manager replica, edge cache — answers
+//! each stimulus with one [`Reply`], and every stimulus enters through one
+//! function that applies the reply in one place. That seam is where the
+//! plug-pipeline timelines (Table 4, §8) are stitched together and where
+//! the span observer (module `spans`) runs.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv6Addr;
 
-use upnp_distro::{CacheAction, CacheConfig, CacheReply, EdgeCache};
+use upnp_distro::{CacheConfig, EdgeCache};
 use upnp_hw::board::BoardTemplate;
 use upnp_hw::channels::ChannelId;
 use upnp_hw::components::ToleranceClass;
 use upnp_hw::id::DeviceTypeId;
 use upnp_hw::peripheral::PeripheralTemplate;
 use upnp_net::link::{LinkChaos, LinkDegrade, LinkQuality};
-use upnp_net::msg::Value;
-use upnp_net::{Datagram, Delivery, Network, NodeId};
+use upnp_net::msg::{Message, MessageBody, Value};
+use upnp_net::{Action, Datagram, Delivery, Network, NodeId, Reply};
 use upnp_sim::{Scheduler, SimDuration, SimRng, SimTime};
-use upnp_trace::{Span, SpanKind, TraceCtx, TraceId, TraceSink};
+use upnp_trace::{Span, TraceId};
 use upnp_vm::runtime::RuntimeTemplate;
 
 use crate::catalog::Catalog;
 use crate::client::Client;
 use crate::manager::Manager;
-use crate::thing::{Outbound, PlugTimeline, Thing};
+use crate::spans::{Actor, Tracer};
+use crate::thing::{PlugTimeline, Thing};
 
 /// A Thing handle in the world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,13 +77,11 @@ pub struct WorldConfig {
     pub stream_samples: u32,
     /// Stream sampling period.
     pub stream_period: SimDuration,
-    /// Peripheral-board resistor tolerance used by [`World::plug`].
-    pub resistor_tolerance: ToleranceClass,
-    /// Expected node count; pre-sizes the network and world indices so a
-    /// fleet build does not spend its time reallocating. Zero is fine —
-    /// everything still grows on demand.
-    pub expected_nodes: usize,
 }
+
+/// Resistor tolerance of every peripheral board [`World::plug`]
+/// manufactures.
+const RESISTOR_TOLERANCE: ToleranceClass = ToleranceClass::PointOnePercent;
 
 impl Default for WorldConfig {
     fn default() -> Self {
@@ -89,8 +91,6 @@ impl Default for WorldConfig {
             prefix: 0x2001_0db8_0000,
             stream_samples: 5,
             stream_period: SimDuration::from_millis(500),
-            resistor_tolerance: ToleranceClass::PointOnePercent,
-            expected_nodes: 0,
         }
     }
 }
@@ -235,10 +235,6 @@ enum NodeKind {
 
 #[derive(Debug, Clone)]
 enum WorldEvent {
-    StreamTick {
-        thing: usize,
-        peripheral: u32,
-    },
     /// A deferred [`World::plug`] — lets scenarios stagger plug events in
     /// virtual time instead of front-loading them all at t=0.
     Plug {
@@ -247,32 +243,24 @@ enum WorldEvent {
         device: DeviceTypeId,
     },
     /// A deferred [`World::unplug`].
-    Unplug {
-        thing: usize,
-        channel: u8,
-    },
-    /// An edge cache's chunk-retry timer (see
-    /// [`upnp_distro::CacheAction::ArmTimer`]).
-    CacheTimer {
-        cache: usize,
-        peripheral: u32,
-        gen: u64,
-    },
+    Unplug { thing: usize, channel: u8 },
+    /// An actor's [`Action::Timer`]: a Thing's stream tick or a cache's
+    /// chunk retry.
+    Timer { node: NodeId, key: u32, gen: u64 },
 }
 
-/// Trace bookkeeping for one in-flight plug→advertise pipeline: the
-/// contexts later hooks parent their spans under. Only populated while
-/// tracing is enabled — the disabled path never touches the map.
+/// A stimulus that wakes an actor. Every one enters a world through one
+/// function, which applies the actor's [`Reply`].
 #[derive(Debug, Clone, Copy)]
-struct PipeTrace {
-    /// Context under the plug root span (parent of the scan span).
-    root: TraceCtx,
-    /// Context under the scan/identify chain (parent of the resolve
-    /// leg); equals `root` until the scan span is recorded.
-    scan: TraceCtx,
-    /// The scan span has been recorded (it is derived lazily from the
-    /// timeline after the board interrupt is serviced).
-    scan_recorded: bool,
+pub(crate) enum Input<'a> {
+    /// A datagram delivered to the actor's node.
+    Datagram(&'a Datagram),
+    /// An expired [`Action::Timer`].
+    Timer { key: u32, gen: u64 },
+    /// A Thing's board interrupt.
+    Interrupt,
+    /// A Thing's MCU coming back from a crash.
+    Revive,
 }
 
 /// The assembled multi-node world.
@@ -329,13 +317,10 @@ pub struct World {
     runtime_template: RuntimeTemplate,
     peripheral_templates: HashMap<DeviceTypeId, PeripheralTemplate>,
     /// Virtual-clock distributed tracing. Disabled by default: every
-    /// recording hook is behind a single `trace.enabled` branch, and
+    /// recording hook is behind a single `trace.enabled()` branch, and
     /// the only always-on work is stamping a plug's precomputed trace
     /// id (four integer folds) into its timeline.
-    trace: TraceSink,
-    /// Pipelines currently being traced, keyed by `(thing index,
-    /// peripheral id)`. Empty while tracing is disabled.
-    active_traces: HashMap<(usize, u32), PipeTrace>,
+    trace: Tracer,
     /// The anycast address Things send driver requests to.
     pub manager_anycast: Ipv6Addr,
     /// The anycast address edge caches pull chunked transfers from. Every
@@ -347,11 +332,17 @@ pub struct World {
 impl World {
     /// Creates an empty world.
     pub fn new(config: WorldConfig) -> Self {
+        World::with_capacity(config, 0)
+    }
+
+    /// An empty world pre-sized for `nodes` nodes, so a fleet build does
+    /// not spend its time reallocating.
+    fn with_capacity(config: WorldConfig, nodes: usize) -> Self {
         World {
-            net: Network::with_capacity(config.prefix, config.seed ^ 0x9e37, config.expected_nodes),
-            nodes: Vec::with_capacity(config.expected_nodes),
+            net: Network::with_capacity(config.prefix, config.seed ^ 0x9e37, nodes),
+            nodes: Vec::with_capacity(nodes),
             replicas: Vec::new(),
-            things: Vec::with_capacity(config.expected_nodes),
+            things: Vec::with_capacity(nodes),
             clients: Vec::new(),
             caches: Vec::new(),
             cache_crawl: Vec::new(),
@@ -360,12 +351,11 @@ impl World {
             delivery_buf: Vec::new(),
             sched: Scheduler::new(),
             now: SimTime::ZERO,
-            thing_rngs: Vec::with_capacity(config.expected_nodes),
+            thing_rngs: Vec::with_capacity(nodes),
             board_template: BoardTemplate::default(),
             runtime_template: RuntimeTemplate::default(),
             peripheral_templates: HashMap::new(),
-            trace: TraceSink::default(),
-            active_traces: HashMap::new(),
+            trace: Tracer::default(),
             manager_anycast: "2001:db8:aaaa::1".parse().expect("valid anycast"),
             origin_anycast: "2001:db8:aaaa::2".parse().expect("valid anycast"),
             config,
@@ -388,10 +378,7 @@ impl World {
         plan: &BuildPlan,
         local: impl Fn(NodeId) -> bool,
     ) -> World {
-        let mut w = World::new(WorldConfig {
-            expected_nodes: plan.node_count(),
-            ..config
-        });
+        let mut w = World::with_capacity(config, plan.node_count());
         for &step in &plan.steps {
             match step {
                 Step::Replica => {
@@ -422,7 +409,7 @@ impl World {
 
     /// Whether distributed tracing is recording.
     pub fn tracing_enabled(&self) -> bool {
-        self.trace.enabled
+        self.trace.enabled()
     }
 
     /// The bounded flight-recorder window of recent spans.
@@ -520,16 +507,15 @@ impl World {
         let mut rng = Self::thing_stream(self.config.seed, node);
         let board = self.board_template.instantiate(&mut rng);
         let seed = rng.next_u64();
-        let thing = Thing::new(
+        let mut thing = Thing::new(
             node,
             address,
-            self.config.prefix,
             board,
             self.catalog.clone(),
             self.runtime_template.instantiate(seed),
         );
-        let mut thing = thing;
         thing.stream_samples = self.config.stream_samples;
+        thing.stream_period = self.config.stream_period;
         self.things.push(thing);
         self.thing_rngs.push(rng);
         ThingId(self.things.len() - 1)
@@ -557,11 +543,6 @@ impl World {
     ///
     /// Panics if no manager was added (the cache needs its origin).
     pub fn add_cache(&mut self) -> CacheId {
-        self.add_cache_with(CacheConfig::default())
-    }
-
-    /// [`World::add_cache`] with explicit tuning knobs.
-    pub fn add_cache_with(&mut self, config: CacheConfig) -> CacheId {
         assert!(!self.replicas.is_empty(), "a cache needs its origin");
         let node = self.add_node(NodeKind::Cache(self.caches.len()));
         let address = self.net.addr_of(node);
@@ -575,6 +556,7 @@ impl World {
         // unicast address: a mid-transfer primary crash then resolves the
         // next chunk request to the standby, and the EdgeCache's
         // same-version/new-server check resumes from its cursor.
+        let config = CacheConfig::default();
         self.caches
             .push(EdgeCache::new(node, address, self.origin_anycast, config));
         self.cache_crawl.push(1);
@@ -655,7 +637,8 @@ impl World {
     /// a goodbye, and what is in flight to it dies with it; each follower
     /// a cache had parked on an in-flight fetch re-issues its original
     /// (4) driver request from its own node at `at`. A Thing's MCU fences
-    /// its flash install generation.
+    /// its install generation, so its torn flash writes and its stream
+    /// ticks from before the crash are stale.
     fn crash(&mut self, at: SimTime, node: NodeId) -> Effect {
         let (kind, down) = &mut self.nodes[node.0 as usize];
         assert!(!*down, "{kind:?} on {node:?} is already down");
@@ -675,22 +658,14 @@ impl World {
                     let Some(from) = self.net.node_by_addr(requester) else {
                         continue;
                     };
-                    let mut payload = upnp_net::msg::Payload::from(
-                        upnp_net::msg::Message {
-                            seq,
-                            body: upnp_net::msg::MessageBody::DriverRequest { peripheral },
-                        }
-                        .encode(),
-                    )
-                    .with_trace(ctx);
+                    let body = MessageBody::DriverRequest { peripheral };
+                    let mut payload = upnp_net::msg::Payload::from(Message { seq, body }.encode())
+                        .with_trace(ctx);
                     // The reissue re-enters the network from the
                     // follower's own node — that is where the failover
                     // span lives.
-                    if self.trace.enabled && !ctx.is_none() {
-                        let (ns, key) = (at.as_nanos(), from.0 as u64);
-                        let span = Span::new(ctx, SpanKind::Failover, key, ns, ns);
-                        self.trace.record(span);
-                        payload = payload.with_trace(span.ctx());
+                    if self.trace.enabled() && !ctx.is_none() {
+                        payload = payload.with_trace(self.trace.failover(ctx, from, at));
                     }
                     let dgram = Datagram {
                         src: requester,
@@ -720,9 +695,8 @@ impl World {
             self.serve_anycast(node);
             return Effect::default();
         };
-        let anycast = self.manager_anycast;
-        let (recovery, out) = self.things[thing].revive_mcu(at.max(self.now), anycast);
-        self.apply_outbound(thing, out);
+        let recovery = self.things[thing].audit_flash();
+        self.feed(node, at.max(self.now), Input::Revive);
         // A plug/unplug that happened during the outage left the board
         // interrupt pending; the revived MCU services it on the next run.
         if self.things[thing].interrupt_pending() {
@@ -755,7 +729,6 @@ impl World {
     ///
     /// Panics for unknown device ids or occupied channels (test misuse).
     pub fn plug(&mut self, thing: ThingId, channel: u8, device_id: DeviceTypeId) {
-        let tolerance = self.config.resistor_tolerance;
         let interconnect = self
             .catalog
             .get(device_id)
@@ -771,7 +744,7 @@ impl World {
                 PeripheralTemplate::new(device_id, interconnect)
                     .expect("catalog ids are realisable")
             });
-        let board = template.instantiate(tolerance, &mut self.thing_rngs[thing.0]);
+        let board = template.instantiate(RESISTOR_TOLERANCE, &mut self.thing_rngs[thing.0]);
         self.things[thing.0]
             .board_mut()
             .plug(ChannelId(channel), board)
@@ -792,24 +765,9 @@ impl World {
             .timelines
             .get_or_insert_default(device_id.raw())
             .trace_id = trace.0;
-        if self.trace.enabled {
-            let now_ns = self.now.as_nanos();
-            let plug = Span::new(
-                TraceCtx::root(trace),
-                SpanKind::Plug,
-                node.0 as u64,
-                now_ns,
-                now_ns,
-            );
-            self.trace.record(plug);
-            self.active_traces.insert(
-                (thing.0, device_id.raw()),
-                PipeTrace {
-                    root: plug.ctx(),
-                    scan: plug.ctx(),
-                    scan_recorded: false,
-                },
-            );
+        if self.trace.enabled() {
+            self.trace
+                .plug(thing.0, node, device_id.raw(), trace, self.now);
         }
     }
 
@@ -819,25 +777,8 @@ impl World {
         self.interrupts.push_back(thing.0);
     }
 
-    /// Seeds the interrupt queue by scanning every Thing once.
-    ///
-    /// [`World::plug`]/[`World::unplug`] enqueue the affected Thing
-    /// directly; this entry-time scan only exists to catch tests and
-    /// examples that manipulate a board through
-    /// [`Thing::board_mut`](crate::thing::Thing::board_mut) behind the
-    /// world's back. It runs once per `run_*` call, not once per step, so
-    /// the inner loop stays `O(work due now)`.
-    fn seed_interrupts(&mut self) {
-        for (i, t) in self.things.iter().enumerate() {
-            if t.interrupt_pending() {
-                self.interrupts.push_back(i);
-            }
-        }
-    }
-
     /// Runs for at most `duration` of virtual time.
     pub fn run_for(&mut self, duration: SimDuration) {
-        self.seed_interrupts();
         let deadline = self.now + duration;
         for _ in 0..10_000_000 {
             // Handle interrupts regardless of the deadline (they are
@@ -879,41 +820,18 @@ impl World {
             self.now = next;
         }
 
-        // Scheduled world events (stream ticks, deferred plugs) due now.
+        // Scheduled world events (deferred plugs, actor timers) due now.
         while matches!(self.sched.peek_time(), Some(t) if t <= self.now) {
             let entry = self.sched.pop().expect("peeked");
             match entry.event {
-                WorldEvent::StreamTick { thing, peripheral } => {
-                    let out = self.things[thing].stream_tick(self.now, peripheral);
-                    let more = self.things[thing].flush_completions();
-                    self.apply_outbound(thing, out);
-                    self.apply_outbound(thing, more);
-                    // Re-arm unless the stream stopped.
-                    if self.things[thing].is_streaming(peripheral) {
-                        let at = self.now + self.config.stream_period;
-                        self.sched
-                            .schedule_at(at, WorldEvent::StreamTick { thing, peripheral });
-                    }
-                }
                 WorldEvent::Plug {
                     thing,
                     channel,
                     device,
                 } => self.plug(ThingId(thing), channel, device),
                 WorldEvent::Unplug { thing, channel } => self.unplug(ThingId(thing), channel),
-                WorldEvent::CacheTimer {
-                    cache,
-                    peripheral,
-                    gen,
-                } => {
-                    // A crashed cache's pending timers die with it (its
-                    // generation counter survives the crash, so they
-                    // would be stale no-ops anyway — this just skips the
-                    // lookup).
-                    if !self.is_down(self.caches[cache].node) {
-                        let reply = self.caches[cache].on_timer(peripheral, gen);
-                        self.apply_cache_reply(cache, self.now, reply, true);
-                    }
+                WorldEvent::Timer { node, key, gen } => {
+                    self.feed(node, self.now, Input::Timer { key, gen })
                 }
             }
         }
@@ -923,489 +841,118 @@ impl World {
         deliveries.clear();
         self.net.poll_into(self.now, &mut deliveries);
         for d in &deliveries {
-            match self.nodes[d.node.0 as usize] {
-                (NodeKind::Replica(r), false) => self.manager_reply(r, d),
-                (NodeKind::Thing(i), false) => {
-                    let out = self.things[i].on_datagram(d.at, &d.dgram);
-                    if self.trace.enabled
-                        && d.dgram.payload.first()
-                            == Some(&upnp_net::msg::MessageBody::DRIVER_UPLOAD_TYPE)
-                    {
-                        self.record_upload_spans(i, &d.dgram, d.at);
-                    }
-                    self.apply_outbound(i, out);
-                }
-                // A dead Thing's MCU is off: a (5) driver upload arriving
-                // now is a flash write cut mid-stream — stage the torn
-                // remnant for the revive audit. Everything else in
-                // flight to it simply dies.
-                (NodeKind::Thing(i), true) => self.stage_torn_upload(i, &d.dgram),
-                (NodeKind::Client(i), _) => {
-                    let joins = self.clients[i].on_datagram(d.at, &d.dgram);
-                    let node = self.clients[i].node;
-                    for g in joins {
-                        self.net.join_group(node, g);
-                    }
-                }
-                (NodeKind::Cache(i), false) => {
-                    let before = if self.trace.enabled {
-                        let s = &self.caches[i].stats;
-                        Some((s.hits, s.misses, s.coalesced))
-                    } else {
-                        None
-                    };
-                    let reply = self.caches[i].on_datagram(&d.dgram);
-                    if let Some(before) = before {
-                        self.record_cache_lookup(i, &d.dgram, d.at, before, reply.process);
-                    }
-                    self.apply_cache_reply(i, d.at, reply, false);
-                }
-                // A crashed replica or cache drops what was in flight to
-                // it (for a cache, chunk replies chiefly — the
-                // retry/abandon path of the *origin-side* transfer owns
-                // recovery).
-                (NodeKind::Replica(_) | NodeKind::Cache(_), true) | (NodeKind::Ghost, _) => {}
-            }
+            self.feed(d.node, d.at, Input::Datagram(&d.dgram));
         }
         self.delivery_buf = deliveries;
         true
-    }
-
-    /// Feeds one delivery to Manager replica `r` and applies its replies
-    /// — the upload is "ready" after processing (end of the
-    /// request-driver leg); its send path belongs to the install-driver
-    /// leg. One body for both replicas, so their accounting can never
-    /// drift apart.
-    fn manager_reply(&mut self, r: usize, d: &Delivery) {
-        let m = &mut self.replicas[r];
-        let node = m.node;
-        let (replies, process, send_path) = m.on_datagram(&d.dgram);
-        let ready_at = d.at + process;
-        let send_at = ready_at + send_path;
-        let req_ctx = d.dgram.payload.trace();
-        for mut reply in replies {
-            self.stitch_upload_sent(&reply, ready_at);
-            // A traced (4) request served by the origin: the serve span
-            // covers the processing leg, and the upload is re-stamped
-            // so the Thing-side verify/install parent under it.
-            if self.trace.enabled
-                && !req_ctx.is_none()
-                && reply.payload.first() == Some(&upnp_net::msg::MessageBody::DRIVER_UPLOAD_TYPE)
-            {
-                let serve = Span::new(
-                    req_ctx,
-                    SpanKind::Serve,
-                    node.0 as u64,
-                    d.at.as_nanos(),
-                    ready_at.as_nanos(),
-                );
-                self.trace.record(serve);
-                reply.payload = reply.payload.traced(serve.ctx());
-            }
-            self.net.send(send_at, node, reply);
-        }
-    }
-
-    /// Stitches the upload-ready stamp into the requesting Thing's plug
-    /// timeline when `dgram` is a (5) driver upload — the shared leg of
-    /// origin-served and cache-served replies, so their latency rows can
-    /// never drift apart. The type-byte pre-check keeps non-upload
-    /// traffic (chunk requests, acks) off the decoder.
-    fn stitch_upload_sent(&mut self, dgram: &Datagram, ready_at: SimTime) {
-        if dgram.payload.first() != Some(&upnp_net::msg::MessageBody::DRIVER_UPLOAD_TYPE) {
-            return;
-        }
-        if let Some(upnp_net::msg::Message {
-            body: upnp_net::msg::MessageBody::DriverUpload { peripheral, .. },
-            ..
-        }) = upnp_net::msg::Message::decode(&dgram.payload)
-        {
-            let node = self.net.node_by_addr(dgram.dst);
-            if let Some(NodeKind::Thing(i)) = node.map(|n| self.kind(n)) {
-                if let Some(tl) = self.things[i].timelines.get_mut(&peripheral) {
-                    tl.upload_sent = Some(ready_at);
-                }
-            }
-        }
-    }
-
-    /// Routes a delivery to a *dead* Thing: only (5) driver uploads
-    /// leave a trace — the flash write torn mid-stream — everything
-    /// else evaporates with the crashed MCU. The type-byte pre-check
-    /// keeps non-upload traffic off the decoder.
-    fn stage_torn_upload(&mut self, thing: usize, dgram: &Datagram) {
-        if dgram.payload.first() != Some(&upnp_net::msg::MessageBody::DRIVER_UPLOAD_TYPE) {
-            return;
-        }
-        if let Some(upnp_net::msg::Message {
-            body: upnp_net::msg::MessageBody::DriverUpload { peripheral, image },
-            ..
-        }) = upnp_net::msg::Message::decode(&dgram.payload)
-        {
-            self.things[thing].stage_torn_upload(peripheral, &image);
-        }
-    }
-
-    /// Applies one edge cache's reply: sends go out after the processing
-    /// legs (mirroring the manager's accounting), retry timers enter the
-    /// world scheduler, and cache-served (5) uploads stitch the
-    /// upload-ready stamp into the requesting Thing's plug timeline just
-    /// as origin-served ones do.
-    fn apply_cache_reply(
-        &mut self,
-        cache: usize,
-        at: SimTime,
-        reply: CacheReply,
-        from_timer: bool,
-    ) {
-        // A crawling cache (gray failure) takes `factor`× as long on
-        // both processing legs; its retry timers are armed relative to
-        // the stretched ready instant.
-        let factor = self.cache_crawl[cache] as u64;
-        let ready_at = at + reply.process * factor;
-        let send_at = ready_at + reply.send_path * factor;
-        let node = self.caches[cache].node;
-        for action in reply.actions {
-            match action {
-                CacheAction::Send(dgram) => {
-                    let dgram = if self.trace.enabled {
-                        self.record_cache_send(node, dgram, at, ready_at, send_at, from_timer)
-                    } else {
-                        dgram
-                    };
-                    self.stitch_upload_sent(&dgram, ready_at);
-                    self.net.send(send_at, node, dgram);
-                }
-                CacheAction::ArmTimer {
-                    peripheral,
-                    gen,
-                    after,
-                } => {
-                    let fire_at = (ready_at + after).max(self.sched.now());
-                    self.sched.schedule_at(
-                        fire_at,
-                        WorldEvent::CacheTimer {
-                            cache,
-                            peripheral,
-                            gen,
-                        },
-                    );
-                }
-            }
-        }
     }
 
     /// Services at most one pending interrupt; returns true if one was
     /// handled. Pops from the interrupt queue instead of scanning every
     /// Thing — `O(1)` per step at any fleet size.
     fn service_interrupts(&mut self) -> bool {
-        let anycast = self.manager_anycast;
         while let Some(i) = self.interrupts.pop_front() {
             // A dead MCU cannot service its board interrupt; it stays
-            // pending on the board and the revive re-enqueues it.
-            if self.is_down(self.things[i].node) {
-                continue;
-            }
-            // A queue entry may be stale: one service call handles every
-            // change on the board, so a Thing plugged twice between steps
-            // is fully serviced by its first entry.
-            if self.things[i].interrupt_pending() {
-                let out = self.things[i].service_interrupt(self.now, anycast);
-                if self.trace.enabled {
-                    self.record_scan_spans(i);
-                }
-                self.apply_outbound(i, out);
+            // pending on the board and the revive re-enqueues it. A queue
+            // entry may be stale: one service call handles every change
+            // on the board, so a Thing plugged twice between steps is
+            // fully serviced by its first entry.
+            let node = self.things[i].node;
+            if !self.is_down(node) && self.things[i].interrupt_pending() {
+                self.feed(node, self.now, Input::Interrupt);
                 return true;
             }
         }
         false
     }
 
-    fn apply_outbound(&mut self, thing: usize, outbound: Vec<Outbound>) {
-        let node = self.things[thing].node;
-        let send_at = self.things[thing].runtime.now().max(self.now);
-        for action in outbound {
-            match action {
-                Outbound::Send(dgram) => {
-                    let dgram = if self.trace.enabled {
-                        self.stamp_thing_request(thing, send_at, dgram)
-                    } else {
-                        dgram
-                    };
-                    self.net.send(send_at, node, dgram);
-                }
-                Outbound::JoinGroup(g) => self.net.join_group(node, g),
-                Outbound::LeaveGroup(g) => {
-                    self.net.leave_group(node, g);
-                }
-                Outbound::StartStream { peripheral } => {
-                    let at = send_at + self.config.stream_period;
-                    self.sched.schedule_at(
-                        at.max(self.sched.now()),
-                        WorldEvent::StreamTick { thing, peripheral },
-                    );
-                }
-                Outbound::StopStream { .. } => {
-                    // Tick re-arming stops naturally; nothing to cancel in
-                    // the one-shot scheduler.
-                }
+    /// Feeds one stimulus at `at` to the actor on `node` and applies its
+    /// reply: the one seam every actor is driven through. Nothing
+    /// reaches a node while it is down — what was in flight to it dies —
+    /// except that a (5) driver upload delivered to a crashed Thing is a
+    /// flash write cut mid-stream, staged for the revive audit.
+    fn feed(&mut self, node: NodeId, at: SimTime, input: Input<'_>) {
+        let (kind, down) = self.nodes[node.0 as usize];
+        if down {
+            if let (NodeKind::Thing(i), Input::Datagram(d)) = (kind, input) {
+                self.things[i].stage_torn_upload(&d.payload);
             }
-        }
-    }
-
-    // ---- Distributed-tracing span derivation ---------------------------
-    //
-    // The protocol actors (Thing, Manager, EdgeCache) stay
-    // trace-unaware; every span is derived here, at the world seam that
-    // already mediates each datagram, from the same timeline stamps and
-    // counters the latency tables are built from. All of it is behind
-    // `trace.enabled` — the disabled path never reaches these methods.
-
-    /// Derives scan/identify spans for `thing`'s freshly serviced
-    /// pipelines from its plug timelines. A driver cached locally on
-    /// the Thing installs inside the same board interrupt — no network
-    /// legs exist — so such pipelines are closed here too.
-    fn record_scan_spans(&mut self, thing: usize) {
-        let node = self.things[thing].node.0 as u64;
-        let keys: Vec<(usize, u32)> = self
-            .active_traces
-            .keys()
-            .filter(|k| k.0 == thing)
-            .copied()
-            .collect();
-        for key in keys {
-            let pt = self.active_traces[&key];
-            if pt.scan_recorded {
-                continue;
-            }
-            let Some(tl) = self.things[thing].timelines.get(&key.1) else {
-                continue;
-            };
-            let (Some(started), Some(scan)) = (tl.scan_started, tl.scan) else {
-                continue;
-            };
-            let scan_end = started + scan;
-            let scan_span = Span::new(
-                pt.root,
-                SpanKind::Scan,
-                node,
-                started.as_nanos(),
-                scan_end.as_nanos(),
-            );
-            self.trace.record(scan_span);
-            let identify = Span::new(
-                scan_span.ctx(),
-                SpanKind::Identify,
-                node,
-                scan_end.as_nanos(),
-                scan_end.as_nanos(),
-            );
-            self.trace.record(identify);
-            let entry = self.active_traces.get_mut(&key).expect("key from map");
-            entry.scan = identify.ctx();
-            entry.scan_recorded = true;
-            // `finished >= scan start` distinguishes a locally served
-            // pipeline from a stale stamp left by an earlier plug of
-            // the same device type.
-            if tl.finished.is_some_and(|f| f >= started) {
-                self.record_install_spans(thing, key.1, identify.ctx(), scan_end);
-                self.active_traces.remove(&key);
-            }
-        }
-    }
-
-    /// Stamps an outgoing (4) driver request with its pipeline's trace
-    /// context, recording the resolve span — the anycast resolution
-    /// happens as the frame enters the network.
-    fn stamp_thing_request(&mut self, thing: usize, send_at: SimTime, dgram: Datagram) -> Datagram {
-        if dgram.payload.first() != Some(&upnp_net::msg::MessageBody::DRIVER_REQUEST_TYPE) {
-            return dgram;
-        }
-        let Some(upnp_net::msg::Message {
-            body: upnp_net::msg::MessageBody::DriverRequest { peripheral },
-            ..
-        }) = upnp_net::msg::Message::decode(&dgram.payload)
-        else {
-            return dgram;
-        };
-        let Some(pt) = self.active_traces.get(&(thing, peripheral)) else {
-            return dgram;
-        };
-        let node = self.things[thing].node.0 as u64;
-        let ns = send_at.as_nanos();
-        let resolve = Span::new(pt.scan, SpanKind::Resolve, node, ns, ns);
-        self.trace.record(resolve);
-        let payload = dgram.payload.traced(resolve.ctx());
-        Datagram { payload, ..dgram }
-    }
-
-    /// Classifies a cache's handling of a traced (4) driver request —
-    /// hit, miss (upstream fetch started) or coalesce (parked on an
-    /// in-flight fetch) — from the stats delta around `on_datagram`.
-    fn record_cache_lookup(
-        &mut self,
-        cache: usize,
-        dgram: &Datagram,
-        at: SimTime,
-        before: (u64, u64, u64),
-        process: SimDuration,
-    ) {
-        let ctx = dgram.payload.trace();
-        if ctx.is_none() {
             return;
         }
-        let stats = &self.caches[cache].stats;
-        let kind = if stats.hits > before.0 {
-            SpanKind::CacheHit
-        } else if stats.misses > before.1 {
-            SpanKind::CacheMiss
-        } else if stats.coalesced > before.2 {
-            SpanKind::Coalesce
-        } else {
-            return;
-        };
-        let factor = self.cache_crawl[cache] as u64;
-        let node = self.caches[cache].node.0 as u64;
-        let span = Span::new(
-            ctx,
-            kind,
-            node,
-            at.as_nanos(),
-            (at + process * factor).as_nanos(),
-        );
-        self.trace.record(span);
-    }
-
-    /// Records the span of a traced frame leaving a cache — the
-    /// chunk-fetch/retry legs of an upstream transfer, the failover
-    /// reissue of an abandoned one, and the served (5) upload, whose
-    /// payload is re-stamped so the Thing-side verify/install spans
-    /// parent under the serve. Returns the (possibly re-stamped)
-    /// datagram.
-    fn record_cache_send(
-        &mut self,
-        node: NodeId,
-        dgram: Datagram,
-        at: SimTime,
-        ready_at: SimTime,
-        send_at: SimTime,
-        from_timer: bool,
-    ) -> Datagram {
-        let ctx = dgram.payload.trace();
-        if ctx.is_none() {
-            return dgram;
-        }
-        let key = node.0 as u64;
-        match dgram.payload.first() {
-            Some(&upnp_net::msg::MessageBody::DRIVER_CHUNK_REQUEST_TYPE) => {
-                let kind = if from_timer {
-                    SpanKind::Retry
-                } else {
-                    SpanKind::ChunkFetch
+        let anycast = self.manager_anycast;
+        // The instant the reply's legs start from, and the factor a
+        // crawling cache (gray failure) stretches both legs by.
+        let (mut reply, base, crawl) = match (kind, input) {
+            (NodeKind::Thing(i), input) => {
+                let thing = &mut self.things[i];
+                let reply = match input {
+                    Input::Datagram(d) => thing.on_datagram(at, d),
+                    Input::Timer { key, gen } => thing.on_timer(at, key, gen),
+                    Input::Interrupt => thing.service_interrupt(at, anycast),
+                    Input::Revive => thing.revive_mcu(at, anycast),
                 };
-                let ns = send_at.as_nanos();
-                self.trace.record(Span::new(ctx, kind, key, ns, ns));
-                dgram
+                // A Thing's legs are on its runtime clock.
+                (reply, thing.runtime.now().max(self.now), 1)
             }
-            Some(&upnp_net::msg::MessageBody::DRIVER_REQUEST_TYPE) => {
-                // An abandoned transfer's proxied reissue: the cache
-                // fails the parked request over to the next-nearest
-                // anycast instance.
-                let ns = send_at.as_nanos();
-                self.trace
-                    .record(Span::new(ctx, SpanKind::Failover, key, ns, ns));
-                dgram
+            (NodeKind::Replica(r), Input::Datagram(d)) => (self.replicas[r].on_datagram(d), at, 1),
+            (NodeKind::Client(c), Input::Datagram(d)) => {
+                (self.clients[c].on_datagram(at, d), at, 1)
             }
-            Some(&upnp_net::msg::MessageBody::DRIVER_UPLOAD_TYPE) => {
-                let serve = Span::new(
-                    ctx,
-                    SpanKind::Serve,
-                    key,
-                    at.as_nanos(),
-                    ready_at.as_nanos(),
-                );
-                self.trace.record(serve);
-                let payload = dgram.payload.traced(serve.ctx());
-                Datagram { payload, ..dgram }
+            (NodeKind::Cache(c), Input::Datagram(d)) => {
+                (self.caches[c].on_datagram(d), at, self.cache_crawl[c])
             }
-            _ => dgram,
+            (NodeKind::Cache(c), Input::Timer { key, gen }) => {
+                (self.caches[c].on_timer(key, gen), at, self.cache_crawl[c])
+            }
+            (NodeKind::Ghost, _) => return,
+            (kind, input) => unreachable!("{kind:?} on {node:?} takes no {input:?}"),
+        };
+        let ready = base + reply.process * crawl as u64;
+        let send = ready + reply.send_path * crawl as u64;
+        if self.trace.enabled() {
+            let actor = match kind {
+                NodeKind::Thing(i) => Actor::Thing(i, &self.things[i]),
+                NodeKind::Replica(_) => Actor::Replica(node),
+                NodeKind::Cache(_) => Actor::Cache(node),
+                NodeKind::Client(_) | NodeKind::Ghost => Actor::Client,
+            };
+            self.trace
+                .observe(actor, input, at, (ready, send), &mut reply);
         }
+        self.apply(node, (ready, send), reply);
     }
 
-    /// Closes a traced pipeline when its (5) driver upload is
-    /// delivered: a verify span (the DSL safety check) at the delivery
-    /// instant, then install/join/advertise from the timeline stamps.
-    fn record_upload_spans(&mut self, thing: usize, dgram: &Datagram, at: SimTime) {
-        let ctx = dgram.payload.trace();
-        if ctx.is_none() {
-            return;
-        }
-        let Some(upnp_net::msg::Message {
-            body: upnp_net::msg::MessageBody::DriverUpload { peripheral, .. },
-            ..
-        }) = upnp_net::msg::Message::decode(&dgram.payload)
-        else {
-            return;
-        };
-        let node = self.things[thing].node.0 as u64;
-        let Some(tl) = self.things[thing].timelines.get(&peripheral) else {
-            return;
-        };
-        if tl.upload_received != Some(at) {
-            return; // A duplicate or stale upload this pipeline ignored.
-        }
-        let verify = Span::new(ctx, SpanKind::Verify, node, at.as_nanos(), at.as_nanos());
-        self.trace.record(verify);
-        if tl.finished.is_some_and(|f| f >= at) {
-            self.record_install_spans(thing, peripheral, ctx, at);
-            self.active_traces.remove(&(thing, peripheral));
-        }
-    }
-
-    /// Derives the install/join/advertise spans of a completed pipeline
-    /// from its timeline stamps. `install_start` anchors the install
-    /// span: the upload delivery instant, or the scan end for drivers
-    /// served from the Thing's local store.
-    fn record_install_spans(
-        &mut self,
-        thing: usize,
-        peripheral: u32,
-        parent: TraceCtx,
-        install_start: SimTime,
-    ) {
-        let node = self.things[thing].node.0 as u64;
-        let Some(tl) = self.things[thing].timelines.get(&peripheral) else {
-            return;
-        };
-        let (Some(installed), Some(finished)) = (tl.installed, tl.finished) else {
-            return;
-        };
-        let install = Span::new(
-            parent,
-            SpanKind::Install,
-            node,
-            install_start.as_nanos(),
-            installed.as_nanos(),
-        );
-        self.trace.record(install);
-        if let (Some(join), Some(adv)) = (tl.join_group, tl.advertise) {
-            let adv_start = finished - adv;
-            let join_span = Span::new(
-                install.ctx(),
-                SpanKind::Join,
-                node,
-                (adv_start - join).as_nanos(),
-                adv_start.as_nanos(),
-            );
-            self.trace.record(join_span);
-            let advert = Span::new(
-                install.ctx(),
-                SpanKind::Advertise,
-                node,
-                adv_start.as_nanos(),
-                finished.as_nanos(),
-            );
-            self.trace.record(advert);
+    /// Applies the reply of the actor on `node`, ready at `ready` with
+    /// its datagrams leaving at `send`: the one place every action takes
+    /// effect. A (5) driver upload stitches its ready instant into the
+    /// requesting Thing's plug timeline, one rule for origin- and
+    /// cache-served uploads, so their latency rows can never drift apart.
+    fn apply(&mut self, node: NodeId, (ready, send): (SimTime, SimTime), reply: Reply) {
+        for action in reply.actions {
+            match action {
+                Action::Send(dgram) => {
+                    if let Some((MessageBody::DRIVER_UPLOAD_TYPE, peripheral)) =
+                        Message::header(&dgram.payload)
+                    {
+                        let to = self.net.node_by_addr(dgram.dst).map(|n| self.kind(n));
+                        if let Some(NodeKind::Thing(i)) = to {
+                            if let Some(tl) = self.things[i].timelines.get_mut(&peripheral) {
+                                tl.upload_sent = Some(ready);
+                            }
+                        }
+                    }
+                    self.net.send(send, node, dgram);
+                }
+                Action::Join(group) => self.net.join_group(node, group),
+                Action::Leave(group) => {
+                    self.net.leave_group(node, group);
+                }
+                Action::Timer { key, gen, after } => {
+                    let at = (ready + after).max(self.sched.now());
+                    self.sched
+                        .schedule_at(at, WorldEvent::Timer { node, key, gen });
+                }
+            }
         }
     }
 
@@ -1796,7 +1343,6 @@ impl SimWorld for World {
     }
 
     fn run_until_idle(&mut self) {
-        self.seed_interrupts();
         // Bounded by a large iteration budget: a logic bug must fail a
         // test, not hang it.
         for _ in 0..10_000_000 {
@@ -1882,10 +1428,7 @@ impl SimWorld for World {
     }
 
     fn set_tracing(&mut self, enabled: bool) {
-        self.trace.enabled = enabled;
-        if !enabled {
-            self.active_traces.clear();
-        }
+        self.trace.set_enabled(enabled);
     }
 
     fn take_spans(&mut self) -> Vec<Span> {

@@ -186,6 +186,87 @@ fn stream_delivers_samples_then_closes() {
         .contains(&prototypes::TMP36.raw()));
 }
 
+/// Streams 10 samples 200 ms apart from a Thing that crashes at
+/// `CRASH` after the request and revives after `outage`. Returns the
+/// arrival instants of the samples, relative to the request, and how
+/// many times the stream closed.
+fn stream_across_a_crash(outage: SimDuration) -> (Vec<SimDuration>, usize) {
+    let config = WorldConfig {
+        stream_samples: 10,
+        stream_period: SimDuration::from_millis(200),
+        ..WorldConfig::default()
+    };
+    let mut w = World::new(config);
+    w.add_manager();
+    let thing = w.add_thing();
+    let client = w.add_client();
+    w.star_topology();
+    w.plug_and_wait(thing, 0, prototypes::TMP36);
+    let (node, addr) = (w.thing_node(thing), w.thing_addr(thing));
+    let peripheral = prototypes::TMP36.raw();
+    let request = w.client_request_stream(client, addr, peripheral);
+    let start = w.now();
+    w.inject(start, w.client_node(client), request);
+    let crash = start + CRASH;
+    w.run_until(crash);
+    w.apply(crash, WorldOp::Crash(node));
+    w.run_until(crash + outage);
+    w.apply(crash + outage, WorldOp::Revive(node));
+    w.run_until_idle();
+    let c = w.client(client);
+    let arrivals = c
+        .stream_data
+        .iter()
+        .map(|&(_, _, at)| at.saturating_since(start))
+        .collect();
+    let closed = c
+        .closed_streams
+        .iter()
+        .filter(|&&p| p == peripheral)
+        .count();
+    (arrivals, closed)
+}
+
+const CRASH: SimDuration = SimDuration::from_millis(692);
+
+/// Asserts that samples arrive at most once per 200 ms period: a
+/// doubled tick chain samples faster.
+fn assert_one_chain(arrivals: &[SimDuration]) {
+    for pair in arrivals.windows(2) {
+        assert!(
+            pair[1] - pair[0] >= SimDuration::from_millis(150),
+            "two tick chains: {arrivals:?}"
+        );
+    }
+}
+
+#[test]
+fn a_crashed_thing_streams_nothing_until_it_revives() {
+    let outage = SimDuration::from_secs(1);
+    let (arrivals, closed) = stream_across_a_crash(outage);
+    // Three samples left before the crash; nothing is sampled while the
+    // MCU is down; the revived stream delivers the rest and closes.
+    let before = arrivals.iter().filter(|&&a| a < CRASH).count();
+    assert_eq!(before, 3, "{arrivals:?}");
+    assert!(
+        arrivals.iter().all(|&a| a < CRASH || a > CRASH + outage),
+        "a sample left the crashed Thing: {arrivals:?}"
+    );
+    assert_eq!(arrivals.len(), 10, "{arrivals:?}");
+    assert_one_chain(&arrivals);
+    assert_eq!(closed, 1);
+}
+
+#[test]
+fn a_stream_tick_armed_before_a_short_crash_is_not_doubled() {
+    // The outage is shorter than the period: the tick armed before the
+    // crash fires after the revive, which has re-armed the stream.
+    let (arrivals, closed) = stream_across_a_crash(SimDuration::from_millis(50));
+    assert_eq!(arrivals.len(), 10, "{arrivals:?}");
+    assert_one_chain(&arrivals);
+    assert_eq!(closed, 1);
+}
+
 #[test]
 fn unplug_removes_driver_and_advertises() {
     let (mut w, thing, client) = small_world();

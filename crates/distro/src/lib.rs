@@ -45,9 +45,10 @@
 //! across the crash (see `upnp_core`'s Thing revive path).
 //!
 //! The cache is a pure message-in/actions-out state machine over virtual
-//! time: it owns no clock and no network. The world loop feeds it
-//! datagrams and timer expiries and applies the returned [`CacheAction`]s
-//! — which is exactly what keeps a sharded simulation bit-identical to a
+//! time, like every other actor: it owns no clock and no network. The
+//! world feeds it datagrams and timer expiries through the one seam it
+//! feeds every actor through, and applies the returned [`Reply`] — which
+//! is exactly what keeps a sharded simulation bit-identical to a
 //! sequential one: a cache lives in the one shard that owns its subtree
 //! and sees the same requests in the same virtual order either way.
 
@@ -57,7 +58,7 @@ use std::net::Ipv6Addr;
 use upnp_dsl::image::DriverImage;
 use upnp_net::calib;
 use upnp_net::msg::{Message, MessageBody, SeqNo};
-use upnp_net::{Datagram, NodeId};
+use upnp_net::{Action, Datagram, NodeId, Reply};
 use upnp_sim::{CpuCost, SimDuration};
 use upnp_trace::TraceCtx;
 
@@ -130,51 +131,6 @@ pub struct CacheStats {
     /// patched image's total chunk count minus the chunks the delta
     /// carried, summed over successful patches.
     pub delta_chunks_skipped: u64,
-}
-
-/// A side effect the cache asks the world loop to perform.
-#[derive(Debug)]
-pub enum CacheAction {
-    /// Transmit a datagram (at the reply-ready instant the world derives
-    /// from [`CacheReply::process`] and [`CacheReply::send_path`]).
-    Send(Datagram),
-    /// Arm the per-fetch retry timer: call
-    /// [`EdgeCache::on_timer`]`(peripheral, gen)` after `after`.
-    ArmTimer {
-        /// The fetch the timer guards.
-        peripheral: u32,
-        /// Staleness token: the fetch's generation when armed.
-        gen: u64,
-        /// Delay from the processing-done instant.
-        after: SimDuration,
-    },
-}
-
-/// The cache's response to one stimulus, with the two processing legs the
-/// world turns into virtual time (mirroring the Manager's accounting).
-#[derive(Debug, Default)]
-pub struct CacheReply {
-    /// Side effects, in order.
-    pub actions: Vec<CacheAction>,
-    /// Receive + lookup leg.
-    pub process: SimDuration,
-    /// UDP/6LoWPAN send-path leg (applies to every `Send`).
-    pub send_path: SimDuration,
-}
-
-impl CacheReply {
-    fn with_cost(cost: CpuCost) -> CacheReply {
-        CacheReply {
-            actions: Vec::new(),
-            process: calib::duration(cost),
-            send_path: SimDuration::ZERO,
-        }
-    }
-
-    fn sending(mut self) -> CacheReply {
-        self.send_path = calib::duration(calib::UDP_SEND_PATH);
-        self
-    }
 }
 
 /// One cached image.
@@ -436,9 +392,9 @@ impl EdgeCache {
 
     /// Handles a datagram delivered to this cache. The world applies the
     /// returned actions after the processing legs.
-    pub fn on_datagram(&mut self, dgram: &Datagram) -> CacheReply {
+    pub fn on_datagram(&mut self, dgram: &Datagram) -> Reply {
         let Some(msg) = Message::decode(&dgram.payload) else {
-            return CacheReply::default();
+            return Reply::default();
         };
         match msg.body {
             MessageBody::DriverRequest { peripheral } => {
@@ -459,8 +415,8 @@ impl EdgeCache {
                     self.stats.invalidations += 1;
                 }
                 let mut reply =
-                    CacheReply::with_cost(calib::UDP_RECV_PATH + calib::REPO_LOOKUP).sending();
-                reply.actions.push(CacheAction::Send(self.datagram(
+                    Reply::with_cost(calib::UDP_RECV_PATH + calib::REPO_LOOKUP).sending();
+                reply.actions.push(Action::Send(self.datagram(
                     dgram.src,
                     Message {
                         seq: msg.seq,
@@ -491,9 +447,7 @@ impl EdgeCache {
                 {
                     if let Some(patch) = delta.as_deref() {
                         if self.try_delta_patch(peripheral, version, patch) {
-                            return CacheReply::with_cost(
-                                calib::UDP_RECV_PATH + calib::REPO_LOOKUP,
-                            );
+                            return Reply::with_cost(calib::UDP_RECV_PATH + calib::REPO_LOOKUP);
                         }
                     }
                     // Evict only strictly older copies; an in-flight
@@ -503,9 +457,9 @@ impl EdgeCache {
                     self.entries.remove(&peripheral);
                     self.stats.invalidations += 1;
                 }
-                CacheReply::with_cost(calib::UDP_RECV_PATH + calib::REPO_LOOKUP)
+                Reply::with_cost(calib::UDP_RECV_PATH + calib::REPO_LOOKUP)
             }
-            _ => CacheReply::with_cost(calib::UDP_RECV_PATH),
+            _ => Reply::with_cost(calib::UDP_RECV_PATH),
         }
     }
 
@@ -515,7 +469,7 @@ impl EdgeCache {
         seq: SeqNo,
         peripheral: u32,
         ctx: TraceCtx,
-    ) -> CacheReply {
+    ) -> Reply {
         let mut cost = CpuCost::ZERO;
         cost += calib::UDP_RECV_PATH;
         cost += calib::REPO_LOOKUP;
@@ -531,15 +485,15 @@ impl EdgeCache {
                 &self.entries[&peripheral].bytes,
                 ctx,
             );
-            let mut reply = CacheReply::with_cost(cost).sending();
-            reply.actions.push(CacheAction::Send(upload));
+            let mut reply = Reply::with_cost(cost).sending();
+            reply.actions.push(Action::Send(upload));
             return reply;
         }
         if let Some(fetch) = self.inflight.get_mut(&peripheral) {
             // Singleflight: park on the in-flight fetch.
             fetch.followers.push((requester, seq, ctx));
             self.stats.coalesced += 1;
-            return CacheReply::with_cost(cost);
+            return Reply::with_cost(cost);
         }
         // Cold miss: start the chunked fetch.
         self.stats.misses += 1;
@@ -562,10 +516,10 @@ impl EdgeCache {
             },
         );
         let req = self.chunk_request(peripheral, 0);
-        let mut reply = CacheReply::with_cost(cost).sending();
-        reply.actions.push(CacheAction::Send(req));
-        reply.actions.push(CacheAction::ArmTimer {
-            peripheral,
+        let mut reply = Reply::with_cost(cost).sending();
+        reply.actions.push(Action::Send(req));
+        reply.actions.push(Action::Timer {
+            key: peripheral,
             gen,
             after: self.retry_after(0),
         });
@@ -580,7 +534,7 @@ impl EdgeCache {
         chunk: u16,
         total: u16,
         data: Vec<u8>,
-    ) -> CacheReply {
+    ) -> Reply {
         enum Step {
             /// No fetch / malformed / duplicate: drop on the floor (the
             /// retry timer recovers genuine losses).
@@ -599,7 +553,7 @@ impl EdgeCache {
         let cost = calib::UDP_RECV_PATH;
         let step = {
             let Some(fetch) = self.inflight.get_mut(&peripheral) else {
-                return CacheReply::with_cost(cost); // No fetch: stale chunk.
+                return Reply::with_cost(cost); // No fetch: stale chunk.
             };
             if total == 0 || chunk >= total {
                 Step::Ignore // Malformed.
@@ -649,7 +603,7 @@ impl EdgeCache {
             }
         };
         match step {
-            Step::Ignore => CacheReply::with_cost(cost),
+            Step::Ignore => Reply::with_cost(cost),
             Step::Request {
                 next,
                 fresh_session,
@@ -670,10 +624,10 @@ impl EdgeCache {
                 }
                 let level = fetch.retries;
                 let req = self.chunk_request(peripheral, next);
-                let mut reply = CacheReply::with_cost(cost).sending();
-                reply.actions.push(CacheAction::Send(req));
-                reply.actions.push(CacheAction::ArmTimer {
-                    peripheral,
+                let mut reply = Reply::with_cost(cost).sending();
+                reply.actions.push(Action::Send(req));
+                reply.actions.push(Action::Timer {
+                    key: peripheral,
                     gen,
                     after: self.retry_after(level),
                 });
@@ -693,15 +647,14 @@ impl EdgeCache {
                     .is_none()
                 {
                     self.stats.failed_fetches += 1;
-                    return CacheReply::with_cost(cost);
+                    return Reply::with_cost(cost);
                 }
                 self.insert(peripheral, version, bytes.clone());
                 let mut reply =
-                    CacheReply::with_cost(cost + calib::REPO_LOOKUP + calib::UPLOAD_SETUP)
-                        .sending();
+                    Reply::with_cost(cost + calib::REPO_LOOKUP + calib::UPLOAD_SETUP).sending();
                 self.stats.uploads_served += fetch.followers.len() as u64;
                 for (requester, seq, ctx) in fetch.followers {
-                    reply.actions.push(CacheAction::Send(
+                    reply.actions.push(Action::Send(
                         self.upload(requester, seq, peripheral, &bytes, ctx),
                     ));
                 }
@@ -711,14 +664,14 @@ impl EdgeCache {
     }
 
     /// Handles a retry-timer expiry armed by a previous
-    /// [`CacheAction::ArmTimer`]. Stale timers (the fetch progressed or
+    /// [`Action::Timer`]. Stale timers (the fetch progressed or
     /// finished since) are ignored via the generation token.
-    pub fn on_timer(&mut self, peripheral: u32, gen: u64) -> CacheReply {
+    pub fn on_timer(&mut self, peripheral: u32, gen: u64) -> Reply {
         let Some(fetch) = self.inflight.get_mut(&peripheral) else {
-            return CacheReply::default();
+            return Reply::default();
         };
         if fetch.gen != gen {
-            return CacheReply::default(); // Progress since armed.
+            return Reply::default(); // Progress since armed.
         }
         if fetch.retries >= self.config.max_retries {
             // Abandon the fetch — but never strand the parked followers.
@@ -730,12 +683,12 @@ impl EdgeCache {
             let fetch = self.inflight.remove(&peripheral).expect("in flight");
             self.stats.failed_fetches += 1;
             if fetch.followers.is_empty() {
-                return CacheReply::default();
+                return Reply::default();
             }
             self.stats.failed_over += fetch.followers.len() as u64;
-            let mut reply = CacheReply::default().sending();
+            let mut reply = Reply::default().sending();
             for (requester, seq, ctx) in fetch.followers {
-                reply.actions.push(CacheAction::Send(Datagram {
+                reply.actions.push(Action::Send(Datagram {
                     src: requester,
                     dst: self.origin,
                     src_port: upnp_net::addr::MCAST_PORT,
@@ -758,10 +711,10 @@ impl EdgeCache {
         let (gen, next, level) = (fetch.gen, fetch.next, fetch.retries);
         self.stats.chunk_retries += 1;
         let req = self.chunk_request(peripheral, next);
-        let mut reply = CacheReply::with_cost(calib::REPO_LOOKUP).sending();
-        reply.actions.push(CacheAction::Send(req));
-        reply.actions.push(CacheAction::ArmTimer {
-            peripheral,
+        let mut reply = Reply::with_cost(calib::REPO_LOOKUP).sending();
+        reply.actions.push(Action::Send(req));
+        reply.actions.push(Action::Timer {
+            key: peripheral,
             gen,
             after: self.retry_after(level),
         });
@@ -855,12 +808,12 @@ mod tests {
             .collect()
     }
 
-    fn sends(reply: &CacheReply) -> Vec<&Datagram> {
+    fn sends(reply: &Reply) -> Vec<&Datagram> {
         reply
             .actions
             .iter()
             .filter_map(|a| match a {
-                CacheAction::Send(d) => Some(d),
+                Action::Send(d) => Some(d),
                 _ => None,
             })
             .collect()
@@ -987,7 +940,7 @@ mod tests {
             THING_A,
             MessageBody::DriverRequest { peripheral: p },
         ));
-        let CacheAction::ArmTimer { gen, .. } = r.actions[1] else {
+        let Action::Timer { gen, .. } = r.actions[1] else {
             panic!("miss must arm the retry timer");
         };
         // The chunk request (or its reply) was lost: the timer fires and
@@ -996,7 +949,7 @@ mod tests {
         for i in 0..c.config.max_retries {
             let r = c.on_timer(p, gen);
             assert_eq!(sends(&r).len(), 1, "retry {i} re-requests the chunk");
-            let CacheAction::ArmTimer { gen: g, .. } = r.actions[1] else {
+            let Action::Timer { gen: g, .. } = r.actions[1] else {
                 panic!("retry re-arms");
             };
             gen = g;
@@ -1036,7 +989,7 @@ mod tests {
             THING_A,
             MessageBody::DriverRequest { peripheral: p },
         ));
-        let CacheAction::ArmTimer { mut gen, .. } = r.actions[1] else {
+        let Action::Timer { mut gen, .. } = r.actions[1] else {
             panic!("miss arms a timer");
         };
         c.on_datagram(&dgram(
@@ -1045,7 +998,7 @@ mod tests {
         ));
         for _ in 0..c.config.max_retries {
             let r = c.on_timer(p, gen);
-            let CacheAction::ArmTimer { gen: g, .. } = r.actions[1] else {
+            let Action::Timer { gen: g, .. } = r.actions[1] else {
                 panic!("retry re-arms");
             };
             gen = g;
@@ -1093,7 +1046,7 @@ mod tests {
         let mut requests_per_chunk = vec![0u32; chunks.len()];
         let mut sessions = std::collections::BTreeSet::new();
         let mut uploads = 0;
-        let absorb = |reply: &CacheReply,
+        let absorb = |reply: &Reply,
                       now: SimDuration,
                       events: &mut Vec<(SimDuration, Ev)>,
                       requests_per_chunk: &mut Vec<u32>,
@@ -1101,7 +1054,7 @@ mod tests {
                       uploads: &mut u32| {
             for a in &reply.actions {
                 match a {
-                    CacheAction::Send(d) => match Message::decode(&d.payload) {
+                    Action::Send(d) => match Message::decode(&d.payload) {
                         Some(Message {
                             body: MessageBody::DriverChunkRequest { chunk, session, .. },
                             ..
@@ -1118,9 +1071,10 @@ mod tests {
                         }) => *uploads += 1,
                         _ => {}
                     },
-                    CacheAction::ArmTimer { gen, after, .. } => {
+                    Action::Timer { gen, after, .. } => {
                         events.push((now + *after, Ev::Timer(*gen)));
                     }
+                    Action::Join(_) | Action::Leave(_) => unreachable!("a cache joins no group"),
                 }
             }
         };
@@ -1199,7 +1153,7 @@ mod tests {
             THING_A,
             MessageBody::DriverRequest { peripheral: p },
         ));
-        let CacheAction::ArmTimer { gen, .. } = r.actions[1] else {
+        let Action::Timer { gen, .. } = r.actions[1] else {
             panic!("miss arms a timer");
         };
         // Chunk 0 arrives before the timer fires.
@@ -1293,7 +1247,7 @@ mod tests {
         // Chunk 0 arrives from the primary origin: cursor moves to 1.
         let r = c.on_datagram(&dgram(ORIGIN, v1[0].clone()));
         let (_, s1) = chunk_request_of(sends(&r)[0]);
-        let CacheAction::ArmTimer { gen: old_gen, .. } = r.actions[1] else {
+        let Action::Timer { gen: old_gen, .. } = r.actions[1] else {
             panic!("progress re-arms the timer");
         };
         // The origin fails over: the standby replays chunk 0 at the SAME
@@ -1307,7 +1261,7 @@ mod tests {
         assert_eq!(s2, s1, "same version, same fetch session");
         // Generation-stamp path: the resume re-stamps the fetch, so the
         // timer armed before the failover is stale and must be a no-op.
-        let CacheAction::ArmTimer { gen: new_gen, .. } = r.actions[1] else {
+        let Action::Timer { gen: new_gen, .. } = r.actions[1] else {
             panic!("resume re-arms the timer");
         };
         assert_ne!(new_gen, old_gen);
@@ -1330,7 +1284,7 @@ mod tests {
             THING_A,
             MessageBody::DriverRequest { peripheral: p },
         ));
-        let CacheAction::ArmTimer { gen, .. } = r.actions[1] else {
+        let Action::Timer { gen, .. } = r.actions[1] else {
             panic!("miss arms a timer");
         };
         c.on_datagram(&dgram(
@@ -1598,7 +1552,7 @@ mod tests {
             MessageBody::DriverRequest { peripheral: p },
             ctx_a,
         ));
-        let CacheAction::ArmTimer { mut gen, .. } = r.actions[1] else {
+        let Action::Timer { mut gen, .. } = r.actions[1] else {
             panic!("miss arms a timer");
         };
         c.on_datagram(&traced(
@@ -1610,7 +1564,7 @@ mod tests {
         for _ in 0..c.config.max_retries {
             let r = c.on_timer(p, gen);
             assert_eq!(sends(&r)[0].payload.trace(), ctx_a);
-            let CacheAction::ArmTimer { gen: g, .. } = r.actions[1] else {
+            let Action::Timer { gen: g, .. } = r.actions[1] else {
                 panic!("retry re-arms");
             };
             gen = g;

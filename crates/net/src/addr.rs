@@ -88,6 +88,14 @@ pub fn unicast(network_prefix_48: u64, subnet: u16, iid: u64) -> Ipv6Addr {
     Ipv6Addr::from(octets)
 }
 
+/// The 48-bit network prefix of a unicast address built by [`unicast`]:
+/// a node derives its groups from its own address (Figure 9).
+pub fn unicast_prefix(addr: Ipv6Addr) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes[2..8].copy_from_slice(&addr.octets()[..6]);
+    u64::from_be_bytes(bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +147,13 @@ mod tests {
         assert_eq!(a.to_string(), "2001:db8::1");
         let b = unicast(DOC_PREFIX, 2, 0xaabb);
         assert_eq!(b.to_string(), "2001:db8:0:2::aabb");
+    }
+
+    #[test]
+    fn unicast_prefix_inverts_unicast() {
+        for (subnet, iid) in [(0, 1), (2, 0xaabb), (u16::MAX, u64::MAX)] {
+            assert_eq!(unicast_prefix(unicast(DOC_PREFIX, subnet, iid)), DOC_PREFIX);
+        }
     }
 
     #[test]

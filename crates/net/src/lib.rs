@@ -15,8 +15,10 @@
 //!   ([`network`]).
 //!
 //! [`calib`] holds the MCU-processing cost constants calibrated against
-//! the paper's Table 4 timings.
+//! the paper's Table 4 timings, and [`actor`] the one [`Reply`] shape in
+//! which every protocol actor answers a stimulus.
 
+pub mod actor;
 pub mod addr;
 pub mod calib;
 pub mod link;
@@ -27,6 +29,7 @@ pub mod sixlowpan;
 pub mod smrf;
 pub mod tlv;
 
+pub use actor::{Action, Reply};
 pub use addr::{all_clients_group, all_peripherals_group, peripheral_group, MCAST_PORT};
 pub use link::{LinkQuality, RadioModel};
 pub use msg::{Message, MessageBody, SeqNo};

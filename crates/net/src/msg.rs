@@ -581,6 +581,19 @@ impl Message {
         out
     }
 
+    /// The wire type byte and peripheral id of an encoded message whose
+    /// body starts with one (every type but the advertisements, (2)
+    /// discovery and (6) driver discovery), read without decoding the
+    /// body.
+    pub fn header(data: &[u8]) -> Option<(u8, u32)> {
+        let ty = *data.first()?;
+        if !matches!(ty, 4 | 5 | 8..=20) {
+            return None;
+        }
+        let peripheral = u32::from_be_bytes(data.get(3..7)?.try_into().ok()?);
+        Some((ty, peripheral))
+    }
+
     /// Parses a UDP payload.
     ///
     /// Returns `None` for unknown types or truncated bodies.
@@ -756,6 +769,29 @@ mod tests {
         let back = Message::decode(&wire)
             .unwrap_or_else(|| panic!("decode failed for {:?}: {wire:?}", msg.body.type_id()));
         assert_eq!(back, msg);
+    }
+
+    #[test]
+    fn header_reads_type_and_peripheral_without_the_body() {
+        let upload = Message {
+            seq: 7,
+            body: MessageBody::DriverUpload {
+                peripheral: 0xad1c_be01,
+                image: vec![0xb5; 300],
+            },
+        }
+        .encode();
+        assert_eq!(
+            Message::header(&upload),
+            Some((MessageBody::DRIVER_UPLOAD_TYPE, 0xad1c_be01))
+        );
+        // Truncated and peripheral-less frames have no header.
+        assert_eq!(Message::header(&upload[..6]), None);
+        let discovery = Message {
+            seq: 7,
+            body: MessageBody::DriverDiscovery,
+        };
+        assert_eq!(Message::header(&discovery.encode()), None);
     }
 
     #[test]
