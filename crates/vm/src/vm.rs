@@ -650,6 +650,81 @@ mod tests {
         assert!(out.cost.cycles > 3 * crate::cost::DISPATCH_CYCLES);
     }
 
+    /// FNV-1a over every handler outcome of the sweep below, recorded
+    /// against the interpreter that decoded each opcode by `match` and
+    /// kept its operand stack in a `Vec`: a rewrite must retire the same
+    /// instructions at the same cost, with the same signals, return value
+    /// and first fault, on well-formed and on hostile code alike.
+    const HANDLER_OUTCOMES_DIGEST: u64 = 0xe444_bbd6_b02d_a011;
+
+    #[test]
+    fn handler_outcomes_match_the_pinned_digest() {
+        const ARGS: [Cell; 4] = [Cell(7), Cell(-3), Cell(1000), Cell(0x4048_f5c3)];
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |case: String| {
+            for b in case.bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut run_all = |name: &str, label: &str, image: Arc<DriverImage>| {
+            for h in &image.handlers {
+                let args = &ARGS[..usize::from(h.n_params).min(ARGS.len())];
+                let out = DriverInstance::new(Arc::clone(&image)).run_handler(h.event_id, args);
+                fold(format!("{name} {label} ev{} {out:?}\n", h.event_id));
+            }
+        };
+        for (i, (name, src)) in upnp_dsl::drivers::ALL.iter().enumerate() {
+            let image = upnp_dsl::compile_source(src, i as u32 + 1).expect("compiles");
+            for pos in 0..image.code.len() {
+                let b = image.code[pos];
+                for v in [0x00, 0xff, b ^ 1] {
+                    let mut m = image.clone();
+                    m.code[pos] = v;
+                    run_all(name, &format!("[{pos}]={v}"), Arc::new(m));
+                }
+            }
+            run_all(name, "as compiled", Arc::new(image));
+        }
+        // The faults no mutation above reaches, and the edges of the code
+        // region, as one two-parameter handler over one scalar and one
+        // two-cell array.
+        let hostile: [&[u8]; 8] = [
+            &[0x50, 0xfd, 0xff],             // JMP to itself: gas
+            &[0x01, 1, 0x50, 0xfb, 0xff],    // PUSH8 in a loop: stack overflow
+            &[0x00, 0x03, 1, 2],             // PUSH32 cut short by the end
+            &[0x50, 0x00, 0x00],             // JMP to the end: returns
+            &[0x50, 0x01, 0x00],             // JMP past the end
+            &[0x12, 1, 0x12, 2, 0x63],       // LDL past the parameters
+            &[0x01, 2, 0x01, 1, 0x15, 0],    // STA index 2 of a two-cell array
+            &[0x70, 0, 0x70, 0, 0x20, 0x61], // IncG twice, add, return
+        ];
+        for (i, code) in hostile.iter().enumerate() {
+            let image = DriverImage {
+                device_id: 0,
+                bus: upnp_dsl::image::BusKind::None,
+                imports: Vec::new(),
+                globals: vec![
+                    upnp_dsl::image::GlobalSlot {
+                        ty: Type::U8,
+                        array_len: None,
+                    },
+                    upnp_dsl::image::GlobalSlot {
+                        ty: Type::U8,
+                        array_len: Some(2),
+                    },
+                ],
+                handlers: vec![upnp_dsl::image::HandlerEntry {
+                    event_id: 0,
+                    n_params: 2,
+                    offset: 0,
+                }],
+                code: code.to_vec(),
+            };
+            run_all("hostile", &i.to_string(), Arc::new(image));
+        }
+        assert_eq!(digest, HANDLER_OUTCOMES_DIGEST, "{digest:#018x}");
+    }
+
     #[test]
     fn bmp180_compensation_matches_reference_model() {
         use upnp_bus::peripherals::Calibration;
