@@ -33,7 +33,6 @@ pub mod registry;
 pub mod shard;
 mod spans;
 pub mod thing;
-pub mod vec_map;
 pub mod world;
 
 pub use catalog::{Catalog, CatalogEntry};
@@ -44,5 +43,5 @@ pub use manager::Manager;
 pub use registry::{AddressSpace, AllocationError, RegistryEntry};
 pub use shard::ShardedWorld;
 pub use thing::{PlugTimeline, Thing};
-pub use vec_map::VecMap;
+pub use upnp_sim::VecMap;
 pub use world::{CacheId, DistroStats, SimWorld, World, WorldConfig};

@@ -27,13 +27,12 @@ use upnp_net::calib;
 use upnp_net::msg::{AdvertisedPeripheral, Message, MessageBody, SeqNo, Value};
 use upnp_net::tlv::{Tlv, TlvType};
 use upnp_net::{Action, Datagram, NodeId, Reply};
-use upnp_sim::{SimDuration, SimTime};
+use upnp_sim::{SimDuration, SimTime, VecMap};
 use upnp_vm::controller::{PeripheralChange, PeripheralController};
 use upnp_vm::runtime::{OpToken, PendingKind, Runtime};
 use upnp_vm::vm::ReturnValue;
 
 use crate::catalog::Catalog;
-use crate::vec_map::VecMap;
 
 /// Whether a driver's scalar return is float- or integer-valued (carried
 /// here rather than in the image format; a production registry would ship

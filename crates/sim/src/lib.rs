@@ -8,8 +8,10 @@
 //!   [`SimDuration`]). All timings reported by the reproduction are measured
 //!   in virtual time, never wall-clock time, so every experiment is exactly
 //!   reproducible.
-//! * [`sched`] — a binary-heap event scheduler generic over the event payload
-//!   type. Ties are broken by insertion order, which keeps runs deterministic.
+//! * [`sched`] — an event scheduler generic over the event payload type: a
+//!   sorted run for events that arrive in firing order beside a binary heap
+//!   for the rest. Ties are broken by insertion order, which keeps runs
+//!   deterministic.
 //! * [`rng`] — a seeded deterministic random source with helpers for sampling
 //!   component tolerances and packet loss.
 //! * [`energy`] — joule accounting: integrating meters and power-state
@@ -20,6 +22,8 @@
 //!   shape-for-shape.
 //! * [`trace`] — a bounded trace recorder used to dump waveforms
 //!   (Figures 2, 3 and 5) and protocol timelines.
+//! * [`vec_map`] — a map for the few entries a Thing or its runtime keeps
+//!   per peripheral, slot or operation.
 
 pub mod cpu;
 pub mod energy;
@@ -27,6 +31,7 @@ pub mod rng;
 pub mod sched;
 pub mod time;
 pub mod trace;
+pub mod vec_map;
 
 pub use cpu::{AvrCostModel, CpuCost};
 pub use energy::{EnergyMeter, PowerState, PowerTracker};
@@ -34,3 +39,4 @@ pub use rng::{splitmix64, SimRng};
 pub use sched::{EventEntry, Scheduler};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent};
+pub use vec_map::VecMap;

@@ -1,7 +1,7 @@
-//! A map for the handful of entries a Thing keeps per peripheral or per
-//! operation.
+//! A map for the handful of entries a Thing or its runtime keeps per
+//! peripheral, driver slot or operation.
 //!
-//! A Thing's maps hold a few entries at most, and a fleet holds a
+//! These maps hold a few entries at most, and a fleet holds a
 //! million Things, so what counts is bytes per entry, not lookup
 //! asymptotics. [`VecMap`] keeps its pairs in one vector that grows by
 //! exactly one slot per new key: an empty map allocates nothing, one
@@ -79,6 +79,16 @@ impl<K: PartialEq, V> VecMap<K, V> {
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let i = self.position(key)?;
         Some(self.pairs.swap_remove(i).1)
+    }
+
+    /// The number of entries.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// True if the map holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
     }
 
     /// True if a value is stored under `key`.

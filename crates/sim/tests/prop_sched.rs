@@ -1,7 +1,9 @@
 //! Property tests for the DES kernel's ordering invariants.
 
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
-use upnp_sim::{Scheduler, SimDuration, SimTime};
+use upnp_sim::{EventEntry, Scheduler, SimDuration, SimTime};
 
 proptest! {
     /// Events always pop in non-decreasing time order, whatever the
@@ -41,6 +43,49 @@ proptest! {
         }
         while s.pop().is_some() {}
         prop_assert_eq!(s.now(), SimTime::from_nanos(max));
+    }
+
+    /// The sorted run beside the heap is invisible: any interleaving of
+    /// in-order, same-instant and out-of-order `schedule_at` calls with
+    /// pops gives exactly the `(at, seq, event)` sequence, `peek_time`
+    /// and `len` of one binary heap over every entry.
+    #[test]
+    fn pops_match_one_heap(ops in prop::collection::vec((0u8..4, 0u64..1_000), 1..400)) {
+        let mut s: Scheduler<usize> = Scheduler::new();
+        let mut reference: BinaryHeap<EventEntry<usize>> = BinaryHeap::new();
+        let (mut now, mut high, mut seq) = (0u64, 0u64, 0u64);
+        for (i, &(kind, d)) in ops.iter().enumerate() {
+            let at = match kind {
+                // In order: not below anything scheduled so far.
+                0 => high + d,
+                // Same instant as the latest entry, or as the clock.
+                1 => if d % 2 == 0 { high } else { now },
+                // Out of order: anywhere from the clock to the latest.
+                2 => now + d % (high - now + 1),
+                _ => {
+                    let got = s.pop().map(|e| (e.at, e.seq, e.event));
+                    let want = reference.pop().map(|e| (e.at, e.seq, e.event));
+                    prop_assert_eq!(got, want);
+                    if let Some((at, _, _)) = got {
+                        now = at.as_nanos();
+                    }
+                    prop_assert_eq!(s.peek_time(), reference.peek().map(|e| e.at));
+                    prop_assert_eq!(s.len(), reference.len());
+                    continue;
+                }
+            };
+            high = high.max(at);
+            s.schedule_at(SimTime::from_nanos(at), i);
+            reference.push(EventEntry { at: SimTime::from_nanos(at), seq, event: i });
+            seq += 1;
+            prop_assert_eq!(s.peek_time(), reference.peek().map(|e| e.at));
+            prop_assert_eq!(s.len(), reference.len());
+        }
+        while let Some(want) = reference.pop() {
+            let got = s.pop().map(|e| (e.at, e.seq, e.event));
+            prop_assert_eq!(got, Some((want.at, want.seq, want.event)));
+        }
+        prop_assert!(s.is_empty() && s.pop().is_none());
     }
 
     /// Duration arithmetic: sum of parts equals the whole (no overflow in

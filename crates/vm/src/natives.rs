@@ -8,15 +8,13 @@
 //! events on the virtual clock, and every operation reports its CPU cost
 //! and bus energy.
 
-use std::collections::HashMap;
-
 use upnp_bus::adc::{Adc, AnalogSource};
 use upnp_bus::i2c::I2cBus;
 use upnp_bus::spi::SpiBus;
 use upnp_bus::uart::{Parity, Uart, UartConfig, UartDevice, UartError, UartFrameFormat};
 use upnp_bus::Environment;
 use upnp_dsl::events::{errors, ids, libs};
-use upnp_sim::{CpuCost, SimDuration, SimRng};
+use upnp_sim::{CpuCost, SimDuration, SimRng, VecMap};
 
 use crate::cost::VmCostModel;
 use crate::router::{Endpoint, RoutedEvent};
@@ -39,7 +37,7 @@ pub struct HwContext {
     /// Deterministic noise source.
     pub rng: SimRng,
     /// Analog sources keyed by the driver slot that owns them.
-    pub analog_sources: HashMap<u8, Box<dyn AnalogSource>>,
+    pub analog_sources: VecMap<u8, Box<dyn AnalogSource>>,
     /// The device on the far end of the UART, if any.
     pub uart_device: Option<Box<dyn UartDevice>>,
 }
@@ -54,7 +52,7 @@ impl HwContext {
             i2c: I2cBus::new(),
             spi: SpiBus::new(),
             rng: SimRng::seed(seed),
-            analog_sources: HashMap::new(),
+            analog_sources: VecMap::new(),
             uart_device: None,
         }
     }
@@ -128,9 +126,9 @@ pub struct NativeLibs {
     /// timeout deadlines.
     pub uart_rx_gen: u64,
     /// Per-slot I²C slave address configured with `i2c.init`.
-    pub i2c_addr: HashMap<u8, u8>,
+    pub i2c_addr: VecMap<u8, u8>,
     /// Per-slot timer generation (cancel = bump).
-    pub timer_gen: HashMap<u8, u64>,
+    pub timer_gen: VecMap<u8, u64>,
     cost_model: VmCostModel,
 }
 
@@ -472,7 +470,7 @@ impl NativeLibs {
                 if ms <= 0 {
                     return NativeResult::err(slot, errors::INVALID_CONFIGURATION, base);
                 }
-                let generation = self.timer_gen.entry(slot).or_insert(0);
+                let generation = self.timer_gen.get_or_insert_default(slot);
                 *generation += 1;
                 NativeResult {
                     cost: base,
@@ -488,7 +486,7 @@ impl NativeLibs {
             }
             // cancel()
             1 => {
-                *self.timer_gen.entry(slot).or_insert(0) += 1;
+                *self.timer_gen.get_or_insert_default(slot) += 1;
                 NativeResult {
                     cost: base,
                     ..Default::default()
@@ -635,7 +633,7 @@ mod tests {
         assert_eq!(generation, 1);
         // Cancel bumps the generation, so the pending fire is stale.
         libs_state.timer_op(0, 1, &[], CpuCost::ZERO);
-        assert_eq!(libs_state.timer_gen[&0], 2);
+        assert_eq!(libs_state.timer_gen.get(&0), Some(&2));
         let r = libs_state.timer_op(0, 0, &cells(&[0]), CpuCost::ZERO);
         assert_eq!(r.immediate[0].event, errors::INVALID_CONFIGURATION);
     }
