@@ -136,130 +136,151 @@ pub enum Op {
     Halt = 0xff,
 }
 
+/// What the decoder knows about one opcode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpInfo {
+    /// The operation.
+    pub op: Op,
+    /// The number of operand bytes following the opcode.
+    pub operands: u8,
+    /// How many cells the instruction pops (statically known; `Sig`
+    /// pops its argc dynamically and is handled separately).
+    pub pops: u8,
+    /// How many cells the instruction pushes.
+    pub pushes: u8,
+}
+
+/// Every opcode as `(op, operand bytes, pops, pushes)`.
+const OPS: [(Op, u8, u8, u8); 56] = {
+    use Op::*;
+    [
+        (Nop, 0, 0, 0),
+        (Push8, 1, 0, 1),
+        (Push16, 2, 0, 1),
+        (Push32, 4, 0, 1),
+        (PushF, 4, 0, 1),
+        (Dup, 0, 1, 2),
+        (Pop, 0, 1, 0),
+        (Swap, 0, 2, 2),
+        (Ldg, 1, 0, 1),
+        (Stg, 1, 1, 0),
+        (Ldl, 1, 0, 1),
+        (Stl, 1, 1, 0),
+        (Lda, 1, 1, 1),
+        (Sta, 1, 2, 0),
+        (Len, 1, 0, 1),
+        (Add, 0, 2, 1),
+        (Sub, 0, 2, 1),
+        (Mul, 0, 2, 1),
+        (Div, 0, 2, 1),
+        (Mod, 0, 2, 1),
+        (Neg, 0, 1, 1),
+        (FAdd, 0, 2, 1),
+        (FSub, 0, 2, 1),
+        (FMul, 0, 2, 1),
+        (FDiv, 0, 2, 1),
+        (FNeg, 0, 1, 1),
+        (I2F, 0, 1, 1),
+        (F2I, 0, 1, 1),
+        (BAnd, 0, 2, 1),
+        (BOr, 0, 2, 1),
+        (BXor, 0, 2, 1),
+        (BNot, 0, 1, 1),
+        (Shl, 0, 2, 1),
+        (Shr, 0, 2, 1),
+        (LNot, 0, 1, 1),
+        (Eq, 0, 2, 1),
+        (Ne, 0, 2, 1),
+        (Lt, 0, 2, 1),
+        (Le, 0, 2, 1),
+        (Gt, 0, 2, 1),
+        (Ge, 0, 2, 1),
+        (FEq, 0, 2, 1),
+        (FNe, 0, 2, 1),
+        (FLt, 0, 2, 1),
+        (FLe, 0, 2, 1),
+        (FGt, 0, 2, 1),
+        (FGe, 0, 2, 1),
+        (Jmp, 2, 0, 0),
+        (Jz, 2, 1, 0),
+        (Jnz, 2, 1, 0),
+        (Sig, 3, 0, 0),
+        (RetV, 0, 1, 0),
+        (RetA, 1, 0, 0),
+        (Ret, 0, 0, 0),
+        (IncG, 1, 0, 1),
+        (Halt, 0, 0, 0),
+    ]
+};
+
+/// The opcode table: entry `b` describes opcode byte `b`, `None` where
+/// `b` is no opcode. The image parser, the verifier, the disassembler and
+/// the interpreter all decode through it, one lookup per instruction.
+pub static OPCODES: [Option<OpInfo>; 256] = {
+    let mut table = [None; 256];
+    let mut i = 0;
+    while i < OPS.len() {
+        let (op, operands, pops, pushes) = OPS[i];
+        table[op as usize] = Some(OpInfo {
+            op,
+            operands,
+            pops,
+            pushes,
+        });
+        i += 1;
+    }
+    table
+};
+
 impl Op {
     /// Decodes an opcode byte.
     pub fn from_byte(b: u8) -> Option<Op> {
-        use Op::*;
-        Some(match b {
-            0x00 => Nop,
-            0x01 => Push8,
-            0x02 => Push16,
-            0x03 => Push32,
-            0x04 => PushF,
-            0x05 => Dup,
-            0x06 => Pop,
-            0x07 => Swap,
-            0x10 => Ldg,
-            0x11 => Stg,
-            0x12 => Ldl,
-            0x13 => Stl,
-            0x14 => Lda,
-            0x15 => Sta,
-            0x16 => Len,
-            0x20 => Add,
-            0x21 => Sub,
-            0x22 => Mul,
-            0x23 => Div,
-            0x24 => Mod,
-            0x25 => Neg,
-            0x26 => FAdd,
-            0x27 => FSub,
-            0x28 => FMul,
-            0x29 => FDiv,
-            0x2a => FNeg,
-            0x2b => I2F,
-            0x2c => F2I,
-            0x30 => BAnd,
-            0x31 => BOr,
-            0x32 => BXor,
-            0x33 => BNot,
-            0x34 => Shl,
-            0x35 => Shr,
-            0x38 => LNot,
-            0x40 => Eq,
-            0x41 => Ne,
-            0x42 => Lt,
-            0x43 => Le,
-            0x44 => Gt,
-            0x45 => Ge,
-            0x46 => FEq,
-            0x47 => FNe,
-            0x48 => FLt,
-            0x49 => FLe,
-            0x4a => FGt,
-            0x4b => FGe,
-            0x50 => Jmp,
-            0x51 => Jz,
-            0x52 => Jnz,
-            0x60 => Sig,
-            0x61 => RetV,
-            0x62 => RetA,
-            0x63 => Ret,
-            0x70 => IncG,
-            0xff => Halt,
-            _ => return None,
-        })
+        OPCODES[usize::from(b)].map(|info| info.op)
+    }
+
+    /// The opcode's table entry.
+    pub const fn info(self) -> OpInfo {
+        match OPCODES[self as usize] {
+            Some(info) => info,
+            None => panic!("every opcode has a table entry"),
+        }
     }
 
     /// The number of operand bytes following the opcode.
     pub fn operand_len(self) -> usize {
-        use Op::*;
-        match self {
-            Push8 => 1,
-            Push16 => 2,
-            Push32 | PushF => 4,
-            Ldg | Stg | Ldl | Stl | Lda | Sta | Len | RetA | IncG => 1,
-            Jmp | Jz | Jnz => 2,
-            Sig => 3,
-            _ => 0,
-        }
+        usize::from(self.info().operands)
     }
 
     /// How many cells the instruction pops (statically known).
     pub fn pops(self) -> usize {
-        use Op::*;
-        match self {
-            Pop | Stg | Stl | RetV | Jz | Jnz | Neg | FNeg | BNot | LNot | I2F | F2I => 1,
-            Add | Sub | Mul | Div | Mod | FAdd | FSub | FMul | FDiv | BAnd | BOr | BXor | Shl
-            | Shr | Eq | Ne | Lt | Le | Gt | Ge | FEq | FNe | FLt | FLe | FGt | FGe => 2,
-            Lda => 1,
-            Sta => 2,
-            Dup => 1,
-            Swap => 2,
-            _ => 0,
-        }
+        usize::from(self.info().pops)
     }
 
     /// How many cells the instruction pushes (statically known; `Sig` pops
     /// its argc dynamically and is handled separately by the verifier).
     pub fn pushes(self) -> usize {
-        use Op::*;
-        match self {
-            Push8 | Push16 | Push32 | PushF | Ldg | Ldl | Lda | Len | IncG => 1,
-            Add | Sub | Mul | Div | Mod | Neg | FAdd | FSub | FMul | FDiv | FNeg | I2F | F2I
-            | BAnd | BOr | BXor | BNot | Shl | Shr | LNot | Eq | Ne | Lt | Le | Gt | Ge | FEq
-            | FNe | FLt | FLe | FGt | FGe => 1,
-            Dup => 2,
-            Swap => 2,
-            _ => 0,
-        }
+        usize::from(self.info().pushes)
     }
 }
 
 /// Decodes the instruction at `pc`: its opcode and its operand bytes.
 ///
-/// The one instruction decoder: the image parser walks a code region
-/// with it, the verifier follows control flow with it, and the
-/// disassembler formats what it returns.
+/// The image parser walks a code region with it, the verifier follows
+/// control flow with it, and the disassembler formats what it returns.
 ///
 /// # Errors
 ///
 /// Returns `pc` when the byte there is not a known opcode or its
 /// operands run past the end of `code`.
 pub(crate) fn decode(code: &[u8], pc: usize) -> Result<(Op, &[u8]), usize> {
-    let op = code.get(pc).and_then(|&b| Op::from_byte(b)).ok_or(pc)?;
-    let operands = code.get(pc + 1..pc + 1 + op.operand_len()).ok_or(pc)?;
-    Ok((op, operands))
+    let info = code
+        .get(pc)
+        .and_then(|&b| OPCODES[usize::from(b)])
+        .ok_or(pc)?;
+    let operands = code
+        .get(pc + 1..pc + 1 + usize::from(info.operands))
+        .ok_or(pc)?;
+    Ok((info.op, operands))
 }
 
 /// Disassembles a code region into printable lines (offset, mnemonic,

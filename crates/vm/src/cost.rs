@@ -15,7 +15,7 @@
 //! ALU work — this is also what makes native C float drivers big in
 //! Table 3.
 
-use upnp_dsl::isa::Op;
+use upnp_dsl::isa::{Op, OPCODES};
 use upnp_sim::CpuCost;
 
 /// Cycle cost of the interpreter's fetch/decode/dispatch per instruction.
@@ -31,6 +31,23 @@ pub const POP_CYCLES: u64 = 142;
 /// the network stack (paper: 77.79 µs ≈ 1245 cycles).
 pub const ROUTE_EVENT_CYCLES: u64 = 1245;
 
+/// The full cycle cost of each opcode byte (0 where the byte is no
+/// opcode), so the interpreter charges an instruction with one lookup.
+pub(crate) static INSTRUCTION_CYCLES: [u64; 256] = {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        if let Some(info) = OPCODES[b] {
+            table[b] = DISPATCH_CYCLES
+                + info.pops as u64 * POP_CYCLES
+                + info.pushes as u64 * PUSH_CYCLES
+                + VmCostModel::work_cycles(info.op);
+        }
+        b += 1;
+    }
+    table
+};
+
 /// The VM cost model (thin wrapper so alternative calibrations can exist
 /// for ablations).
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,7 +56,7 @@ pub struct VmCostModel;
 impl VmCostModel {
     /// The work term of an opcode: everything beyond dispatch and stack
     /// traffic.
-    fn work_cycles(op: Op) -> u64 {
+    const fn work_cycles(op: Op) -> u64 {
         use Op::*;
         match op {
             Nop => 4,
@@ -68,11 +85,7 @@ impl VmCostModel {
 
     /// Full cycle cost of executing one instruction.
     pub fn instruction(&self, op: Op) -> CpuCost {
-        let cycles = DISPATCH_CYCLES
-            + op.pops() as u64 * POP_CYCLES
-            + op.pushes() as u64 * PUSH_CYCLES
-            + Self::work_cycles(op);
-        CpuCost::cycles(cycles)
+        CpuCost::cycles(INSTRUCTION_CYCLES[op as usize])
     }
 
     /// Cost of routing one event (queue insert + dispatch + context setup).

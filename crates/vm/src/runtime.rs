@@ -365,13 +365,13 @@ impl Runtime {
         let Some(driver) = self.manager.get_mut(slot) else {
             return; // Driver was removed while the event was queued.
         };
-        if !driver.instance.has_handler(ev.event) {
+        let outcome = driver.instance.run_handler(ev.event, &ev.args);
+        if outcome.error == Some(VmError::NoHandler(ev.event)) {
             // Unhandled events are dropped; a pending op against a driver
             // with no matching handler resolves to "no value".
             self.resolve_pending_if_op(slot, ev.event);
             return;
         }
-        let outcome = driver.instance.run_handler(ev.event, &ev.args);
         self.instructions_retired += outcome.instructions;
         self.charge_cpu(outcome.cost);
 

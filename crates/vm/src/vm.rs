@@ -11,11 +11,11 @@
 use std::sync::Arc;
 
 use upnp_dsl::ast::Type;
-use upnp_dsl::image::DriverImage;
-use upnp_dsl::isa::Op;
+use upnp_dsl::image::{DriverImage, HandlerEntry};
+use upnp_dsl::isa::{Op, OPCODES};
 use upnp_sim::CpuCost;
 
-use crate::cost::VmCostModel;
+use crate::cost::INSTRUCTION_CYCLES;
 use crate::value::Cell;
 
 /// Operand stack depth (cells); shared ABI limit (see
@@ -110,7 +110,6 @@ pub struct DriverInstance {
     scalar_types: Vec<Type>,
     arrays: Vec<Vec<Cell>>,
     array_types: Vec<Type>,
-    cost_model: VmCostModel,
 }
 
 impl DriverInstance {
@@ -140,7 +139,6 @@ impl DriverInstance {
             scalar_types,
             arrays,
             array_types,
-            cost_model: VmCostModel,
         }
     }
 
@@ -179,69 +177,131 @@ impl DriverInstance {
             returned: None,
             error: None,
         };
-        let Some(entry) = self.image.handler_for(event_id) else {
-            outcome.error = Some(VmError::NoHandler(event_id));
-            return outcome;
+        let result = match self.image.handler_for(event_id) {
+            Some(&entry) => self.execute(entry, args, &mut outcome),
+            None => Err(VmError::NoHandler(event_id)),
         };
-        let mut pc = entry.offset as usize;
-        let mut locals: Vec<Cell> = args.to_vec();
-        locals.resize(entry.n_params.max(args.len() as u8) as usize, Cell::ZERO);
-        let mut stack: Vec<Cell> = Vec::with_capacity(STACK_DEPTH);
-        let code_len = self.image.code.len();
+        match result {
+            Ok(returned) => outcome.returned = returned,
+            Err(e) => outcome.error = Some(e),
+        }
+        outcome
+    }
 
-        macro_rules! fault {
-            ($e:expr) => {{
-                outcome.error = Some($e);
-                return outcome;
+    /// Runs one handler to completion: its returned value, or the fault
+    /// that aborted it. Instructions, cost and signals accrue in `out`.
+    ///
+    /// Each instruction is decoded and priced with one lookup each; the
+    /// operand stack and the locals live in arrays on the host stack.
+    fn execute(
+        &mut self,
+        entry: HandlerEntry,
+        args: &[Cell],
+        out: &mut HandlerOutcome,
+    ) -> Result<Option<ReturnValue>, VmError> {
+        let code: &[u8] = &self.image.code;
+        let code_len = code.len();
+        // Ldl/Stl address locals with a u8, so 256 cells hold every slot;
+        // the first `n_locals` exist.
+        let mut locals = [Cell::ZERO; 256];
+        let n_locals = usize::from(entry.n_params.max(args.len() as u8));
+        let given = n_locals.min(args.len());
+        locals[..given].copy_from_slice(&args[..given]);
+        let mut stack = [Cell::ZERO; STACK_DEPTH];
+        let mut sp = 0;
+        let mut pc = usize::from(entry.offset);
+        let mut instructions = 0u64;
+        let mut cycles = 0u64;
+
+        macro_rules! finish {
+            ($result:expr) => {{
+                out.instructions = instructions;
+                out.cost = CpuCost::cycles(cycles);
+                return $result;
             }};
         }
-        macro_rules! pop {
-            () => {
-                match stack.pop() {
-                    Some(v) => v,
-                    None => fault!(VmError::StackUnderflow),
-                }
+        macro_rules! fault {
+            ($e:expr) => {
+                finish!(Err($e))
             };
+        }
+        macro_rules! pop {
+            () => {{
+                if sp == 0 {
+                    fault!(VmError::StackUnderflow);
+                }
+                sp -= 1;
+                stack[sp]
+            }};
         }
         macro_rules! push {
             ($v:expr) => {{
-                if stack.len() >= STACK_DEPTH {
+                if sp >= STACK_DEPTH {
                     fault!(VmError::StackOverflow);
                 }
-                stack.push($v);
+                stack[sp] = $v;
+                sp += 1;
+            }};
+        }
+        macro_rules! int2 {
+            (|$a:ident, $b:ident| $r:expr) => {{
+                let $b = pop!().as_i32();
+                let $a = pop!().as_i32();
+                push!(Cell::from_i32($r));
+            }};
+        }
+        macro_rules! int1 {
+            (|$a:ident| $r:expr) => {{
+                let $a = pop!().as_i32();
+                push!(Cell::from_i32($r));
+            }};
+        }
+        macro_rules! float2 {
+            (|$a:ident, $b:ident| $r:expr) => {{
+                let $b = pop!().as_f32();
+                let $a = pop!().as_f32();
+                push!($r);
+            }};
+        }
+        macro_rules! jump_if {
+            ($take:expr, $operands:expr) => {{
+                if $take {
+                    let delta = i16::from_le_bytes([$operands[0], $operands[1]]) as i64;
+                    let target = pc as i64 + delta;
+                    if target < 0 || target as usize > code_len {
+                        fault!(VmError::BadJump);
+                    }
+                    pc = target as usize;
+                }
             }};
         }
 
         loop {
-            if outcome.instructions >= GAS_LIMIT {
+            if instructions >= GAS_LIMIT {
                 fault!(VmError::GasExhausted);
             }
-            if pc >= code_len {
-                // Falling off the end terminates like RET (the compiler
-                // always emits a terminator, but stay safe).
-                break;
-            }
-            let byte = self.image.code[pc];
-            let Some(op) = Op::from_byte(byte) else {
+            // Falling off the end terminates like RET (the compiler
+            // always emits a terminator, but stay safe).
+            let Some(&byte) = code.get(pc) else {
+                finish!(Ok(None));
+            };
+            let Some(info) = OPCODES[usize::from(byte)] else {
                 fault!(VmError::BadOpcode(byte));
             };
-            let n = op.operand_len();
-            if pc + 1 + n > code_len {
+            let next_pc = pc + 1 + usize::from(info.operands);
+            let Some(operands) = code.get(pc + 1..next_pc) else {
                 fault!(VmError::BadJump);
-            }
-            let operands = &self.image.code[pc + 1..pc + 1 + n];
-            let mut next_pc = pc + 1 + n;
-            outcome.instructions += 1;
-            outcome.cost += self.cost_model.instruction(op);
+            };
+            instructions += 1;
+            cycles += INSTRUCTION_CYCLES[usize::from(byte)];
+            pc = next_pc;
 
-            match op {
+            match info.op {
                 Op::Nop => {}
                 Op::Push8 => push!(Cell::from_i32(operands[0] as i8 as i32)),
-                Op::Push16 => {
-                    push!(Cell::from_i32(
-                        i16::from_le_bytes([operands[0], operands[1]]) as i32
-                    ))
-                }
+                Op::Push16 => push!(Cell::from_i32(
+                    i16::from_le_bytes([operands[0], operands[1]]) as i32
+                )),
                 Op::Push32 => push!(Cell::from_i32(i32::from_le_bytes(
                     operands.try_into().expect("len 4")
                 ))),
@@ -265,153 +325,106 @@ impl DriverInstance {
 
                 Op::Ldg => {
                     let slot = operands[0];
-                    match self.scalars.get(slot as usize) {
-                        Some(v) => push!(*v),
+                    match self.scalars.get(usize::from(slot)) {
+                        Some(&v) => push!(v),
                         None => fault!(VmError::BadSlot(slot)),
                     }
                 }
                 Op::Stg => {
-                    let slot = operands[0] as usize;
+                    let slot = operands[0];
                     let v = pop!();
-                    if slot >= self.scalars.len() {
-                        fault!(VmError::BadSlot(slot as u8));
-                    }
-                    self.scalars[slot] = apply_width(self.scalar_types[slot], v);
+                    let Some(ty) = self.scalar_types.get(usize::from(slot)).copied() else {
+                        fault!(VmError::BadSlot(slot));
+                    };
+                    self.scalars[usize::from(slot)] = apply_width(ty, v);
                 }
                 Op::Ldl => {
-                    let slot = operands[0] as usize;
-                    match locals.get(slot) {
-                        Some(v) => push!(*v),
-                        None => fault!(VmError::BadSlot(slot as u8)),
+                    let slot = operands[0];
+                    if usize::from(slot) >= n_locals {
+                        fault!(VmError::BadSlot(slot));
                     }
+                    push!(locals[usize::from(slot)]);
                 }
                 Op::Stl => {
-                    let slot = operands[0] as usize;
+                    let slot = operands[0];
                     let v = pop!();
-                    if slot >= locals.len() {
-                        fault!(VmError::BadSlot(slot as u8));
+                    if usize::from(slot) >= n_locals {
+                        fault!(VmError::BadSlot(slot));
                     }
-                    locals[slot] = v;
+                    locals[usize::from(slot)] = v;
                 }
                 Op::Lda => {
-                    let slot = operands[0] as usize;
+                    let slot = operands[0];
                     let idx = pop!().as_i32();
-                    let Some(arr) = self.arrays.get(slot) else {
-                        fault!(VmError::BadSlot(slot as u8));
+                    let Some(arr) = self.arrays.get(usize::from(slot)) else {
+                        fault!(VmError::BadSlot(slot));
                     };
-                    if idx < 0 || idx as usize >= arr.len() {
+                    let Some(&v) = usize::try_from(idx).ok().and_then(|i| arr.get(i)) else {
                         fault!(VmError::OutOfRange);
-                    }
-                    push!(arr[idx as usize]);
+                    };
+                    push!(v);
                 }
                 Op::Sta => {
-                    let slot = operands[0] as usize;
+                    let slot = operands[0];
                     let v = pop!();
                     let idx = pop!().as_i32();
-                    let Some(ty) = self.array_types.get(slot).copied() else {
-                        fault!(VmError::BadSlot(slot as u8));
+                    let Some(ty) = self.array_types.get(usize::from(slot)).copied() else {
+                        fault!(VmError::BadSlot(slot));
                     };
-                    let arr = &mut self.arrays[slot];
-                    if idx < 0 || idx as usize >= arr.len() {
+                    let arr = &mut self.arrays[usize::from(slot)];
+                    let Some(cell) = usize::try_from(idx).ok().and_then(|i| arr.get_mut(i)) else {
                         fault!(VmError::OutOfRange);
-                    }
-                    arr[idx as usize] = apply_width(ty, v);
+                    };
+                    *cell = apply_width(ty, v);
                 }
                 Op::Len => {
-                    let slot = operands[0] as usize;
-                    match self.arrays.get(slot) {
+                    let slot = operands[0];
+                    match self.arrays.get(usize::from(slot)) {
                         Some(a) => push!(Cell::from_i32(a.len() as i32)),
-                        None => fault!(VmError::BadSlot(slot as u8)),
+                        None => fault!(VmError::BadSlot(slot)),
                     }
                 }
 
-                Op::Add
-                | Op::Sub
-                | Op::Mul
-                | Op::BAnd
-                | Op::BOr
-                | Op::BXor
-                | Op::Shl
-                | Op::Shr
-                | Op::Eq
-                | Op::Ne
-                | Op::Lt
-                | Op::Le
-                | Op::Gt
-                | Op::Ge => {
-                    let b = pop!().as_i32();
-                    let a = pop!().as_i32();
-                    let r = match op {
-                        Op::Add => a.wrapping_add(b),
-                        Op::Sub => a.wrapping_sub(b),
-                        Op::Mul => a.wrapping_mul(b),
-                        Op::BAnd => a & b,
-                        Op::BOr => a | b,
-                        Op::BXor => a ^ b,
-                        Op::Shl => a.wrapping_shl(b as u32 & 31),
-                        Op::Shr => a.wrapping_shr(b as u32 & 31),
-                        Op::Eq => (a == b) as i32,
-                        Op::Ne => (a != b) as i32,
-                        Op::Lt => (a < b) as i32,
-                        Op::Le => (a <= b) as i32,
-                        Op::Gt => (a > b) as i32,
-                        Op::Ge => (a >= b) as i32,
-                        _ => unreachable!(),
-                    };
-                    push!(Cell::from_i32(r));
-                }
+                Op::Add => int2!(|a, b| a.wrapping_add(b)),
+                Op::Sub => int2!(|a, b| a.wrapping_sub(b)),
+                Op::Mul => int2!(|a, b| a.wrapping_mul(b)),
                 Op::Div | Op::Mod => {
                     let b = pop!().as_i32();
                     let a = pop!().as_i32();
                     if b == 0 {
                         fault!(VmError::DivideByZero);
                     }
-                    let r = match op {
-                        Op::Div => a.wrapping_div(b),
-                        _ => a.wrapping_rem(b),
-                    };
-                    push!(Cell::from_i32(r));
+                    push!(Cell::from_i32(if info.op == Op::Div {
+                        a.wrapping_div(b)
+                    } else {
+                        a.wrapping_rem(b)
+                    }));
                 }
-                Op::Neg => {
-                    let a = pop!().as_i32();
-                    push!(Cell::from_i32(a.wrapping_neg()));
-                }
-                Op::BNot => {
-                    let a = pop!().as_i32();
-                    push!(Cell::from_i32(!a));
-                }
-                Op::LNot => {
-                    let a = pop!().as_i32();
-                    push!(Cell::from_i32((a == 0) as i32));
-                }
+                Op::Neg => int1!(|a| a.wrapping_neg()),
+                Op::BAnd => int2!(|a, b| a & b),
+                Op::BOr => int2!(|a, b| a | b),
+                Op::BXor => int2!(|a, b| a ^ b),
+                Op::BNot => int1!(|a| !a),
+                Op::Shl => int2!(|a, b| a.wrapping_shl(b as u32 & 31)),
+                Op::Shr => int2!(|a, b| a.wrapping_shr(b as u32 & 31)),
+                Op::LNot => int1!(|a| (a == 0) as i32),
+                Op::Eq => int2!(|a, b| (a == b) as i32),
+                Op::Ne => int2!(|a, b| (a != b) as i32),
+                Op::Lt => int2!(|a, b| (a < b) as i32),
+                Op::Le => int2!(|a, b| (a <= b) as i32),
+                Op::Gt => int2!(|a, b| (a > b) as i32),
+                Op::Ge => int2!(|a, b| (a >= b) as i32),
 
-                Op::FAdd
-                | Op::FSub
-                | Op::FMul
-                | Op::FDiv
-                | Op::FEq
-                | Op::FNe
-                | Op::FLt
-                | Op::FLe
-                | Op::FGt
-                | Op::FGe => {
-                    let b = pop!().as_f32();
-                    let a = pop!().as_f32();
-                    let cell = match op {
-                        Op::FAdd => Cell::from_f32(a + b),
-                        Op::FSub => Cell::from_f32(a - b),
-                        Op::FMul => Cell::from_f32(a * b),
-                        Op::FDiv => Cell::from_f32(a / b),
-                        Op::FEq => Cell::from_i32((a == b) as i32),
-                        Op::FNe => Cell::from_i32((a != b) as i32),
-                        Op::FLt => Cell::from_i32((a < b) as i32),
-                        Op::FLe => Cell::from_i32((a <= b) as i32),
-                        Op::FGt => Cell::from_i32((a > b) as i32),
-                        Op::FGe => Cell::from_i32((a >= b) as i32),
-                        _ => unreachable!(),
-                    };
-                    push!(cell);
-                }
+                Op::FAdd => float2!(|a, b| Cell::from_f32(a + b)),
+                Op::FSub => float2!(|a, b| Cell::from_f32(a - b)),
+                Op::FMul => float2!(|a, b| Cell::from_f32(a * b)),
+                Op::FDiv => float2!(|a, b| Cell::from_f32(a / b)),
+                Op::FEq => float2!(|a, b| Cell::from_i32((a == b) as i32)),
+                Op::FNe => float2!(|a, b| Cell::from_i32((a != b) as i32)),
+                Op::FLt => float2!(|a, b| Cell::from_i32((a < b) as i32)),
+                Op::FLe => float2!(|a, b| Cell::from_i32((a <= b) as i32)),
+                Op::FGt => float2!(|a, b| Cell::from_i32((a > b) as i32)),
+                Op::FGe => float2!(|a, b| Cell::from_i32((a >= b) as i32)),
                 Op::FNeg => {
                     let a = pop!().as_f32();
                     push!(Cell::from_f32(-a));
@@ -425,63 +438,44 @@ impl DriverInstance {
                     push!(Cell::from_i32(a as i32));
                 }
 
-                Op::Jmp | Op::Jz | Op::Jnz => {
-                    let delta = i16::from_le_bytes([operands[0], operands[1]]) as i64;
-                    let take = match op {
-                        Op::Jmp => true,
-                        Op::Jz => !pop!().truthy(),
-                        Op::Jnz => pop!().truthy(),
-                        _ => unreachable!(),
-                    };
-                    if take {
-                        let target = next_pc as i64 + delta;
-                        if target < 0 || target as usize > code_len {
-                            fault!(VmError::BadJump);
-                        }
-                        next_pc = target as usize;
-                    }
-                }
+                Op::Jmp => jump_if!(true, operands),
+                Op::Jz => jump_if!(!pop!().truthy(), operands),
+                Op::Jnz => jump_if!(pop!().truthy(), operands),
 
                 Op::Sig => {
                     let (lib, event, argc) = (operands[0], operands[1], operands[2]);
-                    let mut args = vec![Cell::ZERO; argc as usize];
+                    let mut args = vec![Cell::ZERO; usize::from(argc)];
                     for a in args.iter_mut().rev() {
                         *a = pop!();
                     }
-                    outcome.signals.push(SignalOut { lib, event, args });
+                    out.signals.push(SignalOut { lib, event, args });
                 }
                 Op::RetV => {
                     let v = pop!();
-                    outcome.returned = Some(ReturnValue::Scalar(v));
-                    break;
+                    finish!(Ok(Some(ReturnValue::Scalar(v))));
                 }
                 Op::RetA => {
-                    let slot = operands[0] as usize;
-                    let Some(arr) = self.arrays.get(slot) else {
-                        fault!(VmError::BadSlot(slot as u8));
+                    let slot = operands[0];
+                    let Some(arr) = self.arrays.get(usize::from(slot)) else {
+                        fault!(VmError::BadSlot(slot));
                     };
-                    outcome.returned =
-                        Some(ReturnValue::Array(self.array_types[slot], arr.clone()));
-                    break;
+                    let ty = self.array_types[usize::from(slot)];
+                    finish!(Ok(Some(ReturnValue::Array(ty, arr.clone()))));
                 }
-                Op::Ret => break,
+                Op::Ret => finish!(Ok(None)),
                 Op::IncG => {
-                    let slot = operands[0] as usize;
-                    if slot >= self.scalars.len() {
-                        fault!(VmError::BadSlot(slot as u8));
-                    }
-                    let old = self.scalars[slot];
+                    let slot = operands[0];
+                    let Some(ty) = self.scalar_types.get(usize::from(slot)).copied() else {
+                        fault!(VmError::BadSlot(slot));
+                    };
+                    let old = self.scalars[usize::from(slot)];
                     push!(old);
-                    self.scalars[slot] = apply_width(
-                        self.scalar_types[slot],
-                        Cell::from_i32(old.as_i32().wrapping_add(1)),
-                    );
+                    self.scalars[usize::from(slot)] =
+                        apply_width(ty, Cell::from_i32(old.as_i32().wrapping_add(1)));
                 }
                 Op::Halt => fault!(VmError::BadOpcode(0xff)),
             }
-            pc = next_pc;
         }
-        outcome
     }
 }
 
