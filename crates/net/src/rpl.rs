@@ -8,8 +8,6 @@
 //! converges to on a static topology) and routes unicast along tree paths
 //! through the lowest common ancestor, as a storing-mode RPL network does.
 
-use std::collections::HashMap;
-
 use crate::link::LinkQuality;
 
 /// A node index in the topology.
@@ -17,14 +15,15 @@ pub type Node = usize;
 
 /// The physical connectivity graph.
 ///
-/// Neighbour lists stay ordered `Vec`s (deterministic iteration for the
-/// DODAG build); a directed edge index sits alongside them so per-hop
-/// [`Topology::quality`] lookups are O(1) even for hub nodes with
-/// thousands of neighbours.
+/// Each node keeps its neighbours in an ordered `Vec` (deterministic
+/// iteration for the DODAG build), and that is the only record of an
+/// edge. A link is symmetric, so [`Topology::quality`] scans whichever
+/// endpoint's list is shorter: a hop between a hub with thousands of
+/// neighbours and a leaf reads the leaf's one or two entries, and a hop
+/// inside a fanout-8 tree reads at most nine.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     links: Vec<Vec<(Node, LinkQuality)>>,
-    edges: HashMap<(Node, Node), LinkQuality>,
 }
 
 impl Topology {
@@ -32,7 +31,6 @@ impl Topology {
     pub fn new(n: usize) -> Self {
         Topology {
             links: vec![Vec::new(); n],
-            edges: HashMap::new(),
         }
     }
 
@@ -60,9 +58,7 @@ impl Topology {
     pub fn link(&mut self, a: Node, b: Node, quality: LinkQuality) {
         assert!(a != b, "self links are not allowed");
         assert!(a < self.links.len() && b < self.links.len());
-        let replaced = self.edges.insert((a, b), quality).is_some();
-        self.edges.insert((b, a), quality);
-        if replaced {
+        if self.quality(a, b).is_some() {
             // Re-linking updates the existing neighbour entries in place,
             // keeping their original position (and hence iteration order).
             for (n, q) in &mut self.links[a] {
@@ -87,10 +83,9 @@ impl Topology {
     /// topology that never had the link — heal-and-rebuild is an exact
     /// inverse.
     pub fn unlink(&mut self, a: Node, b: Node) -> bool {
-        if self.edges.remove(&(a, b)).is_none() {
+        if self.quality(a, b).is_none() {
             return false;
         }
-        self.edges.remove(&(b, a));
         self.links[a].retain(|(n, _)| *n != b);
         self.links[b].retain(|(n, _)| *n != a);
         true
@@ -98,7 +93,13 @@ impl Topology {
 
     /// The quality of the direct link `a → b`, if it exists.
     pub fn quality(&self, a: Node, b: Node) -> Option<LinkQuality> {
-        self.edges.get(&(a, b)).copied()
+        let (at_a, at_b) = (self.links.get(a)?, self.links.get(b)?);
+        let (list, to) = if at_a.len() <= at_b.len() {
+            (at_a, b)
+        } else {
+            (at_b, a)
+        };
+        list.iter().find(|&&(n, _)| n == to).map(|&(_, q)| q)
     }
 
     /// Neighbours of `a`.

@@ -502,6 +502,67 @@ proptest! {
         }
     }
 
+    /// On a hub with 2,000 neighbours, random link, relink and unlink
+    /// sequences among the hub and 63 of its neighbours keep the
+    /// topology in step with a reference edge map: `quality` agrees from
+    /// both ends, a relink keeps both entries where they were, a new link
+    /// appends to both lists, and `unlink` reports whether the edge
+    /// existed and removes only that edge's two entries.
+    #[test]
+    fn topology_matches_a_reference_edge_map(
+        ops in prop::collection::vec((any::<bool>(), 0usize..64, 0usize..64, 1u8..=100), 1..80),
+    ) {
+        const HUB_NEIGHBOURS: usize = 2_000;
+        let mut topo = Topology::new(HUB_NEIGHBOURS + 1);
+        let mut edges = std::collections::BTreeMap::new();
+        for leaf in 1..=HUB_NEIGHBOURS {
+            topo.link(0, leaf, LinkQuality::PERFECT);
+            edges.insert((0, leaf), LinkQuality::PERFECT);
+        }
+        let position = |topo: &Topology, a: usize, b: usize| {
+            topo.neighbours(a).iter().position(|&(n, _)| n == b)
+        };
+        for (link, a, b, q) in ops {
+            if a == b {
+                continue;
+            }
+            let key = (a.min(b), a.max(b));
+            let (before_a, before_b) = (topo.neighbours(a).to_vec(), topo.neighbours(b).to_vec());
+            if link {
+                let quality = LinkQuality::new(f64::from(q) / 100.0);
+                let existed = edges.insert(key, quality).is_some();
+                let (at_a, at_b) = (position(&topo, a, b), position(&topo, b, a));
+                topo.link(a, b, quality);
+                if existed {
+                    prop_assert_eq!(position(&topo, a, b), at_a, "relink moved {a}->{b}");
+                    prop_assert_eq!(position(&topo, b, a), at_b, "relink moved {b}->{a}");
+                } else {
+                    prop_assert_eq!(position(&topo, a, b), Some(before_a.len()));
+                    prop_assert_eq!(position(&topo, b, a), Some(before_b.len()));
+                }
+            } else {
+                let existed = edges.remove(&key).is_some();
+                prop_assert_eq!(topo.unlink(a, b), existed);
+                let keep = |list: &[(usize, LinkQuality)], gone: usize| -> Vec<(usize, LinkQuality)> {
+                    list.iter().copied().filter(|&(n, _)| n != gone).collect()
+                };
+                prop_assert_eq!(topo.neighbours(a), &keep(&before_a, b)[..]);
+                prop_assert_eq!(topo.neighbours(b), &keep(&before_b, a)[..]);
+            }
+            prop_assert_eq!(topo.quality(a, b), edges.get(&key).copied());
+            prop_assert_eq!(topo.quality(b, a), edges.get(&key).copied());
+        }
+        for a in 0..64 {
+            for b in 0..64 {
+                let key = (a.min(b), a.max(b));
+                prop_assert_eq!(topo.quality(a, b), edges.get(&key).copied(), "{a}->{b}");
+            }
+        }
+        let hub_edges = edges.keys().filter(|&&(lo, _)| lo == 0).count();
+        prop_assert_eq!(topo.neighbours(0).len(), hub_edges);
+        prop_assert!(hub_edges >= HUB_NEIGHBOURS - 63);
+    }
+
     /// SMRF plans cover exactly the reachable members.
     #[test]
     fn smrf_covers_members(
