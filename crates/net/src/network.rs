@@ -16,7 +16,7 @@ use crate::addr;
 use crate::link::{DegradeMode, LinkChaos, LinkDegrade, LinkQuality, RadioModel};
 use crate::msg::Payload;
 use crate::rpl::{Dodag, Node, Topology};
-use crate::sixlowpan;
+use crate::sixlowpan::{self, Fragments};
 use crate::smrf::{self, MarkScratch, MulticastPlan};
 
 /// A node handle in the network.
@@ -178,6 +178,8 @@ pub struct Network {
     arrival_gen: u64,
     /// Reusable SMRF marking buffer (see [`MarkScratch`]).
     smrf_scratch: MarkScratch,
+    /// Reusable buffer for a unicast's tree route.
+    route_scratch: Vec<Node>,
     /// Nodes that are replicas of entities simulated in every shard
     /// (manager, clients). [`Network::multicast_from_root`] skips them so
     /// a cross-shard continuation never re-delivers to a replica that the
@@ -224,6 +226,7 @@ impl Network {
             arrival: Vec::new(),
             arrival_gen: 0,
             smrf_scratch: MarkScratch::new(),
+            route_scratch: Vec::new(),
             replicated: BTreeSet::new(),
             cross_capture: false,
             cross_outbox: Vec::new(),
@@ -598,17 +601,36 @@ impl Network {
         report: &mut SendReport,
     ) {
         report.receivers = 1;
-        let route = self
+        let mut path = std::mem::take(&mut self.route_scratch);
+        let routed = self
             .dodag
             .as_ref()
-            .and_then(|d| d.route(from.0 as usize, to.0 as usize));
-        let Some(path) = route else {
-            self.stats.drops += 1;
-            report.lost = 1;
-            return;
+            .is_some_and(|d| d.route_into(from.0 as usize, to.0 as usize, &mut path));
+        let frames = sixlowpan::fragment(self.datagram_wire_size(&dgram), &self.radio);
+        let arrival = if routed {
+            self.carry_unicast(now, &path, frames, report)
+        } else {
+            None
         };
-        let total = self.datagram_wire_size(&dgram);
-        let frames = sixlowpan::fragment(total, &self.radio);
+        self.route_scratch = path;
+        match arrival {
+            Some(t) => self.schedule(t, to, dgram),
+            None => {
+                self.stats.drops += 1;
+                report.lost = 1;
+            }
+        }
+    }
+
+    /// Carries a unicast's `frames` hop by hop along `path` from `now`:
+    /// the arrival instant at the path's end, or `None` if a hop lost it.
+    fn carry_unicast(
+        &mut self,
+        now: SimTime,
+        path: &[Node],
+        frames: Fragments,
+        report: &mut SendReport,
+    ) -> Option<SimTime> {
         let mut t = now;
         for hop in path.windows(2) {
             let (a, b) = (hop[0], hop[1]);
@@ -616,24 +638,16 @@ impl Network {
             // have severed this hop since. The packet dies at the break —
             // stale routing tables are repaired by the next reroot, not
             // by the data plane.
-            let Some(quality) = self.topo.quality(a, b) else {
-                self.stats.drops += 1;
-                report.lost = 1;
-                return;
-            };
+            let quality = self.topo.quality(a, b)?;
             // Per-hop forwarding cost on intermediate nodes.
-            if a != from.0 as usize {
+            if a != path[0] {
                 t += crate::calib::duration(crate::calib::FORWARD_HOP);
             }
             // Gray failures: this direction may be cut (the packet dies
             // at the break like a severed link), slowed, or lossier.
-            let Some((quality, slow)) = self.degraded_hop(a, b, t, quality) else {
-                self.stats.drops += 1;
-                report.lost = 1;
-                return;
-            };
+            let (quality, slow) = self.degraded_hop(a, b, t, quality)?;
             let mut rng = self.hop_rng(a, b, t);
-            for &frame in &frames {
+            for frame in frames {
                 let (hop_time, attempts, ok) = self.radio.unicast_hop(frame, quality, &mut rng);
                 let hop_time = hop_time * slow;
                 t += hop_time;
@@ -643,13 +657,11 @@ impl Network {
                 self.stats.bytes_tx += frame as u64 * attempts as u64;
                 self.charge_radio(NodeId(a as u32), NodeId(b as u32), frame, attempts);
                 if !ok {
-                    self.stats.drops += 1;
-                    report.lost = 1;
-                    return;
+                    return None;
                 }
             }
         }
-        self.schedule(t, to, dgram);
+        Some(t)
     }
 
     fn send_multicast(
@@ -709,7 +721,7 @@ impl Network {
             };
             let mut rng = self.hop_rng(a, b, t);
             let mut ok_all = true;
-            for &frame in &frames {
+            for frame in frames {
                 let (hop_time, attempts, ok) = self.radio.unicast_hop(frame, quality, &mut rng);
                 let hop_time = hop_time * slow;
                 t += hop_time;
@@ -744,7 +756,7 @@ impl Network {
             self.mirror_cross_shard(at_root, &dgram, false);
         }
 
-        self.run_downlink(&plan, generation, &frames, &dgram, Some(report));
+        self.run_downlink(&plan, generation, frames, &dgram, Some(report));
     }
 
     /// Starts a dissemination's per-node arrival times in the
@@ -780,7 +792,7 @@ impl Network {
         &mut self,
         plan: &MulticastPlan,
         generation: u64,
-        frames: &[usize],
+        frames: Fragments,
         dgram: &Datagram,
         mut report: Option<&mut SendReport>,
     ) {
@@ -802,7 +814,7 @@ impl Network {
             };
             let mut rng = self.hop_rng(f, child, t);
             let mut heard = true;
-            for &frame in frames {
+            for frame in frames {
                 let (hop_time, ok) = self.radio.multicast_hop(frame, quality, &mut rng);
                 let hop_time = hop_time * slow;
                 t += hop_time;
@@ -915,7 +927,7 @@ impl Network {
         let total = self.datagram_wire_size(&dgram);
         let frames = sixlowpan::fragment(total, &self.radio);
         let generation = self.start_arrivals(root, at_root);
-        self.run_downlink(&plan, generation, &frames, &dgram, None);
+        self.run_downlink(&plan, generation, frames, &dgram, None);
     }
 
     fn charge_radio(&mut self, tx: NodeId, rx: NodeId, frame: usize, attempts: u32) {

@@ -257,61 +257,70 @@ impl Dodag {
     }
 
     /// The hop path `a → b` through the tree (via the lowest common
-    /// ancestor), or `None` if either side is unreachable.
-    ///
-    /// Uses the precomputed depths to climb both sides in lockstep:
-    /// `O(path length)` with no hashing, regardless of network size.
+    /// ancestor), or `None` if either side is unreachable. See
+    /// [`Dodag::route_into`], which reuses a caller's buffer.
     pub fn route(&self, a: Node, b: Node) -> Option<Vec<Node>> {
-        if !self.reachable(a) || !self.reachable(b) {
-            return None;
-        }
         let mut path = Vec::new();
-        let mut tail = Vec::new();
-        let (mut up, mut down) = (a, b);
-        while self.depth[up] > self.depth[down] {
+        self.route_into(a, b, &mut path).then_some(path)
+    }
+
+    /// Writes the hop path `a → b` through the tree (via the lowest
+    /// common ancestor) into `path`, replacing what it held; returns
+    /// false, with `path` empty, if either side is unreachable.
+    ///
+    /// `O(path length)` with no hashing, and no allocation once `path`
+    /// has grown to the longest route: the climb from `a` is written in
+    /// order, and the descent to `b` is filled in back to front by
+    /// climbing from `b`.
+    pub fn route_into(&self, a: Node, b: Node, path: &mut Vec<Node>) -> bool {
+        path.clear();
+        if !self.reachable(a) || !self.reachable(b) {
+            return false;
+        }
+        let lca = self.lca(a, b);
+        let mut up = a;
+        while up != lca {
             path.push(up);
-            up = self.parent[up].expect("deeper nodes have parents");
+            up = self.parent[up].expect("nodes below the LCA have parents");
         }
-        while self.depth[down] > self.depth[up] {
-            tail.push(down);
-            down = self.parent[down].expect("deeper nodes have parents");
+        path.push(lca);
+        let descent = path.len();
+        path.resize(descent + (self.depth[b] - self.depth[lca]) as usize, lca);
+        let mut down = b;
+        for hop in path[descent..].iter_mut().rev() {
+            *hop = down;
+            down = self.parent[down].expect("nodes below the LCA have parents");
         }
-        while up != down {
-            path.push(up);
-            tail.push(down);
-            up = self.parent[up].expect("distinct nodes below the LCA");
-            down = self.parent[down].expect("distinct nodes below the LCA");
-        }
-        path.push(up); // the LCA (== a when a == b)
-        path.extend(tail.into_iter().rev());
-        Some(path)
+        true
     }
 
     /// Tree hop distance `a → b` (via the lowest common ancestor), or
-    /// `None` if either side is unreachable. The same lockstep climb as
-    /// [`Dodag::route`], without materialising the path — `O(depth)`,
-    /// zero allocation, so anycast resolution can rank candidate
-    /// instances per send.
+    /// `None` if either side is unreachable — `O(depth)`, zero
+    /// allocation, so anycast resolution can rank candidate instances
+    /// per send.
     pub fn distance(&self, a: Node, b: Node) -> Option<u32> {
         if !self.reachable(a) || !self.reachable(b) {
             return None;
         }
-        let mut hops = 0u32;
+        let lca = self.lca(a, b);
+        Some(self.depth[a] + self.depth[b] - 2 * self.depth[lca])
+    }
+
+    /// The lowest common ancestor of two reachable nodes: the precomputed
+    /// depths let both sides climb in lockstep.
+    fn lca(&self, a: Node, b: Node) -> Node {
         let (mut up, mut down) = (a, b);
         while self.depth[up] > self.depth[down] {
             up = self.parent[up].expect("deeper nodes have parents");
-            hops += 1;
         }
         while self.depth[down] > self.depth[up] {
             down = self.parent[down].expect("deeper nodes have parents");
-            hops += 1;
         }
         while up != down {
             up = self.parent[up].expect("distinct nodes below the LCA");
             down = self.parent[down].expect("distinct nodes below the LCA");
-            hops += 2;
         }
-        Some(hops)
+        up
     }
 
     /// Children of `node` in the tree (precomputed at build).

@@ -41,31 +41,48 @@ pub const FRAG1_HEADER: usize = 4;
 pub const FRAGN_HEADER: usize = 5;
 
 /// Splits a datagram (compressed header + payload bytes) into per-frame
-/// MAC-payload sizes.
+/// MAC-payload sizes, yielded in transmission order.
 ///
 /// A single-frame datagram has no fragmentation header; larger ones get
-/// FRAG1/FRAGN headers per fragment.
-pub fn fragment(total_bytes: usize, radio: &RadioModel) -> Vec<usize> {
+/// FRAG1/FRAGN headers per fragment. The sizes are computed as they are
+/// read, so a send walks them once per hop without allocating.
+pub fn fragment(total_bytes: usize, radio: &RadioModel) -> Fragments {
     let mac = radio.max_payload();
-    if total_bytes <= mac {
-        return vec![total_bytes];
+    Fragments {
+        mac,
+        remaining: Some(total_bytes),
+        header: if total_bytes <= mac { 0 } else { FRAG1_HEADER },
     }
-    let mut frames = Vec::new();
-    let mut remaining = total_bytes;
-    let first_capacity = mac - FRAG1_HEADER;
-    // Fragment offsets are expressed in 8-byte units, so all fragments
-    // except the last carry a multiple of 8 bytes.
-    let first_take = first_capacity - (first_capacity % 8);
-    frames.push(first_take.min(remaining) + FRAG1_HEADER);
-    remaining -= first_take.min(remaining);
-    while remaining > 0 {
-        let capacity = mac - FRAGN_HEADER;
-        let aligned = capacity - (capacity % 8);
-        let take = aligned.min(remaining);
-        frames.push(take + FRAGN_HEADER);
-        remaining -= take;
+}
+
+/// The frame sizes of one datagram (see [`fragment`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Fragments {
+    mac: usize,
+    /// Datagram bytes not yet framed; `None` once every frame is out.
+    remaining: Option<usize>,
+    /// Header bytes of the next frame: none for an unfragmented datagram.
+    header: usize,
+}
+
+impl Iterator for Fragments {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let remaining = self.remaining?;
+        let take = if self.header == 0 {
+            remaining
+        } else {
+            // Fragment offsets are expressed in 8-byte units, so all
+            // fragments except the last carry a multiple of 8 bytes.
+            let capacity = self.mac - self.header;
+            (capacity - capacity % 8).min(remaining)
+        };
+        self.remaining = Some(remaining - take).filter(|&r| r > 0);
+        let frame = take + self.header;
+        self.header = FRAGN_HEADER;
+        Some(frame)
     }
-    frames
 }
 
 #[cfg(test)]
@@ -76,23 +93,27 @@ mod tests {
         RadioModel::ieee802154()
     }
 
+    fn frames(total: usize) -> Vec<usize> {
+        fragment(total, &radio()).collect()
+    }
+
     #[test]
     fn small_datagram_is_one_frame() {
-        let frames = fragment(50, &radio());
+        let frames = frames(50);
         assert_eq!(frames, vec![50]);
     }
 
     #[test]
     fn boundary_fits_exactly() {
         let mac = radio().max_payload();
-        assert_eq!(fragment(mac, &radio()), vec![mac]);
-        assert_eq!(fragment(mac + 1, &radio()).len(), 2);
+        assert_eq!(frames(mac), vec![mac]);
+        assert_eq!(frames(mac + 1).len(), 2);
     }
 
     #[test]
     fn large_datagram_fragments_cover_everything() {
         let total = 300;
-        let frames = fragment(total, &radio());
+        let frames = frames(total);
         assert!(frames.len() >= 3);
         let payload_sum: usize = frames
             .iter()
@@ -107,7 +128,7 @@ mod tests {
 
     #[test]
     fn fragment_payloads_are_8_byte_aligned_except_last() {
-        let frames = fragment(400, &radio());
+        let frames = frames(400);
         for (i, f) in frames.iter().enumerate() {
             if i + 1 == frames.len() {
                 continue;
@@ -135,11 +156,11 @@ mod tests {
     fn an_80_byte_driver_upload_takes_two_frames() {
         // 80 B image + 7 B message header + 14 B compressed headers = 101 B
         // < 114 B... but with the FRAG rule it still fits one frame.
-        let one = fragment(101, &radio());
+        let one = frames(101);
         assert_eq!(one.len(), 1);
         // With a request/response header-heavier encoding (134 B) it
         // fragments into two.
-        let two = fragment(134, &radio());
+        let two = frames(134);
         assert_eq!(two.len(), 2);
     }
 }
