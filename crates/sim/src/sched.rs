@@ -69,9 +69,9 @@ impl<E> Ord for EventEntry<E> {
 /// a logic error and panics, as it would silently reorder causality.
 ///
 /// The pending entries live in two parts: a sorted run, appended to while
-/// entries arrive in firing order, and a heap for the rest. The heap's
-/// buffer is released whenever the queue drains, so a queue that sits
-/// idle between bursts keeps one buffer, not two.
+/// entries arrive in firing order, and a heap for the rest. Whenever the
+/// queue drains, the smaller of the two buffers is released, so a queue
+/// that sits idle between bursts keeps one buffer, not two.
 ///
 /// # Examples
 ///
@@ -107,16 +107,16 @@ impl<E> Scheduler<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty scheduler whose sorted run is pre-sized for
-    /// `capacity` pending events — fleet-scale simulations queue
-    /// thousands of deliveries at once, and growing the queue mid-run
+    /// Creates an empty scheduler whose heap is pre-sized for `capacity`
+    /// pending events — fleet-scale simulations queue thousands of
+    /// out-of-order deliveries at once, and growing the heap mid-run
     /// shows up in profiles.
     pub fn with_capacity(capacity: usize) -> Self {
         Scheduler {
             now: SimTime::ZERO,
             seq: 0,
-            run: VecDeque::with_capacity(capacity),
-            heap: BinaryHeap::new(),
+            run: VecDeque::new(),
+            heap: BinaryHeap::with_capacity(capacity),
         }
     }
 
@@ -181,9 +181,13 @@ impl<E> Scheduler<E> {
             self.run.pop_front()
         }?;
         if self.run.is_empty() && self.heap.is_empty() {
-            // Drained: keep the run's buffer for the next burst and give
-            // the heap's back.
-            self.heap = BinaryHeap::new();
+            // Drained: keep the larger buffer for the next burst and give
+            // the other back.
+            if self.heap.capacity() < self.run.capacity() {
+                self.heap = BinaryHeap::new();
+            } else {
+                self.run = VecDeque::new();
+            }
         }
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
@@ -297,6 +301,27 @@ mod tests {
         s.schedule_now("second");
         assert_eq!(s.pop().unwrap().event, "first");
         assert_eq!(s.pop().unwrap().event, "second");
+    }
+
+    #[test]
+    fn a_drained_queue_keeps_only_its_larger_buffer() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        // One entry in order, then 20 below it: the heap outgrows the run.
+        s.schedule_at(SimTime::from_nanos(100), 0);
+        for i in 1..=20 {
+            s.schedule_at(SimTime::from_nanos(i), i as u32);
+        }
+        assert_eq!((s.run.len(), s.heap.len()), (1, 20));
+        s.drain_ordered();
+        assert_eq!(s.run.capacity(), 0);
+        assert!(s.heap.capacity() >= 20);
+        // Now the run outgrows what the heap kept.
+        for i in 0..100 {
+            s.schedule_at(SimTime::from_nanos(200 + i), i as u32);
+        }
+        s.drain_ordered();
+        assert!(s.run.capacity() >= 100);
+        assert_eq!(s.heap.capacity(), 0);
     }
 
     #[test]
