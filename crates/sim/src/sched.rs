@@ -45,13 +45,6 @@ impl<E> PartialOrd for EventEntry<E> {
     }
 }
 
-impl<E> EventEntry<E> {
-    /// The firing order: earlier first, then by insertion.
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-}
-
 impl<E> Ord for EventEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // `BinaryHeap` is a max-heap; invert so the earliest entry wins.
@@ -171,7 +164,7 @@ impl<E> Scheduler<E> {
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<EventEntry<E>> {
         let from_heap = match (self.run.front(), self.heap.peek()) {
-            (Some(r), Some(h)) => h.key() < r.key(),
+            (Some(r), Some(h)) => (h.at, h.seq) < (r.at, r.seq),
             (None, Some(_)) => true,
             (_, None) => false,
         };
@@ -180,7 +173,7 @@ impl<E> Scheduler<E> {
         } else {
             self.run.pop_front()
         }?;
-        if self.run.is_empty() && self.heap.is_empty() {
+        if self.is_empty() {
             // Drained: keep the larger buffer for the next burst and give
             // the other back.
             if self.heap.capacity() < self.run.capacity() {
@@ -196,11 +189,9 @@ impl<E> Scheduler<E> {
 
     /// Returns the timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let run = self.run.front().map(|e| e.at);
-        let heap = self.heap.peek().map(|e| e.at);
-        match (run, heap) {
-            (Some(r), Some(h)) => Some(r.min(h)),
-            (r, h) => r.or(h),
+        match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(h)) => Some(r.at.min(h.at)),
+            (r, h) => r.or(h).map(|e| e.at),
         }
     }
 

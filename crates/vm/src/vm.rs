@@ -191,8 +191,9 @@ impl DriverInstance {
     /// Runs one handler to completion: its returned value, or the fault
     /// that aborted it. Instructions, cost and signals accrue in `out`.
     ///
-    /// Each instruction is decoded and priced with one lookup each; the
-    /// operand stack and the locals live in arrays on the host stack.
+    /// An instruction costs one lookup in the opcode table to decode and
+    /// one in the cycle table to price; the operand stack and the locals
+    /// live in arrays on the host stack.
     fn execute(
         &mut self,
         entry: HandlerEntry,
