@@ -239,7 +239,7 @@ impl Op {
     }
 
     /// The opcode's table entry.
-    pub const fn info(self) -> OpInfo {
+    const fn info(self) -> OpInfo {
         match OPCODES[self as usize] {
             Some(info) => info,
             None => panic!("every opcode has a table entry"),

@@ -694,30 +694,61 @@ mod tests {
             &[0x70, 0, 0x70, 0, 0x20, 0x61], // IncG twice, add, return
         ];
         for (i, code) in hostile.iter().enumerate() {
-            let image = DriverImage {
-                device_id: 0,
-                bus: upnp_dsl::image::BusKind::None,
-                imports: Vec::new(),
-                globals: vec![
-                    upnp_dsl::image::GlobalSlot {
-                        ty: Type::U8,
-                        array_len: None,
-                    },
-                    upnp_dsl::image::GlobalSlot {
-                        ty: Type::U8,
-                        array_len: Some(2),
-                    },
-                ],
-                handlers: vec![upnp_dsl::image::HandlerEntry {
-                    event_id: 0,
-                    n_params: 2,
-                    offset: 0,
-                }],
-                code: code.to_vec(),
-            };
-            run_all("hostile", &i.to_string(), Arc::new(image));
+            run_all("hostile", &i.to_string(), Arc::new(raw_image(code)));
         }
         assert_eq!(digest, HANDLER_OUTCOMES_DIGEST, "{digest:#018x}");
+    }
+
+    /// An unverified image whose one handler (event 0, two parameters)
+    /// runs `code` over a `u8` scalar and a two-cell `u8` array.
+    fn raw_image(code: &[u8]) -> DriverImage {
+        DriverImage {
+            device_id: 0,
+            bus: upnp_dsl::image::BusKind::None,
+            imports: Vec::new(),
+            globals: vec![
+                upnp_dsl::image::GlobalSlot {
+                    ty: Type::U8,
+                    array_len: None,
+                },
+                upnp_dsl::image::GlobalSlot {
+                    ty: Type::U8,
+                    array_len: Some(2),
+                },
+            ],
+            handlers: vec![upnp_dsl::image::HandlerEntry {
+                event_id: 0,
+                n_params: 2,
+                offset: 0,
+            }],
+            code: code.to_vec(),
+        }
+    }
+
+    /// Where an instruction can fault two ways, the first check wins:
+    /// a store pops before it checks its slot, a load checks its slot
+    /// before it pushes.
+    #[test]
+    fn the_first_failing_check_names_the_fault() {
+        let fault = |code: &[u8]| {
+            DriverInstance::new(raw_image(code))
+                .run_handler(0, &[])
+                .error
+        };
+        // Stores into bad slots with nothing to store.
+        assert_eq!(fault(&[0x11, 9]), Some(VmError::StackUnderflow));
+        assert_eq!(fault(&[0x13, 9]), Some(VmError::StackUnderflow));
+        assert_eq!(fault(&[0x01, 0, 0x15, 9]), Some(VmError::StackUnderflow));
+        // Loads from bad slots onto a full stack.
+        let mut full = [0x01, 0].repeat(STACK_DEPTH);
+        for load in [[0x10, 9], [0x12, 9], [0x16, 9], [0x70, 9]] {
+            let mut code = full.clone();
+            code.extend(load);
+            assert_eq!(fault(&code), Some(VmError::BadSlot(9)), "{load:?}");
+        }
+        // A full stack and a good slot: the push overflows.
+        full.extend([0x12, 1]);
+        assert_eq!(fault(&full), Some(VmError::StackOverflow));
     }
 
     #[test]
