@@ -398,7 +398,7 @@ impl Runtime {
         }
 
         if let Some(value) = outcome.returned {
-            self.resolve_pending(slot, Some(value));
+            self.resolve_pending(slot, None, Some(value));
         }
 
         if let Some(vm_error) = outcome.error {
@@ -416,9 +416,19 @@ impl Runtime {
         }
     }
 
-    /// Resolves the oldest pending op on `slot` with `value`.
-    fn resolve_pending(&mut self, slot: SlotId, value: Option<ReturnValue>) {
-        if let Some(idx) = self.pending.iter().position(|p| p.slot == slot) {
+    /// Resolves the oldest pending op on `slot` with `value`: the oldest
+    /// of `kind` if one is given, else the oldest of any kind.
+    fn resolve_pending(
+        &mut self,
+        slot: SlotId,
+        kind: Option<PendingKind>,
+        value: Option<ReturnValue>,
+    ) {
+        let found = self
+            .pending
+            .iter()
+            .position(|p| p.slot == slot && kind.is_none_or(|k| p.kind == k));
+        if let Some(idx) = found {
             let p = if self.pending[idx].kind == PendingKind::Stream {
                 // Streams stay pending; each return produces one sample.
                 let p = &self.pending[idx];
@@ -443,12 +453,17 @@ impl Runtime {
         }
     }
 
-    /// If the dispatched event was a remote op with no handler, resolve it
-    /// with no value so callers are not left hanging.
+    /// If the dispatched event was a remote op with no handler, resolve
+    /// the oldest op of its kind with no value, so its caller is not left
+    /// hanging and no other request is answered in its place.
     fn resolve_pending_if_op(&mut self, slot: SlotId, event: u8) {
-        if matches!(event, ids::READ | ids::WRITE | ids::STREAM) {
-            self.resolve_pending(slot, None);
-        }
+        let kind = match event {
+            ids::READ => PendingKind::Read,
+            ids::WRITE => PendingKind::Write,
+            ids::STREAM => PendingKind::Stream,
+            _ => return,
+        };
+        self.resolve_pending(slot, Some(kind), None);
     }
 
     /// Cancels a pending stream (e.g. on remote stream-stop).
@@ -644,6 +659,29 @@ event destroy():
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].token, token);
         assert_eq!(done[0].value, None);
+    }
+
+    #[test]
+    fn an_unhandled_op_answers_its_own_request() {
+        // The ID-20LA has no write handler: a write sent while a read
+        // waits for a card completes empty under its own token, and the
+        // card completes the read.
+        let mut rt = Runtime::new(51);
+        rt.hw.uart_device = Some(Box::new(Id20La::new()));
+        let image = compile_source(drivers::ID20LA, 0xed3f_0ac1).unwrap();
+        let slot = rt.install_driver(image, 0).unwrap();
+        rt.run_until_idle();
+        let read = rt.request(slot, PendingKind::Read, vec![]);
+        let write = rt.request(slot, PendingKind::Write, vec![Cell::from_i32(1)]);
+        let done = rt.run_until_idle();
+        let done: Vec<_> = done.iter().map(|d| (d.token, d.kind, &d.value)).collect();
+        assert_eq!(done, [(write, PendingKind::Write, &None)]);
+
+        rt.hw.env.present_card("0415AB09CD");
+        let done = rt.run_until_idle();
+        assert_eq!(done.len(), 1, "one read completion");
+        assert_eq!((done[0].token, done[0].kind), (read, PendingKind::Read));
+        assert!(matches!(done[0].value, Some(ReturnValue::Array(..))));
     }
 
     #[test]
