@@ -499,7 +499,7 @@ impl std::fmt::Debug for Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upnp_bus::peripherals::{Bmp180, Id20La, Tmp36, BMP180_I2C_ADDR};
+    use upnp_bus::peripherals::{Bmp180, Hih4030, Id20La, Max6675, Tmp36, BMP180_I2C_ADDR};
     use upnp_dsl::compile_source;
     use upnp_dsl::drivers;
 
@@ -755,5 +755,133 @@ event sampleDone(uint16_t r):
             (rt.now(), rt.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    /// A driver whose `init` signals every native failure a compiled
+    /// driver can reach, and whose error and timer handlers tally what
+    /// came back, for a read to return.
+    const HOSTILE: &str = "\
+import uart;
+import adc;
+import i2c;
+import spi;
+import timer;
+uint32_t tally;
+event init():
+    signal uart.read();
+    signal uart.init(1234, USART_PARITY_NONE, USART_STOP_BITS_1, USART_DATA_BITS_8);
+    signal uart.init(9600, 7, USART_STOP_BITS_1, USART_DATA_BITS_8);
+    signal uart.write(65);
+    signal uart.init(9600, USART_PARITY_NONE, USART_STOP_BITS_1, USART_DATA_BITS_8);
+    signal adc.read();
+    signal i2c.init(16);
+    signal i2c.write(170, 1);
+    signal i2c.read(170, 2);
+    signal i2c.init(119);
+    signal i2c.read(170, 33);
+    signal spi.transfer(0);
+    signal spi.transfer(40);
+    signal timer.start(0);
+    signal timer.start(5);
+    signal timer.cancel();
+    signal timer.start(5);
+event destroy():
+    return;
+event read():
+    return tally;
+event timerFired():
+    tally = tally + 1000000;
+error invalidConfiguration():
+    tally = tally + 1;
+error uartInUse():
+    tally = tally + 100;
+error busError():
+    tally = tally + 10000;
+";
+
+    /// FNV-1a over the runtime's outcomes below, recorded while each
+    /// native call still returned its completions for the runtime to
+    /// copy: the completions, the clock, both energy meters and the
+    /// lifetime counters after every step, so the instant and energy of
+    /// each native completion and each failure are pinned.
+    const RUNTIME_OUTCOMES_DIGEST: u64 = 0xd1c7_0d91_d20b_1383;
+
+    #[test]
+    fn runtime_outcomes_match_the_pinned_digest() {
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |step: &str, rt: &Runtime, done: Vec<CompletedOp>| {
+            let line = format!(
+                "{step} {done:?} {:?} {:#x} {:#x} {:?}\n",
+                rt.now(),
+                rt.cpu_energy_j().to_bits(),
+                rt.bus_energy_j().to_bits(),
+                rt.stats()
+            );
+            for b in line.bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        // Every shipped driver on its bus model: init, three reads (the
+        // ID-20LA's first times out, a card answers the later ones), a
+        // write no driver handles, and removal.
+        for (i, (name, src)) in drivers::ALL.iter().enumerate() {
+            let mut rt = Runtime::new(60 + i as u64);
+            rt.hw.env.temperature_c = 23.5;
+            match *name {
+                "tmp36" => drop(rt.hw.analog_sources.insert(0, Box::new(Tmp36::new()))),
+                "hih4030" => drop(rt.hw.analog_sources.insert(0, Box::new(Hih4030::new()))),
+                "id20la" => rt.hw.uart_device = Some(Box::new(Id20La::new())),
+                "bmp180" => rt.hw.i2c.attach(BMP180_I2C_ADDR, Box::new(Bmp180::new(9))),
+                "max6675" => rt.hw.spi.attach(Box::new(Max6675::new())),
+                other => panic!("no bus model for {other}"),
+            }
+            let image = compile_source(src, i as u32 + 1).unwrap();
+            let slot = rt.install_driver(image, 0).unwrap();
+            let done = rt.run_until_idle();
+            fold(&format!("{name} init"), &rt, done);
+            for read in 0..3 {
+                rt.request(slot, PendingKind::Read, vec![]);
+                if read > 0 && *name == "id20la" {
+                    rt.hw.env.present_card("0415AB09CD");
+                }
+                let done = rt.run_until_idle();
+                fold(&format!("{name} read {read}"), &rt, done);
+            }
+            rt.request(slot, PendingKind::Write, vec![Cell::from_i32(42)]);
+            let done = rt.run_until_idle();
+            fold(&format!("{name} write"), &rt, done);
+            rt.remove_driver(slot);
+            fold(&format!("{name} remove"), &rt, Vec::new());
+        }
+        // The hostile driver beside a BMP180, then a second driver that
+        // finds the UART taken, then a read of the tally.
+        let mut rt = Runtime::new(70);
+        rt.hw.i2c.attach(BMP180_I2C_ADDR, Box::new(Bmp180::new(9)));
+        let hostile = rt
+            .install_driver(compile_source(HOSTILE, 12).unwrap(), 0)
+            .unwrap();
+        let done = rt.run_until_idle();
+        fold("hostile init", &rt, done);
+        let second = "\
+import uart;
+event init():
+    signal uart.init(9600, USART_PARITY_NONE, USART_STOP_BITS_1, USART_DATA_BITS_8);
+event destroy():
+    return;
+error uartInUse():
+    return;
+";
+        let second = rt
+            .install_driver(compile_source(second, 13).unwrap(), 1)
+            .unwrap();
+        let done = rt.run_until_idle();
+        fold("second init", &rt, done);
+        rt.request(hostile, PendingKind::Read, vec![]);
+        let done = rt.run_until_idle();
+        fold("hostile read", &rt, done);
+        rt.remove_driver(second);
+        rt.remove_driver(hostile);
+        fold("removed", &rt, Vec::new());
+        assert_eq!(digest, RUNTIME_OUTCOMES_DIGEST, "{digest:#018x}");
     }
 }
