@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use upnp_sim::CpuCost;
-use upnp_vm::router::{Endpoint, EventRouter, RoutedEvent};
+use upnp_vm::router::{EventRouter, RoutedEvent};
 
 fn bench_router(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_router");
@@ -13,7 +13,7 @@ fn bench_router(c: &mut Criterion) {
                 let mut r = EventRouter::new();
                 for i in 0..n {
                     r.post(RoutedEvent {
-                        dst: Endpoint::Driver((i % 4) as u8),
+                        slot: (i % 4) as u8,
                         event: if i % 10 == 0 { 66 } else { 2 },
                         args: Vec::new(),
                     });

@@ -4,9 +4,10 @@
 //! specific I/O calls ... Every library exposes its API towards drivers as
 //! a series of standard event handlers." Drivers `signal` operations into a
 //! library; completions come back as events through the router, preserving
-//! the split-phase model. Wire time is respected by *deferring* completion
-//! events on the virtual clock, and every operation reports its CPU cost
-//! and bus energy.
+//! the split-phase model. A library posts a failed call's error event to
+//! the router at once, defers each completion event on the runtime's
+//! virtual clock by its wire time, and charges the bus energy the transfer
+//! took; the runtime charges the CPU cost of the call before it runs.
 
 use upnp_bus::adc::{Adc, AnalogSource};
 use upnp_bus::i2c::I2cBus;
@@ -14,10 +15,11 @@ use upnp_bus::spi::SpiBus;
 use upnp_bus::uart::{Parity, Uart, UartConfig, UartDevice, UartError, UartFrameFormat};
 use upnp_bus::Environment;
 use upnp_dsl::events::{errors, ids, libs};
-use upnp_sim::{CpuCost, SimDuration, SimRng, VecMap};
+use upnp_sim::{SimDuration, SimRng, VecMap};
 
 use crate::cost::VmCostModel;
-use crate::router::{Endpoint, RoutedEvent};
+use crate::router::RoutedEvent;
+use crate::runtime::Runtime;
 use crate::value::Cell;
 
 /// The hardware a Thing's runtime drives: one controller per bus family
@@ -90,33 +92,6 @@ pub enum DeferredAction {
     },
 }
 
-/// The result of one native-library operation.
-#[derive(Debug, Default)]
-pub struct NativeResult {
-    /// CPU cost of servicing the call.
-    pub cost: CpuCost,
-    /// Events posted immediately (typically errors).
-    pub immediate: Vec<RoutedEvent>,
-    /// Actions deferred on the virtual clock (relative delays).
-    pub deferred: Vec<(SimDuration, DeferredAction)>,
-    /// Energy consumed on the bus, joules.
-    pub bus_energy_j: f64,
-}
-
-impl NativeResult {
-    fn err(slot: u8, error_id: u8, cost: CpuCost) -> NativeResult {
-        NativeResult {
-            cost,
-            immediate: vec![RoutedEvent {
-                dst: Endpoint::Driver(slot),
-                event: error_id,
-                args: Vec::new(),
-            }],
-            ..Default::default()
-        }
-    }
-}
-
 /// Mutable state of all native libraries.
 #[derive(Debug, Default)]
 pub struct NativeLibs {
@@ -129,7 +104,6 @@ pub struct NativeLibs {
     pub i2c_addr: VecMap<u8, u8>,
     /// Per-slot timer generation (cancel = bump).
     pub timer_gen: VecMap<u8, u64>,
-    cost_model: VmCostModel,
 }
 
 /// How long the UART library waits for data before posting `timeOut`.
@@ -137,6 +111,9 @@ pub const UART_READ_TIMEOUT: SimDuration = SimDuration::from_millis(2_000);
 
 /// Largest I²C read a driver may request in one operation.
 pub const I2C_MAX_READ: usize = 32;
+
+/// Largest SPI transfer a driver may request in one operation.
+const SPI_MAX_TRANSFER: usize = 32;
 
 impl NativeLibs {
     /// Creates empty library state.
@@ -157,46 +134,62 @@ impl NativeLibs {
             hw.uart.reset();
         }
     }
+}
 
-    /// Handles `signal <lib>.<op>(args)` from driver `slot`.
-    pub fn handle(
-        &mut self,
-        slot: u8,
-        lib: u8,
-        op: u8,
-        args: &[Cell],
-        hw: &mut HwContext,
-    ) -> NativeResult {
-        let base = self.cost_model.native_call();
-        match lib {
-            x if x == libs::UART => self.uart_op(slot, op, args, hw, base),
-            x if x == libs::ADC => self.adc_op(slot, op, hw, base),
-            x if x == libs::I2C => self.i2c_op(slot, op, args, hw, base),
-            x if x == libs::SPI => self.spi_op(slot, op, args, hw, base),
-            x if x == libs::TIMER => self.timer_op(slot, op, args, base),
-            _ => NativeResult::err(slot, errors::BUS_ERROR, base),
+/// Each library operation returns `Err(error event id)` when it fails.
+type NativeCall = Result<(), u8>;
+
+impl Runtime {
+    /// Handles `signal <lib>.<op>(args)` from driver `slot`: charges the
+    /// call, runs it, and posts its error event to the slot if it fails.
+    pub(crate) fn call_native(&mut self, slot: u8, lib: u8, op: u8, args: &[Cell]) {
+        self.charge(VmCostModel.native_call());
+        let called = match lib {
+            libs::UART => self.uart_op(slot, op, args),
+            libs::ADC => self.adc_op(slot, op),
+            libs::I2C => self.i2c_op(slot, op, args),
+            libs::SPI => self.spi_op(slot, op, args),
+            libs::TIMER => self.timer_op(slot, op, args),
+            _ => Err(errors::BUS_ERROR),
+        };
+        if let Err(event) = called {
+            self.router.post(RoutedEvent {
+                slot,
+                event,
+                args: Vec::new(),
+            });
         }
     }
 
-    fn uart_op(
-        &mut self,
-        slot: u8,
-        op: u8,
-        args: &[Cell],
-        hw: &mut HwContext,
-        base: CpuCost,
-    ) -> NativeResult {
+    /// Delivers `event(args)` to `slot` once `delay` has passed.
+    fn complete_in(&mut self, delay: SimDuration, slot: u8, event: u8, args: Vec<Cell>) {
+        self.defer(
+            delay,
+            DeferredAction::Post(RoutedEvent { slot, event, args }),
+        );
+    }
+
+    /// Delivers `bytes` to `slot` as `event(byte, index)`, byte `i` once
+    /// `(i + 1) × per_byte` has passed.
+    fn deliver_bytes(&mut self, slot: u8, event: u8, bytes: &[u8], per_byte: SimDuration) {
+        for (i, &b) in bytes.iter().enumerate() {
+            let args = vec![Cell::from_i32(i32::from(b)), Cell::from_i32(i as i32)];
+            self.complete_in(per_byte * (i as u64 + 1), slot, event, args);
+        }
+    }
+
+    fn uart_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> NativeCall {
         match op {
             // init(baud, parity, stop, data)
             0 => {
                 let [baud, parity, stop, data] = args else {
-                    return NativeResult::err(slot, errors::INVALID_CONFIGURATION, base);
+                    return Err(errors::INVALID_CONFIGURATION);
                 };
                 let parity = match parity.as_i32() {
                     0 => Parity::None,
                     1 => Parity::Even,
                     2 => Parity::Odd,
-                    _ => return NativeResult::err(slot, errors::INVALID_CONFIGURATION, base),
+                    _ => return Err(errors::INVALID_CONFIGURATION),
                 };
                 let config = UartConfig {
                     baud: baud.as_i32().max(0) as u32,
@@ -206,293 +199,166 @@ impl NativeLibs {
                         stop_bits: stop.as_i32().clamp(0, 255) as u8,
                     },
                 };
-                match hw.uart.init(slot as u32, config) {
-                    Ok(()) => NativeResult {
-                        cost: base,
-                        ..Default::default()
-                    },
-                    Err(UartError::PortInUse) => NativeResult::err(slot, errors::UART_IN_USE, base),
-                    Err(_) => NativeResult::err(slot, errors::INVALID_CONFIGURATION, base),
-                }
+                self.hw
+                    .uart
+                    .init(u32::from(slot), config)
+                    .map_err(|e| match e {
+                        UartError::PortInUse => errors::UART_IN_USE,
+                        _ => errors::INVALID_CONFIGURATION,
+                    })
             }
             // reset()
             1 => {
-                hw.uart.reset();
-                if self.uart_reader == Some(slot) {
-                    self.uart_reader = None;
+                self.hw.uart.reset();
+                if self.natives.uart_reader == Some(slot) {
+                    self.natives.uart_reader = None;
                 }
-                NativeResult {
-                    cost: base,
-                    ..Default::default()
-                }
+                Ok(())
             }
             // read(): subscribe to RX; data arrives via pump; arm timeout.
             2 => {
-                if hw.uart.config().is_none() {
-                    return NativeResult::err(slot, errors::INVALID_CONFIGURATION, base);
+                if self.hw.uart.config().is_none() {
+                    return Err(errors::INVALID_CONFIGURATION);
                 }
-                self.uart_reader = Some(slot);
-                NativeResult {
-                    cost: base,
-                    deferred: vec![(
-                        UART_READ_TIMEOUT,
-                        DeferredAction::UartTimeout {
-                            slot,
-                            generation: self.uart_rx_gen,
-                        },
-                    )],
-                    ..Default::default()
-                }
+                self.natives.uart_reader = Some(slot);
+                let generation = self.natives.uart_rx_gen;
+                self.defer(
+                    UART_READ_TIMEOUT,
+                    DeferredAction::UartTimeout { slot, generation },
+                );
+                Ok(())
             }
             // write(byte)
             3 => {
-                let byte = args.first().map(|c| c.as_i32() as u8).unwrap_or(0);
-                let Some(device) = hw.uart_device.as_mut() else {
-                    return NativeResult::err(slot, errors::BUS_ERROR, base);
-                };
-                match hw.uart.write(device.as_mut(), &[byte]) {
-                    Ok(tx) => NativeResult {
-                        cost: base,
-                        bus_energy_j: tx.energy_j,
-                        deferred: vec![(
-                            tx.duration,
-                            DeferredAction::Post(RoutedEvent {
-                                dst: Endpoint::Driver(slot),
-                                event: ids::WRITE_DONE,
-                                args: Vec::new(),
-                            }),
-                        )],
-                        ..Default::default()
-                    },
-                    Err(_) => NativeResult::err(slot, errors::INVALID_CONFIGURATION, base),
-                }
+                let byte = args.first().map_or(0, |c| c.as_i32() as u8);
+                let device = self.hw.uart_device.as_mut().ok_or(errors::BUS_ERROR)?;
+                let tx = self
+                    .hw
+                    .uart
+                    .write(device.as_mut(), &[byte])
+                    .map_err(|_| errors::INVALID_CONFIGURATION)?;
+                self.bus_meter.charge_j(tx.energy_j);
+                self.complete_in(tx.duration, slot, ids::WRITE_DONE, Vec::new());
+                Ok(())
             }
-            _ => NativeResult::err(slot, errors::BUS_ERROR, base),
+            _ => Err(errors::BUS_ERROR),
         }
     }
 
-    fn adc_op(&mut self, slot: u8, op: u8, hw: &mut HwContext, base: CpuCost) -> NativeResult {
+    fn adc_op(&mut self, slot: u8, op: u8) -> NativeCall {
         match op {
             // init()
-            0 => NativeResult {
-                cost: base,
-                ..Default::default()
-            },
+            0 => Ok(()),
             // read(): sample the slot's analog source.
             1 => {
-                let Some(source) = hw.analog_sources.get(&slot) else {
-                    return NativeResult::err(slot, errors::BUS_ERROR, base);
-                };
+                let hw = &mut self.hw;
+                let source = hw.analog_sources.get(&slot).ok_or(errors::BUS_ERROR)?;
                 let (reading, tx) = hw.adc.sample(source.as_ref(), &hw.env, &mut hw.rng);
-                NativeResult {
-                    cost: base,
-                    bus_energy_j: tx.energy_j,
-                    deferred: vec![(
-                        tx.duration,
-                        DeferredAction::Post(RoutedEvent {
-                            dst: Endpoint::Driver(slot),
-                            event: ids::SAMPLE_DONE,
-                            args: vec![Cell::from_i32(reading.raw as i32)],
-                        }),
-                    )],
-                    ..Default::default()
-                }
+                self.bus_meter.charge_j(tx.energy_j);
+                let raw = Cell::from_i32(i32::from(reading.raw));
+                self.complete_in(tx.duration, slot, ids::SAMPLE_DONE, vec![raw]);
+                Ok(())
             }
-            _ => NativeResult::err(slot, errors::BUS_ERROR, base),
+            _ => Err(errors::BUS_ERROR),
         }
     }
 
-    fn i2c_op(
-        &mut self,
-        slot: u8,
-        op: u8,
-        args: &[Cell],
-        hw: &mut HwContext,
-        base: CpuCost,
-    ) -> NativeResult {
+    fn i2c_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> NativeCall {
+        let arg = |i: usize| args.get(i).map_or(0, |c| c.as_i32());
+        let configured = self.natives.i2c_addr.get(&slot).copied();
+        let configured = configured.ok_or(errors::INVALID_CONFIGURATION);
         match op {
             // init(addr)
             0 => {
-                let addr = args.first().map(|c| c.as_i32() as u8).unwrap_or(0);
-                if !hw.i2c.probe(addr) {
-                    return NativeResult::err(slot, errors::BUS_ERROR, base);
+                let addr = arg(0) as u8;
+                if !self.hw.i2c.probe(addr) {
+                    return Err(errors::BUS_ERROR);
                 }
-                self.i2c_addr.insert(slot, addr);
-                NativeResult {
-                    cost: base,
-                    ..Default::default()
-                }
+                self.natives.i2c_addr.insert(slot, addr);
+                Ok(())
             }
             // write(reg, value)
             1 => {
-                let Some(&addr) = self.i2c_addr.get(&slot) else {
-                    return NativeResult::err(slot, errors::INVALID_CONFIGURATION, base);
-                };
-                let reg = args.first().map(|c| c.as_i32() as u8).unwrap_or(0);
-                let val = args.get(1).map(|c| c.as_i32() as u8).unwrap_or(0);
-                match hw.i2c.write(addr, &[reg, val], &mut hw.env) {
-                    Ok(tx) => NativeResult {
-                        cost: base,
-                        bus_energy_j: tx.energy_j,
-                        deferred: vec![(
-                            tx.duration,
-                            DeferredAction::Post(RoutedEvent {
-                                dst: Endpoint::Driver(slot),
-                                event: ids::WRITE_DONE,
-                                args: Vec::new(),
-                            }),
-                        )],
-                        ..Default::default()
-                    },
-                    Err(_) => NativeResult::err(slot, errors::BUS_ERROR, base),
-                }
+                let tx = self
+                    .hw
+                    .i2c
+                    .write(configured?, &[arg(0) as u8, arg(1) as u8], &mut self.hw.env)
+                    .map_err(|_| errors::BUS_ERROR)?;
+                self.bus_meter.charge_j(tx.energy_j);
+                self.complete_in(tx.duration, slot, ids::WRITE_DONE, Vec::new());
+                Ok(())
             }
             // read(reg, n): delivers n i2cdata events then i2cDone.
             2 => {
-                let Some(&addr) = self.i2c_addr.get(&slot) else {
-                    return NativeResult::err(slot, errors::INVALID_CONFIGURATION, base);
-                };
-                let reg = args.first().map(|c| c.as_i32() as u8).unwrap_or(0);
-                let n = args.get(1).map(|c| c.as_i32()).unwrap_or(0);
+                let addr = configured?;
+                let n = arg(1);
                 if n <= 0 || n as usize > I2C_MAX_READ {
-                    return NativeResult::err(slot, errors::INVALID_CONFIGURATION, base);
+                    return Err(errors::INVALID_CONFIGURATION);
                 }
-                match hw.i2c.write_read(addr, reg, n as usize, &mut hw.env) {
-                    Ok((data, tx)) => {
-                        let per_byte = tx.duration / (data.len() as u64 + 1);
-                        let mut deferred: Vec<(SimDuration, DeferredAction)> = data
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &b)| {
-                                (
-                                    per_byte * (i as u64 + 1),
-                                    DeferredAction::Post(RoutedEvent {
-                                        dst: Endpoint::Driver(slot),
-                                        event: ids::I2C_DATA,
-                                        args: vec![
-                                            Cell::from_i32(b as i32),
-                                            Cell::from_i32(i as i32),
-                                        ],
-                                    }),
-                                )
-                            })
-                            .collect();
-                        deferred.push((
-                            tx.duration,
-                            DeferredAction::Post(RoutedEvent {
-                                dst: Endpoint::Driver(slot),
-                                event: ids::I2C_DONE,
-                                args: Vec::new(),
-                            }),
-                        ));
-                        NativeResult {
-                            cost: base,
-                            bus_energy_j: tx.energy_j,
-                            deferred,
-                            ..Default::default()
-                        }
-                    }
-                    Err(_) => NativeResult::err(slot, errors::BUS_ERROR, base),
-                }
+                let (data, tx) = self
+                    .hw
+                    .i2c
+                    .write_read(addr, arg(0) as u8, n as usize, &mut self.hw.env)
+                    .map_err(|_| errors::BUS_ERROR)?;
+                self.bus_meter.charge_j(tx.energy_j);
+                let per_byte = tx.duration / (data.len() as u64 + 1);
+                self.deliver_bytes(slot, ids::I2C_DATA, &data, per_byte);
+                self.complete_in(tx.duration, slot, ids::I2C_DONE, Vec::new());
+                Ok(())
             }
-            _ => NativeResult::err(slot, errors::BUS_ERROR, base),
+            _ => Err(errors::BUS_ERROR),
         }
     }
 
-    fn spi_op(
-        &mut self,
-        slot: u8,
-        op: u8,
-        args: &[Cell],
-        hw: &mut HwContext,
-        base: CpuCost,
-    ) -> NativeResult {
+    fn spi_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> NativeCall {
         match op {
             // init()
-            0 => NativeResult {
-                cost: base,
-                ..Default::default()
-            },
+            0 => Ok(()),
             // transfer(n): clock n bytes, deliver spidata × n then spiDone.
             1 => {
-                let n = args.first().map(|c| c.as_i32()).unwrap_or(0);
-                if n <= 0 || n > 32 {
-                    return NativeResult::err(slot, errors::INVALID_CONFIGURATION, base);
+                let n = args.first().map_or(0, |c| c.as_i32());
+                if n <= 0 || n as usize > SPI_MAX_TRANSFER {
+                    return Err(errors::INVALID_CONFIGURATION);
                 }
-                let tx_bytes = vec![0u8; n as usize];
-                match hw.spi.transfer(&tx_bytes, &mut hw.env) {
-                    Some((rx, tx)) => {
-                        let per_byte = tx.duration / (rx.len() as u64).max(1);
-                        let mut deferred: Vec<(SimDuration, DeferredAction)> = rx
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &b)| {
-                                (
-                                    per_byte * (i as u64 + 1),
-                                    DeferredAction::Post(RoutedEvent {
-                                        dst: Endpoint::Driver(slot),
-                                        event: ids::SPI_DATA,
-                                        args: vec![
-                                            Cell::from_i32(b as i32),
-                                            Cell::from_i32(i as i32),
-                                        ],
-                                    }),
-                                )
-                            })
-                            .collect();
-                        deferred.push((
-                            tx.duration,
-                            DeferredAction::Post(RoutedEvent {
-                                dst: Endpoint::Driver(slot),
-                                event: ids::SPI_DONE,
-                                args: Vec::new(),
-                            }),
-                        ));
-                        NativeResult {
-                            cost: base,
-                            bus_energy_j: tx.energy_j,
-                            deferred,
-                            ..Default::default()
-                        }
-                    }
-                    None => NativeResult::err(slot, errors::BUS_ERROR, base),
-                }
+                let zeros = [0u8; SPI_MAX_TRANSFER];
+                let (rx, tx) = self
+                    .hw
+                    .spi
+                    .transfer(&zeros[..n as usize], &mut self.hw.env)
+                    .ok_or(errors::BUS_ERROR)?;
+                self.bus_meter.charge_j(tx.energy_j);
+                let per_byte = tx.duration / (rx.len() as u64).max(1);
+                self.deliver_bytes(slot, ids::SPI_DATA, &rx, per_byte);
+                self.complete_in(tx.duration, slot, ids::SPI_DONE, Vec::new());
+                Ok(())
             }
-            _ => NativeResult::err(slot, errors::BUS_ERROR, base),
+            _ => Err(errors::BUS_ERROR),
         }
     }
 
-    fn timer_op(&mut self, slot: u8, op: u8, args: &[Cell], base: CpuCost) -> NativeResult {
+    fn timer_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> NativeCall {
         match op {
             // start(ms)
             0 => {
-                let ms = args.first().map(|c| c.as_i32()).unwrap_or(0);
+                let ms = args.first().map_or(0, |c| c.as_i32());
                 if ms <= 0 {
-                    return NativeResult::err(slot, errors::INVALID_CONFIGURATION, base);
+                    return Err(errors::INVALID_CONFIGURATION);
                 }
-                let generation = self.timer_gen.get_or_insert_default(slot);
+                let generation = self.natives.timer_gen.get_or_insert_default(slot);
                 *generation += 1;
-                NativeResult {
-                    cost: base,
-                    deferred: vec![(
-                        SimDuration::from_millis(ms as u64),
-                        DeferredAction::TimerFired {
-                            slot,
-                            generation: *generation,
-                        },
-                    )],
-                    ..Default::default()
-                }
+                let fired = DeferredAction::TimerFired {
+                    slot,
+                    generation: *generation,
+                };
+                self.defer(SimDuration::from_millis(ms as u64), fired);
+                Ok(())
             }
             // cancel()
             1 => {
-                *self.timer_gen.get_or_insert_default(slot) += 1;
-                NativeResult {
-                    cost: base,
-                    ..Default::default()
-                }
+                *self.natives.timer_gen.get_or_insert_default(slot) += 1;
+                Ok(())
             }
-            _ => NativeResult::err(slot, errors::BUS_ERROR, base),
+            _ => Err(errors::BUS_ERROR),
         }
     }
 }
@@ -501,56 +367,74 @@ impl NativeLibs {
 mod tests {
     use super::*;
     use upnp_bus::peripherals::{Bmp180, Tmp36, BMP180_I2C_ADDR};
+    use upnp_sim::CpuCost;
 
     fn cells(vals: &[i32]) -> Vec<Cell> {
         vals.iter().map(|&v| Cell::from_i32(v)).collect()
     }
 
+    /// The error events the calls so far posted, in routing order.
+    fn posted(rt: &mut Runtime) -> Vec<u8> {
+        let mut cost = CpuCost::ZERO;
+        std::iter::from_fn(|| rt.router.next(&mut cost))
+            .map(|ev| ev.event)
+            .collect()
+    }
+
+    /// The completions the calls so far deferred, in time order, each
+    /// with its delay from now.
+    fn deferred(rt: &mut Runtime) -> Vec<(SimDuration, DeferredAction)> {
+        let now = rt.now();
+        rt.sched
+            .drain_ordered()
+            .into_iter()
+            .map(|e| (e.at.saturating_since(now), e.event))
+            .collect()
+    }
+
     #[test]
     fn uart_init_and_in_use() {
-        let mut hw = HwContext::new(1);
-        let mut libs_state = NativeLibs::new();
-        let r = libs_state.handle(0, libs::UART, 0, &cells(&[9600, 0, 1, 8]), &mut hw);
-        assert!(r.immediate.is_empty());
+        let mut rt = Runtime::new(1);
+        rt.call_native(0, libs::UART, 0, &cells(&[9600, 0, 1, 8]));
+        assert!(posted(&mut rt).is_empty());
         // Second slot gets uartInUse.
-        let r = libs_state.handle(1, libs::UART, 0, &cells(&[9600, 0, 1, 8]), &mut hw);
-        assert_eq!(r.immediate[0].event, errors::UART_IN_USE);
+        rt.call_native(1, libs::UART, 0, &cells(&[9600, 0, 1, 8]));
+        assert_eq!(posted(&mut rt), [errors::UART_IN_USE]);
     }
 
     #[test]
     fn uart_bad_config_posts_invalid_configuration() {
-        let mut hw = HwContext::new(1);
-        let mut libs_state = NativeLibs::new();
-        let r = libs_state.handle(0, libs::UART, 0, &cells(&[1234, 0, 1, 8]), &mut hw);
-        assert_eq!(r.immediate[0].event, errors::INVALID_CONFIGURATION);
-        let r = libs_state.handle(0, libs::UART, 0, &cells(&[9600, 7, 1, 8]), &mut hw);
-        assert_eq!(r.immediate[0].event, errors::INVALID_CONFIGURATION);
+        let mut rt = Runtime::new(1);
+        rt.call_native(0, libs::UART, 0, &cells(&[1234, 0, 1, 8]));
+        assert_eq!(posted(&mut rt), [errors::INVALID_CONFIGURATION]);
+        rt.call_native(0, libs::UART, 0, &cells(&[9600, 7, 1, 8]));
+        assert_eq!(posted(&mut rt), [errors::INVALID_CONFIGURATION]);
     }
 
     #[test]
     fn uart_read_arms_timeout() {
-        let mut hw = HwContext::new(1);
-        let mut libs_state = NativeLibs::new();
-        libs_state.handle(0, libs::UART, 0, &cells(&[9600, 0, 1, 8]), &mut hw);
-        let r = libs_state.handle(0, libs::UART, 2, &[], &mut hw);
-        assert_eq!(libs_state.uart_reader, Some(0));
-        assert_eq!(r.deferred.len(), 1);
-        assert_eq!(r.deferred[0].0, UART_READ_TIMEOUT);
+        let mut rt = Runtime::new(1);
+        rt.call_native(0, libs::UART, 0, &cells(&[9600, 0, 1, 8]));
+        rt.call_native(0, libs::UART, 2, &[]);
+        assert_eq!(rt.natives.uart_reader, Some(0));
+        let deferred = deferred(&mut rt);
+        assert_eq!(deferred.len(), 1);
+        assert_eq!(deferred[0].0, UART_READ_TIMEOUT);
         assert!(matches!(
-            r.deferred[0].1,
+            deferred[0].1,
             DeferredAction::UartTimeout { slot: 0, .. }
         ));
     }
 
     #[test]
     fn adc_read_defers_sample_done() {
-        let mut hw = HwContext::new(2);
-        hw.env.temperature_c = 25.0;
-        hw.analog_sources.insert(0, Box::new(Tmp36::new()));
-        let mut libs_state = NativeLibs::new();
-        let r = libs_state.handle(0, libs::ADC, 1, &[], &mut hw);
-        assert_eq!(r.deferred.len(), 1);
-        let (delay, DeferredAction::Post(ev)) = &r.deferred[0] else {
+        let mut rt = Runtime::new(2);
+        rt.hw.env.temperature_c = 25.0;
+        rt.hw.analog_sources.insert(0, Box::new(Tmp36::new()));
+        rt.call_native(0, libs::ADC, 1, &[]);
+        let deferred = deferred(&mut rt);
+        assert_eq!(deferred.len(), 1);
+        let (delay, DeferredAction::Post(ev)) = &deferred[0] else {
             panic!();
         };
         assert_eq!(*delay, SimDuration::from_micros(104));
@@ -558,47 +442,47 @@ mod tests {
         // 0.75 V on a 10-bit 3.3 V ADC ≈ 233 counts.
         let raw = ev.args[0].as_i32();
         assert!((raw - 233).abs() <= 2, "raw {raw}");
-        assert!(r.bus_energy_j > 0.0);
+        assert!(rt.bus_energy_j() > 0.0);
     }
 
     #[test]
     fn adc_without_source_is_bus_error() {
-        let mut hw = HwContext::new(3);
-        let mut libs_state = NativeLibs::new();
-        let r = libs_state.handle(0, libs::ADC, 1, &[], &mut hw);
-        assert_eq!(r.immediate[0].event, errors::BUS_ERROR);
+        let mut rt = Runtime::new(3);
+        rt.call_native(0, libs::ADC, 1, &[]);
+        assert_eq!(posted(&mut rt), [errors::BUS_ERROR]);
     }
 
     #[test]
     fn i2c_init_probes_address() {
-        let mut hw = HwContext::new(4);
-        hw.i2c
+        let mut rt = Runtime::new(4);
+        rt.hw
+            .i2c
             .attach(BMP180_I2C_ADDR, Box::new(Bmp180::noiseless(1)));
-        let mut libs_state = NativeLibs::new();
-        let ok = libs_state.handle(0, libs::I2C, 0, &cells(&[0x77]), &mut hw);
-        assert!(ok.immediate.is_empty());
-        let bad = libs_state.handle(1, libs::I2C, 0, &cells(&[0x10]), &mut hw);
-        assert_eq!(bad.immediate[0].event, errors::BUS_ERROR);
+        rt.call_native(0, libs::I2C, 0, &cells(&[0x77]));
+        assert!(posted(&mut rt).is_empty());
+        rt.call_native(1, libs::I2C, 0, &cells(&[0x10]));
+        assert_eq!(posted(&mut rt), [errors::BUS_ERROR]);
     }
 
     #[test]
     fn i2c_read_delivers_data_then_done() {
-        let mut hw = HwContext::new(5);
-        hw.i2c
+        let mut rt = Runtime::new(5);
+        rt.hw
+            .i2c
             .attach(BMP180_I2C_ADDR, Box::new(Bmp180::noiseless(1)));
-        let mut libs_state = NativeLibs::new();
-        libs_state.handle(0, libs::I2C, 0, &cells(&[0x77]), &mut hw);
-        let r = libs_state.handle(0, libs::I2C, 2, &cells(&[0xaa, 4]), &mut hw);
-        assert_eq!(r.deferred.len(), 5, "4 data + 1 done");
+        rt.call_native(0, libs::I2C, 0, &cells(&[0x77]));
+        rt.call_native(0, libs::I2C, 2, &cells(&[0xaa, 4]));
+        let deferred = deferred(&mut rt);
+        assert_eq!(deferred.len(), 5, "4 data + 1 done");
         // Events are time-ordered and indexed.
-        for (i, (_, action)) in r.deferred[..4].iter().enumerate() {
+        for (i, (_, action)) in deferred[..4].iter().enumerate() {
             let DeferredAction::Post(ev) = action else {
                 panic!()
             };
             assert_eq!(ev.event, ids::I2C_DATA);
             assert_eq!(ev.args[1].as_i32(), i as i32);
         }
-        let DeferredAction::Post(done) = &r.deferred[4].1 else {
+        let DeferredAction::Post(done) = &deferred[4].1 else {
             panic!()
         };
         assert_eq!(done.event, ids::I2C_DONE);
@@ -606,46 +490,44 @@ mod tests {
 
     #[test]
     fn i2c_read_without_init_is_invalid() {
-        let mut hw = HwContext::new(6);
-        let mut libs_state = NativeLibs::new();
-        let r = libs_state.handle(0, libs::I2C, 2, &cells(&[0xaa, 4]), &mut hw);
-        assert_eq!(r.immediate[0].event, errors::INVALID_CONFIGURATION);
+        let mut rt = Runtime::new(6);
+        rt.call_native(0, libs::I2C, 2, &cells(&[0xaa, 4]));
+        assert_eq!(posted(&mut rt), [errors::INVALID_CONFIGURATION]);
     }
 
     #[test]
     fn i2c_read_size_limit() {
-        let mut hw = HwContext::new(7);
-        hw.i2c
+        let mut rt = Runtime::new(7);
+        rt.hw
+            .i2c
             .attach(BMP180_I2C_ADDR, Box::new(Bmp180::noiseless(1)));
-        let mut libs_state = NativeLibs::new();
-        libs_state.handle(0, libs::I2C, 0, &cells(&[0x77]), &mut hw);
-        let r = libs_state.handle(0, libs::I2C, 2, &cells(&[0xaa, 33]), &mut hw);
-        assert_eq!(r.immediate[0].event, errors::INVALID_CONFIGURATION);
+        rt.call_native(0, libs::I2C, 0, &cells(&[0x77]));
+        rt.call_native(0, libs::I2C, 2, &cells(&[0xaa, 33]));
+        assert_eq!(posted(&mut rt), [errors::INVALID_CONFIGURATION]);
     }
 
     #[test]
     fn timer_start_and_cancel_generations() {
-        let mut libs_state = NativeLibs::new();
-        let r = libs_state.timer_op(0, 0, &cells(&[5]), CpuCost::ZERO);
-        let DeferredAction::TimerFired { generation, .. } = r.deferred[0].1 else {
+        let mut rt = Runtime::new(0);
+        rt.call_native(0, libs::TIMER, 0, &cells(&[5]));
+        let DeferredAction::TimerFired { generation, .. } = deferred(&mut rt)[0].1 else {
             panic!();
         };
         assert_eq!(generation, 1);
         // Cancel bumps the generation, so the pending fire is stale.
-        libs_state.timer_op(0, 1, &[], CpuCost::ZERO);
-        assert_eq!(libs_state.timer_gen.get(&0), Some(&2));
-        let r = libs_state.timer_op(0, 0, &cells(&[0]), CpuCost::ZERO);
-        assert_eq!(r.immediate[0].event, errors::INVALID_CONFIGURATION);
+        rt.call_native(0, libs::TIMER, 1, &[]);
+        assert_eq!(rt.natives.timer_gen.get(&0), Some(&2));
+        rt.call_native(0, libs::TIMER, 0, &cells(&[0]));
+        assert_eq!(posted(&mut rt), [errors::INVALID_CONFIGURATION]);
     }
 
     #[test]
     fn spi_transfer_defers_bytes() {
         use upnp_bus::peripherals::Max6675;
-        let mut hw = HwContext::new(8);
-        hw.spi.attach(Box::new(Max6675::new()));
-        hw.env.temperature_c = 100.0;
-        let mut libs_state = NativeLibs::new();
-        let r = libs_state.handle(0, libs::SPI, 1, &cells(&[2]), &mut hw);
-        assert_eq!(r.deferred.len(), 3, "2 data + 1 done");
+        let mut rt = Runtime::new(8);
+        rt.hw.spi.attach(Box::new(Max6675::new()));
+        rt.hw.env.temperature_c = 100.0;
+        rt.call_native(0, libs::SPI, 1, &cells(&[2]));
+        assert_eq!(deferred(&mut rt).len(), 3, "2 data + 1 done");
     }
 }

@@ -4,7 +4,9 @@
 //! processing and a priority queue for dispatching error messages. When an
 //! event is placed inside a queue, control is immediately transferred back
 //! to the originator." Error events (ids 64–127) always dispatch before
-//! regular events.
+//! regular events. Every event is delivered to a driver slot: a driver
+//! calls a native library directly with `signal`, and the network stack
+//! reaches a driver through [`Runtime::request`](crate::Runtime::request).
 
 use std::collections::VecDeque;
 
@@ -13,22 +15,11 @@ use upnp_sim::CpuCost;
 use crate::cost::VmCostModel;
 use crate::value::Cell;
 
-/// Where an event is headed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
-    /// A driver slot in the driver manager.
-    Driver(u8),
-    /// A native library (by library id).
-    Library(u8),
-    /// The network stack (handled by `upnp-core`).
-    Network,
-}
-
-/// An event in flight.
+/// An event in flight to a driver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutedEvent {
-    /// Destination endpoint.
-    pub dst: Endpoint,
+    /// The driver slot it is delivered to.
+    pub slot: u8,
     /// Event id (error ids 64–127 take the priority queue).
     pub event: u8,
     /// Payload cells.
@@ -102,9 +93,9 @@ mod tests {
     use super::*;
     use upnp_dsl::events::errors;
 
-    fn ev(dst: Endpoint, event: u8) -> RoutedEvent {
+    fn ev(slot: u8, event: u8) -> RoutedEvent {
         RoutedEvent {
-            dst,
+            slot,
             event,
             args: Vec::new(),
         }
@@ -114,7 +105,7 @@ mod tests {
     fn fifo_order_for_regular_events() {
         let mut r = EventRouter::new();
         for i in 0..5 {
-            r.post(ev(Endpoint::Driver(i), i));
+            r.post(ev(i, i));
         }
         let mut cost = CpuCost::ZERO;
         for i in 0..5 {
@@ -126,10 +117,10 @@ mod tests {
     #[test]
     fn errors_preempt_regular_events() {
         let mut r = EventRouter::new();
-        r.post(ev(Endpoint::Driver(0), 2)); // regular read
-        r.post(ev(Endpoint::Driver(0), errors::TIME_OUT));
-        r.post(ev(Endpoint::Driver(0), 16)); // regular newdata
-        r.post(ev(Endpoint::Driver(0), errors::BUS_ERROR));
+        r.post(ev(0, 2)); // regular read
+        r.post(ev(0, errors::TIME_OUT));
+        r.post(ev(0, 16)); // regular newdata
+        r.post(ev(0, errors::BUS_ERROR));
         let mut cost = CpuCost::ZERO;
         let order: Vec<u8> = std::iter::from_fn(|| r.next(&mut cost))
             .map(|e| e.event)
@@ -144,8 +135,8 @@ mod tests {
     #[test]
     fn routing_cost_is_charged_per_event() {
         let mut r = EventRouter::new();
-        r.post(ev(Endpoint::Network, 2));
-        r.post(ev(Endpoint::Network, 2));
+        r.post(ev(0, 2));
+        r.post(ev(0, 2));
         let mut cost = CpuCost::ZERO;
         r.next(&mut cost);
         let one = cost.cycles;
@@ -159,8 +150,8 @@ mod tests {
     fn len_tracks_both_queues() {
         let mut r = EventRouter::new();
         assert!(r.is_empty());
-        r.post(ev(Endpoint::Driver(0), 2));
-        r.post(ev(Endpoint::Driver(0), errors::TIME_OUT));
+        r.post(ev(0, 2));
+        r.post(ev(0, errors::TIME_OUT));
         assert_eq!(r.len(), 2);
         let mut cost = CpuCost::ZERO;
         r.next(&mut cost);
@@ -169,10 +160,10 @@ mod tests {
 
     #[test]
     fn error_range_detection() {
-        assert!(!ev(Endpoint::Driver(0), 0).is_error());
-        assert!(!ev(Endpoint::Driver(0), 63).is_error());
-        assert!(ev(Endpoint::Driver(0), 64).is_error());
-        assert!(ev(Endpoint::Driver(0), 127).is_error());
-        assert!(!ev(Endpoint::Driver(0), 128).is_error());
+        assert!(!ev(0, 0).is_error());
+        assert!(!ev(0, 63).is_error());
+        assert!(ev(0, 64).is_error());
+        assert!(ev(0, 127).is_error());
+        assert!(!ev(0, 128).is_error());
     }
 }

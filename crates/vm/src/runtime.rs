@@ -16,7 +16,7 @@ use upnp_sim::{AvrCostModel, CpuCost, EnergyMeter, Scheduler, SimDuration, SimTi
 
 use crate::manager::{DriverManager, InstallError, SlotId};
 use crate::natives::{DeferredAction, HwContext, NativeLibs};
-use crate::router::{Endpoint, EventRouter, RoutedEvent};
+use crate::router::{EventRouter, RoutedEvent};
 use crate::value::Cell;
 use crate::vm::{ReturnValue, VmError};
 
@@ -31,8 +31,6 @@ pub enum PendingKind {
     Read,
     /// `write`: expects an acknowledgement.
     Write,
-    /// `stream`: expects periodic values (each `return` produces one).
-    Stream,
 }
 
 /// A resolved operation, ready for the network layer to answer.
@@ -68,11 +66,13 @@ pub struct Runtime {
     pub natives: NativeLibs,
     /// Buses, peripherals and the physical environment.
     pub hw: HwContext,
-    sched: Scheduler<DeferredAction>,
+    /// Completions due later on the virtual clock: bus wire time, UART
+    /// timeouts and driver timers.
+    pub(crate) sched: Scheduler<DeferredAction>,
     now: SimTime,
     avr: AvrCostModel,
     cpu_meter: EnergyMeter,
-    bus_meter: EnergyMeter,
+    pub(crate) bus_meter: EnergyMeter,
     pending: Vec<PendingOp>,
     completed: Vec<CompletedOp>,
     next_token: u64,
@@ -143,10 +143,12 @@ impl Runtime {
         self.now = at;
     }
 
-    /// Charges an externally-incurred CPU cost (e.g. network-stack packet
-    /// processing) against the clock and energy meter.
+    /// Charges a CPU cost against the clock and the MCU energy meter:
+    /// the runtime's own work, or work done outside it such as
+    /// network-stack packet processing.
     pub fn charge(&mut self, cost: CpuCost) {
-        self.charge_cpu(cost);
+        self.now += self.avr.duration(cost);
+        self.cpu_meter.charge_j(self.avr.energy_j(cost));
     }
 
     /// Cumulative MCU energy, joules.
@@ -179,7 +181,7 @@ impl Runtime {
     ) -> Result<SlotId, InstallError> {
         let slot = self.manager.install(image, channel)?;
         self.router.post(RoutedEvent {
-            dst: Endpoint::Driver(slot),
+            slot,
             event: ids::INIT,
             args: Vec::new(),
         });
@@ -191,7 +193,7 @@ impl Runtime {
     pub fn remove_driver(&mut self, slot: SlotId) {
         if self.manager.get(slot).is_some() {
             self.router.post(RoutedEvent {
-                dst: Endpoint::Driver(slot),
+                slot,
                 event: ids::DESTROY,
                 args: Vec::new(),
             });
@@ -203,7 +205,7 @@ impl Runtime {
         }
     }
 
-    /// Issues a remote operation (read/write/stream) against a driver.
+    /// Issues a remote operation (read or write) against a driver.
     /// Returns the token that will appear in a [`CompletedOp`].
     pub fn request(&mut self, slot: SlotId, kind: PendingKind, args: Vec<Cell>) -> OpToken {
         let token = OpToken(self.next_token);
@@ -211,25 +213,10 @@ impl Runtime {
         let event = match kind {
             PendingKind::Read => ids::READ,
             PendingKind::Write => ids::WRITE,
-            PendingKind::Stream => ids::STREAM,
         };
         self.pending.push(PendingOp { token, slot, kind });
-        self.router.post(RoutedEvent {
-            dst: Endpoint::Driver(slot),
-            event,
-            args,
-        });
+        self.router.post(RoutedEvent { slot, event, args });
         token
-    }
-
-    /// Posts an arbitrary event to a driver (used by the network layer and
-    /// tests).
-    pub fn post_event(&mut self, slot: SlotId, event: u8, args: Vec<Cell>) {
-        self.router.post(RoutedEvent {
-            dst: Endpoint::Driver(slot),
-            event,
-            args,
-        });
     }
 
     /// Pumps the UART: moves device bytes into the FIFO and schedules
@@ -259,7 +246,7 @@ impl Runtime {
             self.sched.schedule_at(
                 self.clamp_future(delay),
                 DeferredAction::Post(RoutedEvent {
-                    dst: Endpoint::Driver(reader),
+                    slot: reader,
                     event: ids::NEWDATA,
                     args: vec![Cell::from_i32(byte as i32)],
                 }),
@@ -267,7 +254,7 @@ impl Runtime {
         }
         if self.hw.uart.take_overrun() {
             self.router.post(RoutedEvent {
-                dst: Endpoint::Driver(reader),
+                slot: reader,
                 event: errors::BUS_ERROR,
                 args: Vec::new(),
             });
@@ -275,7 +262,7 @@ impl Runtime {
     }
 
     /// Schedules a deferred action `delay` from now.
-    fn defer(&mut self, delay: SimDuration, action: DeferredAction) {
+    pub(crate) fn defer(&mut self, delay: SimDuration, action: DeferredAction) {
         self.sched.schedule_at(self.clamp_future(delay), action);
     }
 
@@ -302,7 +289,7 @@ impl Runtime {
             // sleeping.
             let mut route_cost = CpuCost::ZERO;
             if let Some(ev) = self.router.next(&mut route_cost) {
-                self.charge_cpu(route_cost);
+                self.charge(route_cost);
                 self.dispatch(ev);
                 continue;
             }
@@ -320,18 +307,13 @@ impl Runtime {
         std::mem::take(&mut self.completed)
     }
 
-    fn charge_cpu(&mut self, cost: CpuCost) {
-        self.now += self.avr.duration(cost);
-        self.cpu_meter.charge_j(self.avr.energy_j(cost));
-    }
-
     fn resolve_deferred(&mut self, action: DeferredAction) {
         match action {
             DeferredAction::Post(ev) => self.router.post(ev),
             DeferredAction::TimerFired { slot, generation } => {
                 if self.natives.timer_gen.get(&slot).copied() == Some(generation) {
                     self.router.post(RoutedEvent {
-                        dst: Endpoint::Driver(slot),
+                        slot,
                         event: ids::TIMER_FIRED,
                         args: Vec::new(),
                     });
@@ -341,7 +323,7 @@ impl Runtime {
                 if self.natives.uart_reader == Some(slot) && self.natives.uart_rx_gen == generation
                 {
                     self.router.post(RoutedEvent {
-                        dst: Endpoint::Driver(slot),
+                        slot,
                         event: errors::TIME_OUT,
                         args: Vec::new(),
                     });
@@ -352,16 +334,7 @@ impl Runtime {
 
     fn dispatch(&mut self, ev: RoutedEvent) {
         self.events_dispatched += 1;
-        match ev.dst {
-            Endpoint::Driver(slot) => self.dispatch_to_driver(slot, ev),
-            Endpoint::Library(_) | Endpoint::Network => {
-                // Library operations arrive via driver signals, not the
-                // router; network events are consumed by upnp-core.
-            }
-        }
-    }
-
-    fn dispatch_to_driver(&mut self, slot: SlotId, ev: RoutedEvent) {
+        let slot = ev.slot;
         let Some(driver) = self.manager.get_mut(slot) else {
             return; // Driver was removed while the event was queued.
         };
@@ -373,27 +346,17 @@ impl Runtime {
             return;
         }
         self.instructions_retired += outcome.instructions;
-        self.charge_cpu(outcome.cost);
+        self.charge(outcome.cost);
 
         for sig in outcome.signals {
             if sig.lib == libs::THIS {
                 self.router.post(RoutedEvent {
-                    dst: Endpoint::Driver(slot),
+                    slot,
                     event: sig.event,
                     args: sig.args,
                 });
             } else {
-                let result = self
-                    .natives
-                    .handle(slot, sig.lib, sig.event, &sig.args, &mut self.hw);
-                self.charge_cpu(result.cost);
-                self.bus_meter.charge_j(result.bus_energy_j);
-                for immediate in result.immediate {
-                    self.router.post(immediate);
-                }
-                for (delay, action) in result.deferred {
-                    self.defer(delay, action);
-                }
+                self.call_native(slot, sig.lib, sig.event, &sig.args);
             }
         }
 
@@ -407,7 +370,7 @@ impl Runtime {
             if !(64..128).contains(&ev.event) {
                 if let Some(event) = error_event {
                     self.router.post(RoutedEvent {
-                        dst: Endpoint::Driver(slot),
+                        slot,
                         event,
                         args: Vec::new(),
                     });
@@ -429,27 +392,14 @@ impl Runtime {
             .iter()
             .position(|p| p.slot == slot && kind.is_none_or(|k| p.kind == k));
         if let Some(idx) = found {
-            let p = if self.pending[idx].kind == PendingKind::Stream {
-                // Streams stay pending; each return produces one sample.
-                let p = &self.pending[idx];
-                CompletedOp {
-                    token: p.token,
-                    slot: p.slot,
-                    kind: p.kind,
-                    value,
-                    at: self.now,
-                }
-            } else {
-                let p = self.pending.remove(idx);
-                CompletedOp {
-                    token: p.token,
-                    slot: p.slot,
-                    kind: p.kind,
-                    value,
-                    at: self.now,
-                }
-            };
-            self.completed.push(p);
+            let p = self.pending.remove(idx);
+            self.completed.push(CompletedOp {
+                token: p.token,
+                slot: p.slot,
+                kind: p.kind,
+                value,
+                at: self.now,
+            });
         }
     }
 
@@ -460,17 +410,9 @@ impl Runtime {
         let kind = match event {
             ids::READ => PendingKind::Read,
             ids::WRITE => PendingKind::Write,
-            ids::STREAM => PendingKind::Stream,
             _ => return,
         };
         self.resolve_pending(slot, Some(kind), None);
-    }
-
-    /// Cancels a pending stream (e.g. on remote stream-stop).
-    pub fn cancel_pending(&mut self, token: OpToken) -> bool {
-        let before = self.pending.len();
-        self.pending.retain(|p| p.token != token);
-        before != self.pending.len()
     }
 }
 
@@ -706,39 +648,6 @@ error divideByZero():
         rt.run_until_idle();
         let crashes = rt.manager.get(slot).unwrap().instance.scalar(2).unwrap();
         assert_eq!(crashes.as_i32(), 1, "divideByZero handler must run");
-    }
-
-    #[test]
-    fn stream_stays_pending_and_produces_multiple_samples() {
-        let mut rt = Runtime::new(49);
-        rt.hw.env.temperature_c = 25.0;
-        rt.hw.analog_sources.insert(0, Box::new(Tmp36::new()));
-        let src = "\
-import adc;
-float t;
-event init():
-    signal adc.init();
-event destroy():
-    return;
-event stream():
-    signal adc.read();
-event sampleDone(uint16_t r):
-    t = ((r * 3.3) / 1023.0 - 0.5) * 100.0;
-    return t;
-";
-        let image = compile_source(src, 11).unwrap();
-        let slot = rt.install_driver(image, 0).unwrap();
-        rt.run_until_idle();
-        let token = rt.request(slot, PendingKind::Stream, vec![]);
-        let done = rt.run_until_idle();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].kind, PendingKind::Stream);
-        // Trigger another sample: the stream op is still pending.
-        rt.post_event(slot, ids::STREAM, vec![]);
-        let done = rt.run_until_idle();
-        assert_eq!(done.len(), 1, "stream produces another sample");
-        assert!(rt.cancel_pending(token));
-        assert!(!rt.cancel_pending(token));
     }
 
     #[test]
