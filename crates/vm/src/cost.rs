@@ -48,8 +48,9 @@ pub(crate) static INSTRUCTION_CYCLES: [u64; 256] = {
     table
 };
 
-/// The VM cost model (thin wrapper so alternative calibrations can exist
-/// for ablations).
+/// The cycle price of each VM operation: an instruction, a routed event
+/// and a native-library call, in the one §6.2 calibration above. The
+/// interpreter charges instructions from the same per-opcode table.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VmCostModel;
 

@@ -11,9 +11,11 @@
 //! * **native interconnect libraries** ([`natives`]) implement the
 //!   platform-specific ADC/UART/I²C/SPI (+timer) calls behind the event
 //!   API drivers import;
-//! * an **event router** ([`router`]) moves events between drivers,
-//!   libraries and (via `upnp-core`) the network stack, with a FIFO queue
-//!   for regular events and a priority queue for errors.
+//! * an **event router** ([`router`]) delivers events to driver slots:
+//!   a driver's signals to itself, native-library completions and errors,
+//!   and the reads and writes the network stack (in `upnp-core`)
+//!   requests, with a FIFO queue for regular events and a priority queue
+//!   for errors.
 //!
 //! [`runtime`] wires them together on the deterministic virtual clock, and
 //! [`cost`] prices every operation in ATMega128RFA1 cycles so the §6.2

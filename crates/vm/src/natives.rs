@@ -136,12 +136,10 @@ impl NativeLibs {
     }
 }
 
-/// Each library operation returns `Err(error event id)` when it fails.
-type NativeCall = Result<(), u8>;
-
 impl Runtime {
     /// Handles `signal <lib>.<op>(args)` from driver `slot`: charges the
     /// call, runs it, and posts its error event to the slot if it fails.
+    /// Each library operation below returns that event's id as its error.
     pub(crate) fn call_native(&mut self, slot: u8, lib: u8, op: u8, args: &[Cell]) {
         self.charge(VmCostModel.native_call());
         let called = match lib {
@@ -178,7 +176,7 @@ impl Runtime {
         }
     }
 
-    fn uart_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> NativeCall {
+    fn uart_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> Result<(), u8> {
         match op {
             // init(baud, parity, stop, data)
             0 => {
@@ -245,7 +243,7 @@ impl Runtime {
         }
     }
 
-    fn adc_op(&mut self, slot: u8, op: u8) -> NativeCall {
+    fn adc_op(&mut self, slot: u8, op: u8) -> Result<(), u8> {
         match op {
             // init()
             0 => Ok(()),
@@ -263,7 +261,7 @@ impl Runtime {
         }
     }
 
-    fn i2c_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> NativeCall {
+    fn i2c_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> Result<(), u8> {
         let arg = |i: usize| args.get(i).map_or(0, |c| c.as_i32());
         let configured = self.natives.i2c_addr.get(&slot).copied();
         let configured = configured.ok_or(errors::INVALID_CONFIGURATION);
@@ -310,7 +308,7 @@ impl Runtime {
         }
     }
 
-    fn spi_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> NativeCall {
+    fn spi_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> Result<(), u8> {
         match op {
             // init()
             0 => Ok(()),
@@ -336,7 +334,7 @@ impl Runtime {
         }
     }
 
-    fn timer_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> NativeCall {
+    fn timer_op(&mut self, slot: u8, op: u8, args: &[Cell]) -> Result<(), u8> {
         match op {
             // start(ms)
             0 => {

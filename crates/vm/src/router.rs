@@ -39,7 +39,6 @@ pub struct EventRouter {
     fifo: VecDeque<RoutedEvent>,
     errors: VecDeque<RoutedEvent>,
     routed: u64,
-    cost_model: VmCostModel,
 }
 
 impl EventRouter {
@@ -62,7 +61,7 @@ impl EventRouter {
     pub fn next(&mut self, cost: &mut CpuCost) -> Option<RoutedEvent> {
         let ev = self.errors.pop_front().or_else(|| self.fifo.pop_front())?;
         self.routed += 1;
-        *cost += self.cost_model.route_event();
+        *cost += VmCostModel.route_event();
         Some(ev)
     }
 
