@@ -556,7 +556,7 @@ impl Message {
                 out.extend_from_slice(&version.to_be_bytes());
                 out.extend_from_slice(&chunk.to_be_bytes());
                 out.extend_from_slice(&total.to_be_bytes());
-                debug_assert!(data.len() <= DRIVER_CHUNK_PAYLOAD);
+                debug_assert!(data.len() <= u8::MAX as usize);
                 out.push(data.len() as u8);
                 out.extend_from_slice(data);
             }
@@ -606,6 +606,17 @@ impl Message {
             *i += 4;
             Some(v)
         };
+        // A flag is one byte, 0 or 1: any other value would decode to a
+        // message that encodes to other bytes.
+        let bool_at = |data: &[u8], i: &mut usize| -> Option<bool> {
+            let v = match *data.get(*i)? {
+                0 => false,
+                1 => true,
+                _ => return None,
+            };
+            *i += 1;
+            Some(v)
+        };
         let peripherals = |data: &[u8], i: &mut usize| -> Option<Vec<AdvertisedPeripheral>> {
             let count = *data.get(*i)? as usize;
             *i += 1;
@@ -648,15 +659,10 @@ impl Message {
             8 => MessageBody::DriverRemoval {
                 peripheral: u32_at(data, &mut i)?,
             },
-            9 => {
-                let peripheral = u32_at(data, &mut i)?;
-                let removed = *data.get(i)? != 0;
-                i += 1;
-                MessageBody::DriverRemovalAck {
-                    peripheral,
-                    removed,
-                }
-            }
+            9 => MessageBody::DriverRemovalAck {
+                peripheral: u32_at(data, &mut i)?,
+                removed: bool_at(data, &mut i)?,
+            },
             10 => MessageBody::Read {
                 peripheral: u32_at(data, &mut i)?,
             },
@@ -684,12 +690,10 @@ impl Message {
                 peripheral: u32_at(data, &mut i)?,
                 value: Value::decode(data, &mut i)?,
             },
-            17 => {
-                let peripheral = u32_at(data, &mut i)?;
-                let ok = *data.get(i)? != 0;
-                i += 1;
-                MessageBody::WriteAck { peripheral, ok }
-            }
+            17 => MessageBody::WriteAck {
+                peripheral: u32_at(data, &mut i)?,
+                ok: bool_at(data, &mut i)?,
+            },
             18 => {
                 let peripheral = u32_at(data, &mut i)?;
                 let session = u16::from_be_bytes(data.get(i..i + 2)?.try_into().ok()?);

@@ -10,11 +10,147 @@ use upnp_net::tlv::{self, Tlv, TlvType};
 use upnp_net::{Datagram, Network, NodeId};
 use upnp_sim::{SimDuration, SimTime};
 
+/// Draws bytes from a property's material, cycling through it (zero
+/// when it is empty).
+struct Material<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Material<'_> {
+    fn next(&mut self) -> u8 {
+        let b = self.bytes.get(self.at % self.bytes.len().max(1)).copied();
+        self.at += 1;
+        b.unwrap_or(0)
+    }
+
+    fn take(&mut self, n: usize, out: &mut Vec<u8>) {
+        for _ in 0..n {
+            out.push(self.next());
+        }
+    }
+
+    /// A count byte and that many tuples of a few bytes each.
+    fn tlv_list(&mut self, out: &mut Vec<u8>) {
+        let count = self.next() % 4;
+        out.push(count);
+        for _ in 0..count {
+            out.push(self.next());
+            let len = self.next() % 8;
+            out.push(len);
+            self.take(len as usize, out);
+        }
+    }
+
+    /// A value tag (or an unknown one) and its bytes.
+    fn value(&mut self, out: &mut Vec<u8>) {
+        let tag = self.next() % 5;
+        out.push(tag);
+        match tag {
+            1 | 2 => self.take(4, out),
+            3 => {
+                let len = self.next() % 8;
+                out.push(len);
+                self.take(len as usize, out);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A frame of wire type `ty` laid out field by field as a sender
+/// writes it, every field, count and length drawn from `material`: most
+/// frames are well-formed, and a drawn length or flag can make one not.
+fn frame(ty: u8, seq: u16, material: &[u8]) -> Vec<u8> {
+    let mut m = Material {
+        bytes: material,
+        at: 0,
+    };
+    let mut out = vec![ty];
+    out.extend_from_slice(&seq.to_be_bytes());
+    match ty {
+        1 | 3 => {
+            let count = m.next() % 3;
+            out.push(count);
+            for _ in 0..count {
+                m.take(4, &mut out);
+                m.tlv_list(&mut out);
+            }
+        }
+        2 => m.tlv_list(&mut out),
+        4 | 8 | 10 | 12 | 15 => m.take(4, &mut out),
+        5 => {
+            m.take(4, &mut out);
+            let len = m.next() % 16;
+            out.extend_from_slice(&u16::from(len).to_be_bytes());
+            m.take(len as usize, &mut out);
+        }
+        6 => {}
+        7 => {
+            let count = m.next() % 4;
+            out.push(count);
+            m.take(6 * count as usize, &mut out);
+        }
+        9 | 17 => m.take(5, &mut out),
+        11 | 14 | 16 => {
+            m.take(4, &mut out);
+            m.value(&mut out);
+        }
+        13 => m.take(20, &mut out),
+        18 => m.take(8, &mut out),
+        19 => {
+            m.take(10, &mut out);
+            let len = m.next() % 80;
+            out.push(len);
+            m.take(len as usize, &mut out);
+        }
+        20 => {
+            m.take(6, &mut out);
+            let flag = m.next() % 3;
+            out.push(flag);
+            if flag == 1 {
+                let len = m.next() % 16;
+                out.extend_from_slice(&u16::from(len).to_be_bytes());
+                m.take(len as usize, &mut out);
+            }
+        }
+        _ => m.take(material.len() % 8, &mut out),
+    }
+    out
+}
+
 proptest! {
-    /// The message decoder never panics on arbitrary payloads.
+    /// The message decoder never panics on arbitrary payloads, and a
+    /// payload it accepts is the encoding of what it decoded.
     #[test]
     fn decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        let _ = Message::decode(&bytes);
+        if let Some(m) = Message::decode(&bytes) {
+            prop_assert_eq!(m.encode(), bytes);
+        }
+    }
+
+    /// Every frame the decoder accepts re-encodes to exactly its bytes:
+    /// frames of every wire type (and unknown ones), laid out by field
+    /// and then left whole, overwritten at one byte, cut short or
+    /// extended by one.
+    #[test]
+    fn accepted_frames_reencode_to_their_bytes(
+        ty in 0u8..22,
+        seq: u16,
+        material in prop::collection::vec(any::<u8>(), 0..48),
+        (edit, at, byte) in (0u8..4, any::<u16>(), any::<u8>()),
+    ) {
+        let mut bytes = frame(ty, seq, &material);
+        let at = at as usize % bytes.len();
+        match edit {
+            1 => bytes[at] = byte,
+            2 => bytes.truncate(at),
+            3 => bytes.push(byte),
+            _ => {}
+        }
+        if let Some(m) = Message::decode(&bytes) {
+            prop_assert_eq!(m.encode(), bytes, "{:?}", m);
+        }
     }
 
     /// Scalar-bearing messages roundtrip for arbitrary field values.
