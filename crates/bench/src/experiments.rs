@@ -23,8 +23,7 @@ pub fn exp_fig3_waveform(device: DeviceTypeId) -> String {
     let p =
         PeripheralBoard::manufacture_ideal(device, Interconnect::Adc).expect("prototype ids solve");
     board.plug(ChannelId(0), p).expect("channel empty");
-    board.scan(SimTime::ZERO, 25.0);
-    let pulses = board.trace().pulses("output");
+    let pulses = board.waveform(SimTime::ZERO, 25.0).pulses("output");
     let mut out = String::new();
     let _ = writeln!(out, "Figure 3 — ID waveform for {device} (T1..T4):");
     for (i, (start, end)) in pulses.iter().enumerate() {
@@ -51,7 +50,7 @@ pub fn exp_fig5_waveform() -> String {
     let c = PeripheralBoard::manufacture_ideal(prototypes::ID20LA, Interconnect::Uart).unwrap();
     board.plug(ChannelId(0), a).unwrap();
     board.plug(ChannelId(2), c).unwrap();
-    board.scan(SimTime::ZERO, 25.0);
+    let trace = board.waveform(SimTime::ZERO, 25.0);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -59,7 +58,7 @@ pub fn exp_fig5_waveform() -> String {
     );
     for ch in 0..3u8 {
         let signal = ChannelId(ch).enable_signal();
-        for (start, end) in board.trace().pulses(signal) {
+        for (start, end) in trace.pulses(signal) {
             let _ = writeln!(
                 out,
                 "  {signal}: {:8.3} -> {:8.3} ms  (slot {:.3} ms)",
@@ -72,7 +71,7 @@ pub fn exp_fig5_waveform() -> String {
     let _ = writeln!(
         out,
         "  output pulses observed: {} (4 per occupied channel)",
-        board.trace().pulses("output").len()
+        trace.pulses("output").len()
     );
     out
 }

@@ -118,7 +118,6 @@ pub struct ControlBoard {
     channels: [Option<Box<PeripheralBoard>>; calib::CHANNEL_COUNT],
     interrupt: bool,
     meter: EnergyMeter,
-    trace: Trace,
     scans: u64,
 }
 
@@ -193,7 +192,6 @@ impl ControlBoard {
             channels: Default::default(),
             interrupt: false,
             meter: EnergyMeter::new("upnp-board"),
-            trace: Trace::new(4096),
             scans: 0,
         }
     }
@@ -253,11 +251,6 @@ impl ControlBoard {
         &self.meter
     }
 
-    /// The waveform trace of the most recent scan (Figures 2/3/5).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Number of scans run so far.
     pub fn scans(&self) -> u64 {
         self.scans
@@ -266,20 +259,43 @@ impl ControlBoard {
     /// Runs the identification routine at virtual time `now` and ambient
     /// temperature `temp_c`, clearing the interrupt.
     ///
-    /// Walks every channel slot, generates the pulse train (recorded into
-    /// the trace, which keeps this scan only), measures and decodes each
-    /// pulse, and accounts energy: base scan power for the whole window
-    /// plus pulse power while the output line is high.
+    /// Walks every channel slot, measures and decodes each pulse, and
+    /// accounts energy: base scan power for the whole window plus pulse
+    /// power while the output line is high.
     pub fn scan(&mut self, now: SimTime, temp_c: f64) -> ScanOutcome {
         self.interrupt = false;
         self.scans += 1;
-        self.trace.clear();
+        let outcome = self.walk(now, temp_c, |_, _, _| {});
+        self.meter.charge_j(outcome.energy_j);
+        outcome
+    }
+
+    /// The waveform a scan at `now` and `temp_c` puts on the board's
+    /// lines (Figures 2, 3 and 5): the start pulse, each channel's enable
+    /// slot and the output pulse train. Replaying it has no side effect:
+    /// the interrupt, the scan count and the energy meter are untouched.
+    pub fn waveform(&self, now: SimTime, temp_c: f64) -> Trace {
+        let mut trace = Trace::new(4096);
+        self.walk(now, temp_c, |at, signal, value| {
+            trace.record(at, signal, value)
+        });
+        trace
+    }
+
+    /// The pulse train of one scan, which `record` sees as logic-level
+    /// transitions, and its outcome.
+    fn walk(
+        &self,
+        now: SimTime,
+        temp_c: f64,
+        mut record: impl FnMut(SimTime, &'static str, f64),
+    ) -> ScanOutcome {
         let started = now;
         let mut t = now;
 
-        self.trace.record(t, "start", 1.0);
+        record(t, "start", 1.0);
         t += calib::T_TRIGGER;
-        self.trace.record(t, "start", 0.0);
+        record(t, "start", 0.0);
 
         let mut pulse_high = SimDuration::ZERO;
         let mut readings = Vec::with_capacity(self.channels.len());
@@ -287,7 +303,7 @@ impl ControlBoard {
         for idx in 0..self.channels.len() {
             let channel = ChannelId(idx as u8);
             let slot_start = t;
-            self.trace.record(t, channel.enable_signal(), 1.0);
+            record(t, channel.enable_signal(), 1.0);
 
             let result = match &self.channels[idx] {
                 None => {
@@ -305,8 +321,8 @@ impl ControlBoard {
                         t += mono.propagation();
                         let r = peripheral.stage_resistance(stage, temp_c);
                         let width = mono.pulse_width(r, temp_c);
-                        self.trace.record(t, "output", 1.0);
-                        self.trace.record(t + width, "output", 0.0);
+                        record(t, "output", 1.0);
+                        record(t + width, "output", 0.0);
                         t += width;
                         pulse_high += width;
                         let normalised = self.calibration.normalise(stage, measure(width));
@@ -334,15 +350,13 @@ impl ControlBoard {
                 }
             }
 
-            self.trace.record(t, channel.enable_signal(), 0.0);
+            record(t, channel.enable_signal(), 0.0);
             readings.push(ChannelReading { channel, result });
         }
 
         let duration = t.since(started);
         let energy_j = calib::P_SCAN_BASE_W * duration.as_secs_f64()
             + calib::P_PULSE_W * pulse_high.as_secs_f64();
-        self.meter.charge_j(energy_j);
-
         ScanOutcome {
             started,
             finished: t,
@@ -496,8 +510,7 @@ mod tests {
         let mut board = ControlBoard::ideal();
         plug_ideal(&mut board, 0, prototypes::TMP36);
         plug_ideal(&mut board, 2, prototypes::ID20LA);
-        board.scan(SimTime::ZERO, 25.0);
-        let pulses = board.trace().pulses("output");
+        let pulses = board.waveform(SimTime::ZERO, 25.0).pulses("output");
         assert_eq!(pulses.len(), 8, "two peripherals × four pulses");
         // Pulses decode back to the plugged IDs in order.
         let codec = PulseCodec::paper();
@@ -509,18 +522,25 @@ mod tests {
     }
 
     #[test]
-    fn trace_keeps_the_latest_scan_only() {
+    fn waveform_replays_a_scan_without_running_one() {
         let mut board = ControlBoard::ideal();
         plug_ideal(&mut board, 0, prototypes::TMP36);
-        board.scan(SimTime::ZERO, 25.0);
-        let first = board.trace().pulses("output");
-        board.scan(SimTime::ZERO + SimDuration::from_secs(1), 25.0);
-        let second = board.trace().pulses("output");
-        assert_eq!(second.len(), 4, "one peripheral × four pulses");
+        let first = board.waveform(SimTime::ZERO, 25.0).pulses("output");
         let shift = SimDuration::from_secs(1);
+        let second = board.waveform(SimTime::ZERO + shift, 25.0).pulses("output");
+        assert_eq!(second.len(), 4, "one peripheral × four pulses");
         for ((s0, e0), (s1, e1)) in first.iter().zip(&second) {
             assert_eq!((*s0 + shift, *e0 + shift), (*s1, *e1));
         }
+        // The board is as it was: interrupt pending, no scan, no energy.
+        assert!(board.interrupt_pending());
+        assert_eq!((board.scans(), board.energy().total_j()), (0, 0.0));
+        // The last channel slot closes when the scan does.
+        let outcome = board.scan(SimTime::ZERO, 25.0);
+        let slots = board
+            .waveform(SimTime::ZERO, 25.0)
+            .pulses(ChannelId(2).enable_signal());
+        assert_eq!(slots.last().map(|s| s.1), Some(outcome.finished));
     }
 
     #[test]
