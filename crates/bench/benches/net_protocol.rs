@@ -7,7 +7,7 @@ use upnp_net::addr;
 use upnp_net::link::LinkQuality;
 use upnp_net::msg::{AdvertisedPeripheral, Message, MessageBody};
 use upnp_net::rpl::{Dodag, Topology};
-use upnp_net::tlv::{Tlv, TlvType};
+use upnp_net::tlv::{Tlv, TlvList, TlvType};
 use upnp_net::{Datagram, Network, NodeId};
 use upnp_sim::{SimDuration, SimTime};
 
@@ -38,11 +38,11 @@ fn bench_net(c: &mut Criterion) {
         seq: 7,
         body: MessageBody::UnsolicitedAdvertisement(vec![AdvertisedPeripheral {
             peripheral: 0xad1c_be01,
-            tlvs: vec![
+            tlvs: TlvList::new([
                 Tlv::text(TlvType::Name, "TMP36 temperature sensor"),
                 Tlv::text(TlvType::Unit, "degC"),
-                Tlv::new(TlvType::Channel, vec![0]),
-            ],
+                Tlv::new(TlvType::Channel, &[0]),
+            ]),
         }]),
     };
     let wire = adv.encode();

@@ -9,7 +9,7 @@ use std::net::Ipv6Addr;
 
 use upnp_net::addr::{self, MCAST_PORT};
 use upnp_net::msg::{AdvertisedPeripheral, Message, MessageBody, SeqNo, Value};
-use upnp_net::{Action, Datagram, NodeId, Reply};
+use upnp_net::{Action, Datagram, NodeId, Reply, Tlv, TlvList, TlvType};
 use upnp_sim::SimTime;
 
 /// A discovered peripheral: where it lives and what it advertised.
@@ -83,7 +83,7 @@ impl Client {
     /// Builds a (2) discovery for a peripheral type (or the all-peripherals
     /// wildcard `0`).
     pub fn discover(&mut self, peripheral: u32) -> Datagram {
-        self.discover_with(peripheral, Vec::new())
+        self.discover_with(peripheral, TlvList::default())
     }
 
     /// Builds a location-filtered discovery (§9's location-aware
@@ -91,14 +91,11 @@ impl Client {
     pub fn discover_at(&mut self, peripheral: u32, location: &str) -> Datagram {
         self.discover_with(
             peripheral,
-            vec![upnp_net::tlv::Tlv::text(
-                upnp_net::tlv::TlvType::Location,
-                location,
-            )],
+            TlvList::new([Tlv::text(TlvType::Location, location)]),
         )
     }
 
-    fn discover_with(&mut self, peripheral: u32, tlvs: Vec<upnp_net::tlv::Tlv>) -> Datagram {
+    fn discover_with(&mut self, peripheral: u32, tlvs: TlvList) -> Datagram {
         let seq = self.next_seq();
         let group = addr::peripheral_group(self.prefix, peripheral);
         self.datagram(

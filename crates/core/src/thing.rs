@@ -25,7 +25,7 @@ use upnp_hw::id::DeviceTypeId;
 use upnp_net::addr;
 use upnp_net::calib;
 use upnp_net::msg::{AdvertisedPeripheral, Message, MessageBody, SeqNo, Value};
-use upnp_net::tlv::{Tlv, TlvType};
+use upnp_net::tlv::{Tlv, TlvList, TlvType};
 use upnp_net::{Action, Datagram, NodeId, Reply};
 use upnp_sim::{SimDuration, SimTime, VecMap};
 use upnp_vm::controller::{PeripheralChange, PeripheralController};
@@ -387,17 +387,23 @@ impl Thing {
     }
 
     fn advertised(&self, device_id: DeviceTypeId, channel: ChannelId) -> AdvertisedPeripheral {
-        let mut tlvs = vec![Tlv::new(TlvType::Channel, vec![channel.0])];
-        if let Some(entry) = self.catalog.get(device_id) {
-            tlvs.push(Tlv::text(TlvType::Name, entry.name));
-            tlvs.push(Tlv::text(TlvType::Unit, entry.unit));
-        }
-        if let Some(location) = &self.location {
-            tlvs.push(Tlv::text(TlvType::Location, location));
-        }
+        let described = self.catalog.get(device_id).into_iter().flat_map(|entry| {
+            [
+                Tlv::text(TlvType::Name, entry.name),
+                Tlv::text(TlvType::Unit, entry.unit),
+            ]
+        });
+        let located = self
+            .location
+            .as_deref()
+            .map(|location| Tlv::text(TlvType::Location, location));
         AdvertisedPeripheral {
             peripheral: device_id.raw(),
-            tlvs,
+            tlvs: TlvList::new(
+                std::iter::once(Tlv::new(TlvType::Channel, std::slice::from_ref(&channel.0)))
+                    .chain(described)
+                    .chain(located),
+            ),
         }
     }
 

@@ -15,7 +15,7 @@ use upnp_hw::channels::ChannelId;
 use upnp_hw::id::{prototypes, DeviceTypeId};
 use upnp_net::link::LinkQuality;
 use upnp_net::msg::{AdvertisedPeripheral, Message, MessageBody, Value, DRIVER_CHUNK_PAYLOAD};
-use upnp_net::{addr, Datagram, NodeId, Tlv, TlvType, MCAST_PORT};
+use upnp_net::{addr, Datagram, NodeId, Tlv, TlvList, TlvType, MCAST_PORT};
 use upnp_sim::SimDuration;
 
 /// The shipped drivers, compiled once.
@@ -51,9 +51,14 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn arb_tlvs() -> impl Strategy<Value = Vec<Tlv>> {
-    let tlv = (0u8..8, arb_bytes(12)).prop_map(|(tag, v)| Tlv::new(TlvType::from_tag(tag), v));
-    prop::collection::vec(tlv, 0..3)
+fn arb_tlvs() -> impl Strategy<Value = TlvList> {
+    prop::collection::vec((0u8..8, arb_bytes(12)), 0..3).prop_map(|tuples| {
+        TlvList::new(
+            tuples
+                .iter()
+                .map(|(tag, v)| Tlv::new(TlvType::from_tag(*tag), v)),
+        )
+    })
 }
 
 fn arb_adverts() -> impl Strategy<Value = Vec<AdvertisedPeripheral>> {

@@ -335,7 +335,7 @@ fn lossy_cross_shard_probes_account_drops_identically() {
                 dst_port: upnp_net::addr::MCAST_PORT,
                 payload: upnp_net::msg::Message {
                     seq: 0x6100 + i as u16,
-                    body: upnp_net::msg::MessageBody::Discovery(Vec::new()),
+                    body: upnp_net::msg::MessageBody::Discovery(Default::default()),
                 }
                 .encode()
                 .into(),
@@ -900,7 +900,7 @@ fn cross_shard_discovery_probe_reaches_every_shard() {
             // Rebuild as a proper discovery message.
             d.payload = upnp_net::msg::Message {
                 seq: 0x7777,
-                body: upnp_net::msg::MessageBody::Discovery(Vec::new()),
+                body: upnp_net::msg::MessageBody::Discovery(Default::default()),
             }
             .encode()
             .into();

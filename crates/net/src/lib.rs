@@ -34,4 +34,4 @@ pub use addr::{all_clients_group, all_peripherals_group, peripheral_group, MCAST
 pub use link::{LinkQuality, RadioModel};
 pub use msg::{Message, MessageBody, SeqNo};
 pub use network::{Datagram, Delivery, Network, NodeId};
-pub use tlv::{Tlv, TlvType};
+pub use tlv::{Tlv, TlvList, TlvType};

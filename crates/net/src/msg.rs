@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use upnp_trace::TraceCtx;
 
-use crate::tlv::{self, Tlv};
+use crate::tlv::TlvList;
 
 /// A 16-bit message sequence number.
 pub type SeqNo = u16;
@@ -286,7 +286,7 @@ pub struct AdvertisedPeripheral {
     /// The 32-bit device-type identifier.
     pub peripheral: u32,
     /// Extra information tuples.
-    pub tlvs: Vec<Tlv>,
+    pub tlvs: TlvList,
 }
 
 /// The message bodies, numbered (1)–(17) as in the paper.
@@ -296,7 +296,7 @@ pub enum MessageBody {
     /// group).
     UnsolicitedAdvertisement(Vec<AdvertisedPeripheral>),
     /// (2) Peripheral discovery (client → peripheral group).
-    Discovery(Vec<Tlv>),
+    Discovery(TlvList),
     /// (3) Solicited peripheral advertisement (Thing → client unicast).
     SolicitedAdvertisement(Vec<AdvertisedPeripheral>),
     /// (4) Driver installation request (Thing → manager anycast).
@@ -490,10 +490,10 @@ impl Message {
                 out.push(ps.len() as u8);
                 for p in ps {
                     out.extend_from_slice(&p.peripheral.to_be_bytes());
-                    tlv::encode_list(&p.tlvs, &mut out);
+                    p.tlvs.encode(&mut out);
                 }
             }
-            MessageBody::Discovery(tlvs) => tlv::encode_list(tlvs, &mut out),
+            MessageBody::Discovery(tlvs) => tlvs.encode(&mut out),
             MessageBody::DriverRequest { peripheral }
             | MessageBody::DriverRemoval { peripheral }
             | MessageBody::Read { peripheral }
@@ -623,14 +623,14 @@ impl Message {
             let mut out = Vec::with_capacity(count);
             for _ in 0..count {
                 let peripheral = u32_at(data, i)?;
-                let tlvs = tlv::decode_list(data, i)?;
+                let tlvs = TlvList::decode(data, i)?;
                 out.push(AdvertisedPeripheral { peripheral, tlvs });
             }
             Some(out)
         };
         let body = match ty {
             1 => MessageBody::UnsolicitedAdvertisement(peripherals(data, &mut i)?),
-            2 => MessageBody::Discovery(tlv::decode_list(data, &mut i)?),
+            2 => MessageBody::Discovery(TlvList::decode(data, &mut i)?),
             3 => MessageBody::SolicitedAdvertisement(peripherals(data, &mut i)?),
             4 => MessageBody::DriverRequest {
                 peripheral: u32_at(data, &mut i)?,
@@ -765,7 +765,7 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tlv::TlvType;
+    use crate::tlv::{Tlv, TlvType};
 
     fn roundtrip(body: MessageBody) {
         let msg = Message { seq: 0x1234, body };
@@ -802,14 +802,14 @@ mod tests {
     fn all_seventeen_types_roundtrip() {
         let adv = vec![AdvertisedPeripheral {
             peripheral: 0xed3f_0ac1,
-            tlvs: vec![
+            tlvs: TlvList::new([
                 Tlv::text(TlvType::Name, "RFID"),
-                Tlv::new(TlvType::Channel, vec![1]),
-            ],
+                Tlv::new(TlvType::Channel, &[1]),
+            ]),
         }];
         let bodies = vec![
             MessageBody::UnsolicitedAdvertisement(adv.clone()),
-            MessageBody::Discovery(vec![Tlv::text(TlvType::Location, "lab")]),
+            MessageBody::Discovery(TlvList::new([Tlv::text(TlvType::Location, "lab")])),
             MessageBody::SolicitedAdvertisement(adv),
             MessageBody::DriverRequest {
                 peripheral: 0xad1c_be01,
@@ -951,7 +951,7 @@ mod tests {
             seq: 1,
             body: MessageBody::UnsolicitedAdvertisement(vec![AdvertisedPeripheral {
                 peripheral: 0xad1c_be01,
-                tlvs: vec![Tlv::text(TlvType::Name, "TMP36")],
+                tlvs: TlvList::new([Tlv::text(TlvType::Name, "TMP36")]),
             }]),
         };
         assert!(adv.encode().len() < 30);

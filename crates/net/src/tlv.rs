@@ -48,35 +48,34 @@ impl TlvType {
     }
 }
 
-/// One TLV tuple.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tlv {
+/// One TLV tuple, borrowed from the bytes that hold it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tlv<'a> {
     /// The tuple type.
     pub ty: TlvType,
     /// The value bytes (max 255).
-    pub value: Vec<u8>,
+    pub value: &'a [u8],
 }
 
-impl Tlv {
+impl<'a> Tlv<'a> {
     /// Creates a tuple.
     ///
     /// # Panics
     ///
     /// Panics if the value exceeds 255 bytes (the length field is u8).
-    pub fn new(ty: TlvType, value: impl Into<Vec<u8>>) -> Tlv {
-        let value = value.into();
+    pub fn new(ty: TlvType, value: &'a [u8]) -> Tlv<'a> {
         assert!(value.len() <= 255, "TLV value too long");
         Tlv { ty, value }
     }
 
     /// Convenience: a UTF-8 text tuple.
-    pub fn text(ty: TlvType, s: &str) -> Tlv {
-        Tlv::new(ty, s.as_bytes().to_vec())
+    pub fn text(ty: TlvType, s: &'a str) -> Tlv<'a> {
+        Tlv::new(ty, s.as_bytes())
     }
 
     /// The value decoded as UTF-8, if valid.
-    pub fn as_text(&self) -> Option<&str> {
-        std::str::from_utf8(&self.value).ok()
+    pub fn as_text(&self) -> Option<&'a str> {
+        std::str::from_utf8(self.value).ok()
     }
 
     /// Serialized size.
@@ -85,38 +84,100 @@ impl Tlv {
     }
 }
 
-/// Appends a TLV list (count byte + tuples) to `out`.
-pub fn encode_list(tlvs: &[Tlv], out: &mut Vec<u8>) {
-    debug_assert!(tlvs.len() <= 255);
-    out.push(tlvs.len() as u8);
-    for t in tlvs {
-        out.push(t.ty.tag());
-        out.push(t.value.len() as u8);
-        out.extend_from_slice(&t.value);
+/// A list of TLV tuples held in wire form: the tuples' bytes in one
+/// allocation (none when empty) and their count.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct TlvList {
+    count: u8,
+    bytes: Box<[u8]>,
+}
+
+impl TlvList {
+    /// Lays `tuples` out in wire form, allocating once.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 255 tuples or a value over 255 bytes.
+    pub fn new<'a, I>(tuples: I) -> TlvList
+    where
+        I: IntoIterator<Item = Tlv<'a>>,
+        I::IntoIter: Clone,
+    {
+        let tuples = tuples.into_iter();
+        let size = tuples.clone().map(|t| t.wire_len()).sum();
+        let mut bytes = Vec::with_capacity(size);
+        let mut count = 0u8;
+        for t in tuples {
+            assert!(t.value.len() <= 255, "TLV value too long");
+            count = count.checked_add(1).expect("at most 255 TLV tuples");
+            bytes.push(t.ty.tag());
+            bytes.push(t.value.len() as u8);
+            bytes.extend_from_slice(t.value);
+        }
+        TlvList {
+            count,
+            bytes: bytes.into_boxed_slice(),
+        }
+    }
+
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// True if the list holds no tuple.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The tuples, in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = Tlv<'_>> + '_ {
+        let mut rest = &self.bytes[..];
+        std::iter::from_fn(move || {
+            let (&tag, tail) = rest.split_first()?;
+            let (&len, tail) = tail.split_first()?;
+            let (value, tail) = tail.split_at(len as usize);
+            rest = tail;
+            Some(Tlv {
+                ty: TlvType::from_tag(tag),
+                value,
+            })
+        })
+    }
+
+    /// Appends the list's wire form (count byte, then the tuples) to
+    /// `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.push(self.count);
+        out.extend_from_slice(&self.bytes);
+    }
+
+    /// Parses a list from `data` starting at `*i`; advances `*i` past
+    /// it.
+    ///
+    /// Returns `None` on truncation.
+    pub fn decode(data: &[u8], i: &mut usize) -> Option<TlvList> {
+        let count = *data.get(*i)?;
+        let start = *i + 1;
+        let mut end = start;
+        for _ in 0..count {
+            end += 2 + *data.get(end + 1)? as usize;
+            if end > data.len() {
+                return None;
+            }
+        }
+        *i = end;
+        Some(TlvList {
+            count,
+            bytes: data[start..end].into(),
+        })
     }
 }
 
-/// Parses a TLV list from `data` starting at `*i`; advances `*i`.
-///
-/// Returns `None` on truncation.
-pub fn decode_list(data: &[u8], i: &mut usize) -> Option<Vec<Tlv>> {
-    let count = *data.get(*i)? as usize;
-    *i += 1;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tag = *data.get(*i)?;
-        let len = *data.get(*i + 1)? as usize;
-        *i += 2;
-        if *i + len > data.len() {
-            return None;
-        }
-        out.push(Tlv {
-            ty: TlvType::from_tag(tag),
-            value: data[*i..*i + len].to_vec(),
-        });
-        *i += len;
+impl std::fmt::Debug for TlvList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -125,37 +186,42 @@ mod tests {
 
     #[test]
     fn roundtrip_mixed_list() {
-        let tlvs = vec![
+        let tuples = [
             Tlv::text(TlvType::Name, "TMP36"),
             Tlv::text(TlvType::Unit, "degC"),
-            Tlv::new(TlvType::Channel, vec![1]),
-            Tlv::new(TlvType::Vendor(0x80), vec![1, 2, 3]),
+            Tlv::new(TlvType::Channel, &[1]),
+            Tlv::new(TlvType::Vendor(0x80), &[1, 2, 3]),
         ];
+        let list = TlvList::new(tuples);
+        assert_eq!(list.len(), 4);
+        assert!(list.iter().eq(tuples));
         let mut buf = Vec::new();
-        encode_list(&tlvs, &mut buf);
+        list.encode(&mut buf);
         let mut i = 0;
-        let back = decode_list(&buf, &mut i).unwrap();
-        assert_eq!(back, tlvs);
+        let back = TlvList::decode(&buf, &mut i).unwrap();
+        assert_eq!(back, list);
         assert_eq!(i, buf.len());
     }
 
     #[test]
     fn empty_list() {
         let mut buf = Vec::new();
-        encode_list(&[], &mut buf);
+        TlvList::default().encode(&mut buf);
         assert_eq!(buf, vec![0]);
         let mut i = 0;
-        assert!(decode_list(&buf, &mut i).unwrap().is_empty());
+        let back = TlvList::decode(&buf, &mut i).unwrap();
+        assert!(back.is_empty());
+        assert_eq!(back.iter().count(), 0);
     }
 
     #[test]
     fn truncation_detected() {
-        let tlvs = vec![Tlv::text(TlvType::Name, "BMP180")];
+        let list = TlvList::new([Tlv::text(TlvType::Name, "BMP180")]);
         let mut buf = Vec::new();
-        encode_list(&tlvs, &mut buf);
+        list.encode(&mut buf);
         for cut in 1..buf.len() {
             let mut i = 0;
-            assert!(decode_list(&buf[..cut], &mut i).is_none(), "cut {cut}");
+            assert!(TlvList::decode(&buf[..cut], &mut i).is_none(), "cut {cut}");
         }
     }
 
@@ -164,7 +230,7 @@ mod tests {
         let t = Tlv::text(TlvType::Location, "greenhouse-3");
         assert_eq!(t.as_text(), Some("greenhouse-3"));
         assert_eq!(t.wire_len(), 2 + 12);
-        let raw = Tlv::new(TlvType::Vendor(9), vec![0xff]);
+        let raw = Tlv::new(TlvType::Vendor(9), &[0xff]);
         assert!(raw.as_text().is_none());
     }
 
@@ -178,6 +244,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "too long")]
     fn oversized_value_panics() {
-        Tlv::new(TlvType::Name, vec![0; 300]);
+        Tlv::new(TlvType::Name, &[0; 300]);
     }
 }

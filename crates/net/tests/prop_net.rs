@@ -6,7 +6,7 @@ use upnp_net::addr;
 use upnp_net::link::{LinkDegrade, LinkQuality};
 use upnp_net::msg::{Message, MessageBody, Value};
 use upnp_net::rpl::{Dodag, Topology};
-use upnp_net::tlv::{self, Tlv, TlvType};
+use upnp_net::tlv::{Tlv, TlvList, TlvType};
 use upnp_net::{Datagram, Network, NodeId};
 use upnp_sim::{SimDuration, SimTime};
 
@@ -196,15 +196,16 @@ proptest! {
         (any::<u8>(), prop::collection::vec(any::<u8>(), 0..60)),
         0..10,
     )) {
-        let tlvs: Vec<Tlv> = items
-            .into_iter()
-            .map(|(tag, value)| Tlv::new(TlvType::from_tag(tag), value))
-            .collect();
+        let tuples = items
+            .iter()
+            .map(|(tag, value)| Tlv::new(TlvType::from_tag(*tag), value));
+        let list = TlvList::new(tuples.clone());
+        prop_assert!(list.iter().eq(tuples));
         let mut buf = Vec::new();
-        tlv::encode_list(&tlvs, &mut buf);
+        list.encode(&mut buf);
         let mut i = 0;
-        let back = tlv::decode_list(&buf, &mut i).unwrap();
-        prop_assert_eq!(back, tlvs);
+        let back = TlvList::decode(&buf, &mut i).unwrap();
+        prop_assert_eq!(back, list);
         prop_assert_eq!(i, buf.len());
     }
 
