@@ -55,6 +55,9 @@ impl<E> Ord for EventEntry<E> {
     }
 }
 
+/// The entries of room a drained [`Scheduler`] part may keep.
+const KEEP_ON_DRAIN: usize = 16;
+
 /// A deterministic discrete-event scheduler.
 ///
 /// The scheduler owns the virtual clock: popping an event advances
@@ -63,8 +66,10 @@ impl<E> Ord for EventEntry<E> {
 ///
 /// The pending entries live in two parts: a sorted run, appended to while
 /// entries arrive in firing order, and a heap for the rest. Whenever the
-/// queue drains, the smaller of the two buffers is released, so a queue
-/// that sits idle between bursts keeps one buffer, not two.
+/// queue drains, a part whose buffer has room for more than 16 entries
+/// releases it. A queue that absorbed a burst and sits idle therefore
+/// holds no more than a small constant buffer, and one that only ever
+/// holds a few entries never reallocates.
 ///
 /// # Examples
 ///
@@ -174,12 +179,12 @@ impl<E> Scheduler<E> {
             self.run.pop_front()
         }?;
         if self.is_empty() {
-            // Drained: keep the larger buffer for the next burst and give
-            // the other back.
-            if self.heap.capacity() < self.run.capacity() {
-                self.heap = BinaryHeap::new();
-            } else {
+            // Drained: give back what a burst grew.
+            if self.run.capacity() > KEEP_ON_DRAIN {
                 self.run = VecDeque::new();
+            }
+            if self.heap.capacity() > KEEP_ON_DRAIN {
+                self.heap = BinaryHeap::new();
             }
         }
         debug_assert!(entry.at >= self.now);
@@ -295,24 +300,31 @@ mod tests {
     }
 
     #[test]
-    fn a_drained_queue_keeps_only_its_larger_buffer() {
+    fn a_drained_queue_keeps_only_a_small_buffer() {
         let mut s: Scheduler<u32> = Scheduler::new();
-        // One entry in order, then 20 below it: the heap outgrows the run.
+        // One entry in order, then 20 below it: the heap outgrows the cap.
         s.schedule_at(SimTime::from_nanos(100), 0);
         for i in 1..=20 {
             s.schedule_at(SimTime::from_nanos(i), i as u32);
         }
         assert_eq!((s.run.len(), s.heap.len()), (1, 20));
         s.drain_ordered();
-        assert_eq!(s.run.capacity(), 0);
-        assert!(s.heap.capacity() >= 20);
-        // Now the run outgrows what the heap kept.
-        for i in 0..100 {
+        // The burst's heap goes; the run's room for a few entries stays.
+        assert_eq!(s.heap.capacity(), 0);
+        let small = s.run.capacity();
+        assert!((1..=KEEP_ON_DRAIN).contains(&small), "run keeps {small}");
+        // A burst that fits keeps the buffer it found.
+        for i in 0..3 {
             s.schedule_at(SimTime::from_nanos(200 + i), i as u32);
         }
         s.drain_ordered();
-        assert!(s.run.capacity() >= 100);
-        assert_eq!(s.heap.capacity(), 0);
+        assert_eq!(s.run.capacity(), small);
+        // A long run is given back too.
+        for i in 0..100 {
+            s.schedule_at(SimTime::from_nanos(300 + i), i as u32);
+        }
+        s.drain_ordered();
+        assert_eq!((s.run.capacity(), s.heap.capacity()), (0, 0));
     }
 
     #[test]
