@@ -161,7 +161,9 @@ pub struct Network {
     /// touched since, keyed by `(lower node, higher node)`. Empty while
     /// no DODAG exists.
     touched: HashMap<(Node, Node), Option<LinkQuality>>,
-    sched: Scheduler<Delivery>,
+    /// Datagrams in flight and their receivers; the entry's instant is
+    /// the delivery's.
+    sched: Scheduler<(NodeId, Datagram)>,
     /// Base seed for the per-hop radio generators.
     hop_seed: u64,
     radio: RadioModel,
@@ -940,7 +942,7 @@ impl Network {
     fn schedule(&mut self, at: SimTime, node: NodeId, dgram: Datagram) {
         let at = at.max(self.sched.now());
         let Some(chaos) = self.chaos else {
-            self.sched.schedule_at(at, Delivery { at, node, dgram });
+            self.sched.schedule_at(at, (node, dgram));
             return;
         };
         // The perturbation is a pure function of (seed, node, delivery
@@ -962,23 +964,9 @@ impl Network {
         if rng.chance(chaos.duplicate_p) {
             self.stats.frames_duplicated += 1;
             let echo_at = deliver_at + SimDuration::from_nanos(1 + rng.next_u64() % span);
-            self.sched.schedule_at(
-                echo_at,
-                Delivery {
-                    at: echo_at,
-                    node,
-                    dgram: dgram.clone(),
-                },
-            );
+            self.sched.schedule_at(echo_at, (node, dgram.clone()));
         }
-        self.sched.schedule_at(
-            deliver_at,
-            Delivery {
-                at: deliver_at,
-                node,
-                dgram,
-            },
-        );
+        self.sched.schedule_at(deliver_at, (node, dgram));
     }
 
     /// The timestamp of the next pending delivery.
@@ -1000,7 +988,12 @@ impl Network {
     pub fn poll_into(&mut self, until: SimTime, out: &mut Vec<Delivery>) {
         while matches!(self.sched.peek_time(), Some(t) if t <= until) {
             let entry = self.sched.pop().expect("peeked");
-            out.push(entry.event);
+            let (node, dgram) = entry.event;
+            out.push(Delivery {
+                at: entry.at,
+                node,
+                dgram,
+            });
         }
     }
 
