@@ -192,6 +192,13 @@ impl<E> Scheduler<E> {
         Some(entry)
     }
 
+    /// Drops every pending event for which `keep` returns false; the
+    /// others fire in the order they would have.
+    pub fn retain(&mut self, mut keep: impl FnMut(&E) -> bool) {
+        self.run.retain(|e| keep(&e.event));
+        self.heap.retain(|e| keep(&e.event));
+    }
+
     /// Returns the timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         match (self.run.front(), self.heap.peek()) {
@@ -325,6 +332,17 @@ mod tests {
         }
         s.drain_ordered();
         assert_eq!((s.run.capacity(), s.heap.capacity()), (0, 0));
+    }
+
+    #[test]
+    fn retain_drops_events_and_keeps_the_order_of_the_rest() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        for i in [50, 10, 40, 20, 30, 60] {
+            s.schedule_at(SimTime::from_nanos(i), i as u32);
+        }
+        s.retain(|&e| e % 20 != 0);
+        let order: Vec<u32> = s.drain_ordered().into_iter().map(|e| e.event).collect();
+        assert_eq!(order, vec![10, 30, 50]);
     }
 
     #[test]

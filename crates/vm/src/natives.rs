@@ -82,13 +82,19 @@ pub enum DeferredAction {
         /// Timer generation at arm time.
         generation: u64,
     },
-    /// Declare a UART read timed out if no byte arrived since
-    /// `generation`.
+    /// Deliver one received UART byte to the subscribed reader `slot` as
+    /// `newdata`; its arrival ends the wait of every armed `uart.read`.
+    UartByte {
+        /// The subscribed reader.
+        slot: u8,
+        /// The received byte.
+        byte: u8,
+    },
+    /// Declare a UART read timed out: no byte arrived since it was armed
+    /// (a delivered byte removes this action from the queue).
     UartTimeout {
         /// The slot that issued `uart.read`.
         slot: u8,
-        /// RX generation at arm time.
-        generation: u64,
     },
 }
 
@@ -97,9 +103,6 @@ pub enum DeferredAction {
 pub struct NativeLibs {
     /// The slot currently subscribed to UART RX, if any.
     pub uart_reader: Option<u8>,
-    /// RX generation: bumps on every delivered byte; used to validate
-    /// timeout deadlines.
-    pub uart_rx_gen: u64,
     /// Per-slot I²C slave address configured with `i2c.init`.
     pub i2c_addr: VecMap<u8, u8>,
     /// Per-slot timer generation (cancel = bump).
@@ -219,11 +222,7 @@ impl Runtime {
                     return Err(errors::INVALID_CONFIGURATION);
                 }
                 self.natives.uart_reader = Some(slot);
-                let generation = self.natives.uart_rx_gen;
-                self.defer(
-                    UART_READ_TIMEOUT,
-                    DeferredAction::UartTimeout { slot, generation },
-                );
+                self.defer(UART_READ_TIMEOUT, DeferredAction::UartTimeout { slot });
                 Ok(())
             }
             // write(byte)

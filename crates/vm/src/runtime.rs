@@ -242,14 +242,9 @@ impl Runtime {
         let mut delay = SimDuration::ZERO;
         while let Some(byte) = self.hw.uart.read_byte() {
             delay += byte_time;
-            self.natives.uart_rx_gen += 1;
             self.sched.schedule_at(
                 self.clamp_future(delay),
-                DeferredAction::Post(RoutedEvent {
-                    slot: reader,
-                    event: ids::NEWDATA,
-                    args: vec![Cell::from_i32(byte as i32)],
-                }),
+                DeferredAction::UartByte { slot: reader, byte },
             );
         }
         if self.hw.uart.take_overrun() {
@@ -319,9 +314,19 @@ impl Runtime {
                     });
                 }
             }
-            DeferredAction::UartTimeout { slot, generation } => {
-                if self.natives.uart_reader == Some(slot) && self.natives.uart_rx_gen == generation
-                {
+            DeferredAction::UartByte { slot, byte } => {
+                // The byte ends the wait: a timeout armed before it would
+                // otherwise wake the MCU for nothing.
+                self.sched
+                    .retain(|a| !matches!(a, DeferredAction::UartTimeout { .. }));
+                self.router.post(RoutedEvent {
+                    slot,
+                    event: ids::NEWDATA,
+                    args: vec![Cell::from_i32(i32::from(byte))],
+                });
+            }
+            DeferredAction::UartTimeout { slot } => {
+                if self.natives.uart_reader == Some(slot) {
                     self.router.post(RoutedEvent {
                         slot,
                         event: errors::TIME_OUT,
@@ -490,6 +495,31 @@ mod tests {
         };
         let text: Vec<u8> = cells.iter().map(|c| c.as_i32() as u8).collect();
         assert_eq!(&text[..10], b"0415AB09CD");
+    }
+
+    #[test]
+    fn a_card_read_sees_no_timeout_and_ends_at_its_last_byte() {
+        let mut rt = Runtime::new(47);
+        rt.hw.uart_device = Some(Box::new(Id20La::new()));
+        let image = compile_source(drivers::ID20LA, 0xed3f_0ac1).unwrap();
+        let slot = rt.install_driver(image, 0).unwrap();
+        rt.run_until_idle();
+        // A first read subscribes the driver to the UART and times out.
+        rt.request(slot, PendingKind::Read, vec![]);
+        rt.run_until_idle();
+        // The card is in the field when the second read starts, so its
+        // bytes are on the wire before the read handler arms a timeout.
+        rt.hw.env.present_card("0415AB09CD");
+        let (start, (events, _)) = (rt.now(), rt.stats());
+        rt.request(slot, PendingKind::Read, vec![]);
+        let done = rt.run_until_idle();
+        assert_eq!(done.len(), 1, "the card answers a read");
+        // read, 16 newdata and readDone: no timeOut.
+        assert_eq!(rt.stats().0 - events, 18, "events of the card read");
+        // Idle once the 16th byte is in (about 16.7 ms at 9600 8N1), not
+        // when the timeout would have fired 2 s later.
+        let idle = rt.now().since(start);
+        assert!(idle < SimDuration::from_millis(20), "idle after {idle:?}");
     }
 
     #[test]
@@ -708,12 +738,13 @@ error busError():
     tally = tally + 10000;
 ";
 
-    /// FNV-1a over the runtime's outcomes below, recorded while each
-    /// native call still returned its completions for the runtime to
-    /// copy: the completions, the clock, both energy meters and the
-    /// lifetime counters after every step, so the instant and energy of
-    /// each native completion and each failure are pinned.
-    const RUNTIME_OUTCOMES_DIGEST: u64 = 0xd1c7_0d91_d20b_1383;
+    /// FNV-1a over the runtime's outcomes below: the completions, the
+    /// clock, both energy meters and the lifetime counters after every
+    /// step, so the instant and energy of each native completion and each
+    /// failure are pinned. Re-recorded when a delivered UART byte began
+    /// to end the wait of an armed `uart.read`: the ID-20LA's card reads
+    /// no longer take a spurious `timeOut` 2 s after the card.
+    const RUNTIME_OUTCOMES_DIGEST: u64 = 0xf991_8c46_6fa1_7a57;
 
     #[test]
     fn runtime_outcomes_match_the_pinned_digest() {
