@@ -3,12 +3,15 @@
 //! could be.
 //!
 //! The bounds pin the per-Thing layout: lazily built driver slots,
-//! boxed peripheral boards, one shared catalog and driver image, and
-//! exact-size maps. Run with `-- --nocapture` to print the measured
-//! figures that `docs/performance.md` reports.
+//! boxed peripheral boards, one shared catalog and driver image,
+//! exact-size maps, a board that stores no waveform, advertisements held
+//! in wire form and queues that give back what a burst grew. Run with
+//! `-- --nocapture` to print the measured figures that
+//! `docs/performance.md` reports.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Mutex;
 
 use upnp_core::fleet::{Fleet, FleetConfig};
 use upnp_core::Thing;
@@ -65,11 +68,16 @@ static ALLOC: Counting = Counting;
 const THINGS: usize = 1_000;
 
 /// Live heap per Thing once the fleet is built.
-const BUILT_MAX: isize = 2_400;
+const BUILT_MAX: isize = 2_352;
 /// Live heap per Thing after every Thing discovered one peripheral.
-const DISCOVERED_MAX: isize = 5_500;
+const DISCOVERED_MAX: isize = 4_096;
 /// The inline size of one Thing, before its heap.
-const THING_MAX: usize = 1_400;
+const THING_MAX: usize = 1_352;
+/// Live heap per Thing after a flash crowd behind two edge caches.
+const FLASH_MAX: isize = 4_096;
+
+/// The counter is process-wide, so the cases take turns.
+static TURN: Mutex<()> = Mutex::new(());
 
 fn live() -> isize {
     LIVE.load(Ordering::Relaxed)
@@ -77,6 +85,7 @@ fn live() -> isize {
 
 #[test]
 fn a_thing_holds_only_what_is_plugged() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let before = live();
     let mut fleet = Fleet::build(FleetConfig::new(THINGS));
     let built = (live() - before) / THINGS as isize;
@@ -95,4 +104,17 @@ fn a_thing_holds_only_what_is_plugged() {
         "{discovered} B per discovered Thing"
     );
     assert!(size <= THING_MAX, "size_of::<Thing>() is {size} B");
+}
+
+#[test]
+fn a_flash_crowd_leaves_each_thing_within_its_pin() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let before = live();
+    let mut fleet = Fleet::build(FleetConfig::new(THINGS).with_caches(2));
+    let crowd = fleet.flash_crowd();
+    assert_eq!(crowd.completed, THINGS, "every driver must install");
+    drop(crowd);
+    let flash = (live() - before) / THINGS as isize;
+    println!("{THINGS}-Thing flash crowd behind 2 caches: {flash} B/Thing");
+    assert!(flash <= FLASH_MAX, "{flash} B per Thing after the crowd");
 }
