@@ -49,7 +49,8 @@
 //! soak invariants and evidence (no violations, per-epoch breakdowns
 //! that tile their totals, blackouts that strand Things, MCU crashes
 //! that tear images, degraded hops in every gray epoch, flat peak RSS);
-//! and, against a baseline, on per-family recovery p99s, shipped driver
+//! on the peak RSS of a sequential discovery wave of a million Things
+//! (at most 4 GiB); and, against a baseline, on per-family recovery p99s, shipped driver
 //! sizes, the 1k/5k discovery walls, discovery payload allocations and
 //! the cost of tracing. A row whose fingerprint or registry differs
 //! from the baseline's is reported as drift, a warning: those fields
@@ -105,6 +106,11 @@ const FLIGHT_DUMP_PATH: &str = "BENCH_flight.json";
 const SOAK_RSS_FLAT_FACTOR: f64 = 1.5;
 /// Absolute slack for the flatness gate, kilobytes.
 const SOAK_RSS_FLAT_SLACK_KB: u64 = 32 * 1024;
+/// Smallest sequential discovery wave whose peak RSS is gated.
+const MILLION_THINGS: usize = 1_000_000;
+/// Peak RSS such a wave may reach, bytes (4 GiB): what a Thing keeps
+/// after discovery, at scale.
+const MILLION_THING_RSS_MAX: u64 = 4 << 30;
 /// Per-family p99 recovery-latency gate: a soak row's p99 (virtual
 /// time, deterministic) must stay within this factor of the baseline's.
 /// The histogram resolves p99 to a power-of-two bucket edge, so one
@@ -183,8 +189,8 @@ struct ScenarioRow {
     /// Process peak RSS (VmHWM) over this row alone, bytes: the mark is
     /// reset before each row (where `/proc/self/clear_refs` allows).
     /// Host-dependent — recorded so the per-shard-memory bottleneck is
-    /// observable from CI artifacts, never gated or compared for
-    /// identity.
+    /// observable from CI artifacts, and never compared for identity.
+    /// Gated only on a sequential discovery wave of a million Things.
     peak_rss_bytes: u64,
     /// CPUs the host exposed to this run (`available_parallelism`) —
     /// lets a reader tell real multi-core sharding numbers from
@@ -850,6 +856,12 @@ const GATES: &[Gate] = &[
         Compare(|r| r.metrics().wall_ms, AT_MOST, |b| b.twin().map(|w| w * GATE_FACTOR))),
     Gate(Each(|r| r.label() == "discovery@1000 shards=4"), "wall_ms",
         Compare(|r| r.metrics().wall_ms, AT_MOST, |b| b.twin().map(|w| w * GATE_FACTOR))),
+    // A sequential discovery wave of a million Things or more peaks
+    // under 4 GiB (no baseline needed).
+    Gate(Each(|r| r.is("discovery") && r.scenario().shards == 1
+            && r.scenario().things >= MILLION_THINGS), "peak_rss_bytes",
+        Compare(|r| r.scenario().peak_rss_bytes as f64, AT_MOST,
+            |_| Some(MILLION_THING_RSS_MAX as f64))),
     // Discovery payload allocations within 25 % of the baseline.
     Gate(Each(|r| r.is("discovery")), "payload_allocs",
         Compare(|r| r.metrics().payload_allocs as f64, AT_MOST,
@@ -1106,6 +1118,19 @@ mod tests {
                 "chunks" => d.chunks += 1,
                 _ => {}
             }
+        }
+        if metric == "peak_rss_bytes" {
+            // A million-Thing wave a byte over the bound.
+            let wave = "discovery@5000 shards=1";
+            let mut row = run
+                .scenarios
+                .iter()
+                .find(|r| r.label() == wave)
+                .unwrap()
+                .clone();
+            row.things = MILLION_THINGS;
+            row.peak_rss_bytes = MILLION_THING_RSS_MAX + 1;
+            run.scenarios.push(row);
         }
         if metric == "wall_ms" {
             // The tracing-overhead rows, measured as slow as the
