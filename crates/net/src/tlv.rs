@@ -120,16 +120,6 @@ impl TlvList {
         }
     }
 
-    /// Number of tuples.
-    pub fn len(&self) -> usize {
-        self.count as usize
-    }
-
-    /// True if the list holds no tuple.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// The tuples, in wire order.
     pub fn iter(&self) -> impl Iterator<Item = Tlv<'_>> + '_ {
         let mut rest = &self.bytes[..];
@@ -193,7 +183,6 @@ mod tests {
             Tlv::new(TlvType::Vendor(0x80), &[1, 2, 3]),
         ];
         let list = TlvList::new(tuples);
-        assert_eq!(list.len(), 4);
         assert!(list.iter().eq(tuples));
         let mut buf = Vec::new();
         list.encode(&mut buf);
@@ -210,7 +199,6 @@ mod tests {
         assert_eq!(buf, vec![0]);
         let mut i = 0;
         let back = TlvList::decode(&buf, &mut i).unwrap();
-        assert!(back.is_empty());
         assert_eq!(back.iter().count(), 0);
     }
 
