@@ -50,9 +50,9 @@
 //! that tile their totals, blackouts that strand Things, MCU crashes
 //! that tear images, degraded hops in every gray epoch, flat peak RSS);
 //! on the peak RSS of a sequential discovery wave of a million Things
-//! (at most 4 GiB); and, against a baseline, on per-family recovery p99s, shipped driver
-//! sizes, the 1k/5k discovery walls, discovery payload allocations and
-//! the cost of tracing. A row whose fingerprint or registry differs
+//! (at most 4 GiB); and, against a baseline, on per-family recovery
+//! p99s, shipped driver sizes, the 1k/5k discovery walls, discovery
+//! payload allocations and the cost of tracing. A row whose fingerprint or registry differs
 //! from the baseline's is reported as drift, a warning: those fields
 //! only move when behaviour genuinely changes. Every row records its own
 //! peak RSS and the host's CPU count, and a row whose wall is gated
